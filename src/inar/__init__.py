@@ -2,7 +2,6 @@
 conditional least-squares estimation, sandwich inference, and Monte Carlo
 studies."""
 
-from ._kernels import USE_NUMBA, backend_name
 from .errors import (
     AllReplicationsFailed,
     DimensionMismatch,
@@ -35,6 +34,7 @@ from .simulate import (
     RngStream,
     poisson_sample,
     read_path_csv,
+    simulate_lanes,
     simulate_path,
     write_path_csv,
 )
@@ -74,6 +74,12 @@ from .montecarlo import (
 from .config import parse_config, parse_kernel_spec
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation: always "numpy"."""
+    return "numpy"
+
 
 # Base seed used by the bundled study configs and the acceptance suite.
 DEFAULT_BASE_SEED = 11

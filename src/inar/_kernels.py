@@ -1,57 +1,31 @@
 """Numerical kernels: counter-based RNG, Poisson sampling, path simulation,
 and design-system accumulation.
 
-Every function here is written once and compiled with numba when the
-INAR_NUMBA environment flag allows it (the default); otherwise the same
-source runs as plain Python on numpy scalars, which wraps uint64 arithmetic
-identically. Callers in the public modules suppress numpy's scalar-overflow
-RuntimeWarning, which fires only on the interpreted path.
+Paths are simulated by one of two routes that make the same draws:
+
+- the scalar loop (``fill_poisson``, ``sim_path``) runs one stream on numpy
+  scalars, which wrap uint64 arithmetic; callers suppress numpy's
+  scalar-overflow RuntimeWarning. It is the one-lane path and the reference
+  the lane engine is tested against.
+- the lane engine (``sim_lanes``) advances many independent streams one
+  step together, each on its own counter-based splitmix64 lane (Salmon et
+  al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Lane i
+  reproduces the scalar loop on key i bit for bit.
 """
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
-    "backend_name",
     "derive_key",
+    "stream_keys",
     "fill_poisson",
     "sim_path",
+    "sim_lanes",
     "design_build",
-    "design_build_numpy",
     "khat_build",
-    "khat_build_numpy",
 ]
-
-
-def _env_wants_numba():
-    val = os.environ.get("INAR_NUMBA", "").strip().lower()
-    return val not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = False
-if _env_wants_numba():
-    try:
-        import numba
-
-        USE_NUMBA = True
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    _jit = numba.njit(cache=True, nogil=True)
-else:
-
-    def _jit(func):
-        return func
-
-
-def backend_name():
-    """Name of the active kernel backend: "numba" or "python"."""
-    return "numba" if USE_NUMBA else "python"
-
 
 # splitmix64 constants (Steele, Lea, Flood 2014 finalizer, variant 13)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -64,16 +38,15 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S12 = np.uint64(12)
 _INV52 = 2.220446049250313e-16  # 2**-52
+_MASK64 = (1 << 64) - 1
 
 
-@_jit
 def _mix64(z):
     z = (z ^ (z >> _S30)) * _MIX1
     z = (z ^ (z >> _S27)) * _MIX2
     return z ^ (z >> _S31)
 
 
-@_jit
 def derive_key(seed, stream_id):
     # Full avalanche on both inputs so nearby (seed, stream) pairs decorrelate.
     a = _mix64(seed ^ _SEED_TAG)
@@ -81,7 +54,14 @@ def derive_key(seed, stream_id):
     return _mix64(a + b)
 
 
-@_jit
+def stream_keys(seed, stream_ids):
+    """uint64 generator key of each stream (seed, i), i in ``stream_ids``;
+    seeds and ids wrap modulo 2**64."""
+    ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return derive_key(np.uint64(int(seed) & _MASK64), ids)
+
+
 def _next_uniform(state):
     # splitmix64 step; top 52 bits centered in (0, 1), never 0 or 1.
     state[0] = state[0] + _GOLDEN
@@ -89,7 +69,6 @@ def _next_uniform(state):
     return (np.float64(z >> _S12) + 0.5) * _INV52
 
 
-@_jit
 def _poisson_draw(lam, state):
     if lam <= 0.0:
         return 0
@@ -126,18 +105,18 @@ def _poisson_draw(lam, state):
             return int(k)
 
 
-@_jit
 def fill_poisson(lam, out, state):
     for i in range(out.shape[0]):
         out[i] = _poisson_draw(lam, state)
 
 
-@_jit
 def sim_path(nu, kern, n_steps, cap, state):
     # Counts kept as float64: integer-valued, exact below 2**53, and the
     # rolling intensity dot product then needs no casts.
     x = np.zeros(n_steps, dtype=np.float64)
     klen = kern.shape[0]
+    if not (nu <= cap):
+        return x, 0
     x[0] = _poisson_draw(nu, state)
     for n in range(1, n_steps):
         kmax = min(n, klen)
@@ -150,59 +129,169 @@ def sim_path(nu, kern, n_steps, cap, state):
     return x, -1
 
 
-@_jit
-def design_build(x, p):
-    # Moment vector b and design matrix Y, upper triangle, compensated
-    # (Kahan) accumulation per entry.
-    n_steps = x.shape[0]
-    m = p + 1
-    bsum = np.zeros(m, dtype=np.float64)
-    bcmp = np.zeros(m, dtype=np.float64)
-    ysum = np.zeros((m, m), dtype=np.float64)
-    ycmp = np.zeros((m, m), dtype=np.float64)
+# Lane engine. Each function below applies the scalar sampler's arithmetic
+# elementwise, in the scalar's order, so every lane reproduces the scalar
+# draws. numpy's +, -, *, /, sqrt and floor round exactly as Python's do;
+# its exp and log may differ from libm's in the last bit, so exp comes from
+# math.exp and every log comparison that is within _TIE of a tie is decided
+# again in scalar math.
+
+# Relative margin of the vectorised PTRS log test. numpy's log is within a
+# few ulp (2**-52) of libm's, so the two evaluations of either side differ
+# by far less than 2**-40 times the sum of the magnitudes of its terms.
+_TIE = 2.0 ** -40
+# Largest k whose log k! is cached; larger draws call math.lgamma per lane.
+_LOGFACT_CACHE = 1 << 16
+
+
+def _uniforms(state):
+    # _next_uniform on every lane: advances ``state`` in place.
+    state += _GOLDEN
+    z = _mix64(state)
+    return ((z >> _S12).astype(np.float64) + 0.5) * _INV52
+
+
+class _LogFactorials:
+    """log k! = math.lgamma(k + 1) for integer-valued float arrays k, from a
+    table grown on demand (scipy's gammaln differs from math.lgamma in the
+    last bit on about half of its inputs)."""
+
+    def __init__(self):
+        self.table = np.zeros(0)
+
+    def __call__(self, k):
+        top = int(k.max()) + 1
+        if top > _LOGFACT_CACHE:
+            return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+        if top > self.table.shape[0]:
+            size = min(_LOGFACT_CACHE, max(top, 2 * self.table.shape[0]))
+            self.table = np.array([math.lgamma(i + 1.0) for i in range(size)])
+        return self.table[k.astype(np.intp)]
+
+
+def _inversion_lanes(lam, state):
+    # Sequential search; every lane still searching has taken the same
+    # number of steps, so k is one counter for all of them.
+    u = _uniforms(state)
+    p = np.array([math.exp(-v) for v in lam.tolist()])
+    f = p.copy()
+    out = np.zeros(lam.shape[0])
+    pos = np.arange(lam.shape[0])
+    k = 0
+    while k < 200:
+        more = u > f
+        pos, u, lam, p, f = pos[more], u[more], lam[more], p[more], f[more]
+        if not pos.size:
+            break
+        k += 1
+        p = p * (lam / k)
+        f = f + p
+        out[pos] = k
+    return out
+
+
+def _log_test(k, lam, us, v, a, b, inv_alpha, logfact):
+    # PTRS acceptance test for lanes past the squeeze.
+    lv = np.log(v)
+    li = np.log(inv_alpha)
+    lq = np.log(a / (us * us) + b)
+    t = k * np.log(lam)
+    lg = logfact(k)
+    lhs = lv + li - lq
+    rhs = t - lam - lg
+    accept = lhs <= rhs
+    tie = np.abs(lhs - rhs) <= _TIE * (np.abs(lv) + np.abs(li) + np.abs(lq) + np.abs(t) + lam + lg)
+    for i in np.flatnonzero(tie).tolist():
+        accept[i] = (
+            math.log(v[i]) + math.log(inv_alpha[i]) - math.log(a[i] / (us[i] * us[i]) + b[i])
+            <= k[i] * math.log(lam[i]) - lam[i] - math.lgamma(k[i] + 1.0)
+        )
+    return accept
+
+
+def _ptrs_lanes(lam, state, logfact):
+    # Masked PTRS attempts: each round draws (u, v) on the lanes still
+    # rejecting and drops the lanes that accept.
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    out = np.empty(lam.shape[0])
+    pos = np.arange(lam.shape[0])
+    st = state.copy()
+    while pos.size:
+        u = _uniforms(st) - 0.5
+        v = _uniforms(st)
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+        accept = (us >= 0.07) & (v <= v_r)
+        slow = ~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us))
+        if slow.any():
+            accept[slow] = _log_test(
+                k[slow], lam[slow], us[slow], v[slow], a[slow], b[slow],
+                inv_alpha[slow], logfact,
+            )
+        done = pos[accept]
+        out[done] = k[accept]
+        state[done] = st[accept]
+        rest = ~accept
+        pos, lam, a, b, inv_alpha, v_r, st = (
+            c[rest] for c in (pos, lam, a, b, inv_alpha, v_r, st)
+        )
+    return out
+
+
+def _poisson_lanes(lam, state, logfact):
+    # One Poisson(lam[i]) draw on lane i, advancing state[i]; lanes with
+    # lam = 0 draw nothing.
+    out = np.zeros(lam.shape[0])
+    small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
+    if small.size:
+        st = state[small]
+        out[small] = _inversion_lanes(lam[small], st)
+        state[small] = st
+    large = np.flatnonzero(lam >= 10.0)
+    if large.size:
+        st = state[large]
+        out[large] = _ptrs_lanes(lam[large], st, logfact)
+        state[large] = st
+    return out
+
+
+def sim_lanes(nu, kern, n_steps, cap, keys):
+    """``sim_path`` on one lane per uint64 key, all lanes stepping together.
+
+    Returns the (n_steps, N) float64 counts, column i being sim_path's path
+    on key i, and the 0-based step at which each lane's intensity exceeded
+    ``cap`` (-1 for none); a lane's counts stay 0 from that step on.
+    """
+    n_lanes = keys.shape[0]
+    state = np.array(keys, dtype=np.uint64)
+    x = np.zeros((n_steps, n_lanes), dtype=np.float64)
+    overflow_at = np.full(n_lanes, -1, dtype=np.int64)
+    alive = np.ones(n_lanes, dtype=bool)
+    klen = kern.shape[0]
+    logfact = _LogFactorials()
+    tmp = np.empty(n_lanes)
     for n in range(n_steps):
-        xn = x[n]
-        jmax = min(n, p)
-        y0 = xn - bcmp[0]
-        t0 = bsum[0] + y0
-        bcmp[0] = (t0 - bsum[0]) - y0
-        bsum[0] = t0
-        for j in range(1, jmax + 1):
-            zj = x[n - j]
-            v = zj * xn
-            y1 = v - bcmp[j]
-            t1 = bsum[j] + y1
-            bcmp[j] = (t1 - bsum[j]) - y1
-            bsum[j] = t1
-            y2 = zj - ycmp[0, j]
-            t2 = ysum[0, j] + y2
-            ycmp[0, j] = (t2 - ysum[0, j]) - y2
-            ysum[0, j] = t2
-        for i in range(1, jmax + 1):
-            zi = x[n - i]
-            for j in range(i, jmax + 1):
-                w = zi * x[n - j]
-                y3 = w - ycmp[i, j]
-                t3 = ysum[i, j] + y3
-                ycmp[i, j] = (t3 - ysum[i, j]) - y3
-                ysum[i, j] = t3
-    b = bsum / n_steps
-    y = np.empty((m, m), dtype=np.float64)
-    y[0, 0] = 1.0
-    for j in range(1, m):
-        y[0, j] = ysum[0, j] / n_steps
-        y[j, 0] = y[0, j]
-    for i in range(1, m):
-        for j in range(i, m):
-            y[i, j] = ysum[i, j] / n_steps
-            y[j, i] = y[i, j]
-    return y, b
+        # The scalar order: nu first, then lag 1, 2, ... (a matmul would
+        # reorder the sum and could flip draws).
+        lam = np.full(n_lanes, nu, dtype=np.float64)
+        for k in range(1, min(n, klen) + 1):
+            np.multiply(kern[k - 1], x[n - k], out=tmp)
+            lam += tmp
+        over = alive & ~(lam <= cap)
+        overflow_at[over] = n
+        alive &= ~over
+        lam[~alive] = 0.0
+        x[n] = _poisson_lanes(lam, state, logfact)
+    return x, overflow_at
 
 
-def design_build_numpy(x, p):
-    # Vectorized route used as the interpreted fallback and as a test oracle
-    # against the compiled loop. On integer count data every partial sum is
-    # an exact float64 integer, so the two routes agree exactly.
+def design_build(x, p):
+    # Moment vector b and design matrix Y from the lag matrix. On integer
+    # count data every partial sum is an exact float64 integer, so the
+    # result does not depend on the summation order.
     n_steps = x.shape[0]
     m = p + 1
     lags = np.zeros((n_steps, m), dtype=np.float64)
@@ -218,50 +307,8 @@ def design_build_numpy(x, p):
     return y, b
 
 
-@_jit
 def khat_build(x, mu, betas):
-    # Empirical score-variance plug-in: (4/T) sum z_n z_n' (x_n - phi_n)^2,
-    # Kahan-accumulated over the upper triangle.
-    n_steps = x.shape[0]
-    p = betas.shape[0]
-    m = p + 1
-    ksum = np.zeros((m, m), dtype=np.float64)
-    kcmp = np.zeros((m, m), dtype=np.float64)
-    for n in range(n_steps):
-        jmax = min(n, p)
-        phi = mu
-        for j in range(1, jmax + 1):
-            phi += betas[j - 1] * x[n - j]
-        r = x[n] - phi
-        r2 = r * r
-        y0 = r2 - kcmp[0, 0]
-        t0 = ksum[0, 0] + y0
-        kcmp[0, 0] = (t0 - ksum[0, 0]) - y0
-        ksum[0, 0] = t0
-        for j in range(1, jmax + 1):
-            v = x[n - j] * r2
-            y1 = v - kcmp[0, j]
-            t1 = ksum[0, j] + y1
-            kcmp[0, j] = (t1 - ksum[0, j]) - y1
-            ksum[0, j] = t1
-        for i in range(1, jmax + 1):
-            zi = x[n - i]
-            for j in range(i, jmax + 1):
-                w = zi * x[n - j] * r2
-                y2 = w - kcmp[i, j]
-                t2 = ksum[i, j] + y2
-                kcmp[i, j] = (t2 - ksum[i, j]) - y2
-                ksum[i, j] = t2
-    scale = 4.0 / n_steps
-    k_hat = np.empty((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i, m):
-            k_hat[i, j] = ksum[i, j] * scale
-            k_hat[j, i] = k_hat[i, j]
-    return k_hat
-
-
-def khat_build_numpy(x, mu, betas):
+    # Empirical score-variance plug-in: (4/T) sum z_n z_n' (x_n - phi_n)^2.
     n_steps = x.shape[0]
     p = betas.shape[0]
     m = p + 1
@@ -275,11 +322,3 @@ def khat_build_numpy(x, mu, betas):
     k_hat = (k_hat + k_hat.T) * 0.5
     k_hat *= 4.0 / n_steps
     return k_hat
-
-
-if not USE_NUMBA:
-    # The interpreted fallback swaps the O(T p^2) python loops for their
-    # vectorized equivalents; the RNG/simulation loops stay as-is so that
-    # draws are bit-identical across backends.
-    design_build = design_build_numpy
-    khat_build = khat_build_numpy

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -51,12 +52,16 @@ def _provenance(config_payload: dict, base_seed: int | None) -> dict:
 
 
 def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out is None:
         sys.stdout.write(text + "\n")
     else:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -152,8 +157,9 @@ def _cmd_mc(args) -> int:
         "base_seed": config.base_seed,
         "mean_theta": [float(v) for v in summary.mean_theta],
         "mse": summary.mse,
-        "rel_err_theta": summary.rel_err_theta,
-        "rel_err_alpha": summary.rel_err_alpha,
+        # A zero truth makes the relative error infinite: null in JSON.
+        "rel_err_theta": _finite_or_none(summary.rel_err_theta),
+        "rel_err_alpha": _finite_or_none(summary.rel_err_alpha),
         "failures": summary.failures,
         "n_success": summary.n_success,
         "normality": {
@@ -266,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--config", required=True, help="config JSON path")
     mc.add_argument("--out-dir", default=".", help="output directory")
     mc.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: INAR_THREADS or 1)")
+                    help="accepted for compatibility (default: INAR_THREADS or 1); "
+                         "changes neither results nor speed")
     mc.add_argument("--seed", type=int, default=None,
                     help="override the config's base seed")
     mc.add_argument("--no-samples", action="store_true",

@@ -9,6 +9,7 @@ rejected by name so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ParseError, ValidationError
 from .model import ModelParams, geometric_kernel
@@ -60,8 +61,8 @@ def parse_kernel_spec(spec: str) -> tuple[float, ...]:
                 values.append(float(tok))
             except ValueError:
                 raise ParseError(f"bad lag value {tok!r} in kernel spec") from None
-        if any(v < 0.0 for v in values):
-            raise ValidationError("kernel: lag coefficients must be >= 0")
+        if not all(math.isfinite(v) and v >= 0.0 for v in values):
+            raise ValidationError("kernel: lag coefficients must be finite and >= 0")
         return tuple(values)
     raise ParseError(
         f"unrecognized kernel spec {spec!r}; expected 'none', "
@@ -73,6 +74,8 @@ def _require_number(raw, key: str, minimum: float | None = None) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValidationError(f"{key}: expected a number, got {raw!r}")
     val = float(raw)
+    if not math.isfinite(val):
+        raise ValidationError(f"{key}: must be finite, got {raw!r}")
     if minimum is not None and val < minimum:
         raise ValidationError(f"{key}: must be >= {minimum:g}, got {raw!r}")
     return val

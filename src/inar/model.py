@@ -10,6 +10,7 @@ need its squared l2 norm below 1/2.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,7 @@ class ModelParams:
 class ValidationReport:
     """Per-condition pass/fail from :func:`validate_params`."""
 
+    finite: bool
     nonnegative: bool
     stationary: bool
     l2_advisory: bool
@@ -79,8 +81,9 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        """True when the hard conditions (nonnegativity, stationarity) hold."""
-        return self.nonnegative and self.stationary
+        """True when the hard conditions (finiteness, nonnegativity,
+        stationarity) hold."""
+        return self.finite and self.nonnegative and self.stationary
 
 
 @dataclass(frozen=True)
@@ -134,17 +137,20 @@ def geometric_kernel(ratio: float, tol: float = 1e-12) -> tuple[float, ...]:
 
 
 def validate_params(params: ModelParams) -> ValidationReport:
-    """Check nonnegativity, stationarity (l1 < 1), and the l2 advisory.
+    """Check finiteness, nonnegativity, stationarity (l1 < 1), and the l2
+    advisory.
 
     Report-only: the l2 condition in particular is deliberately violated by
     interesting models (a single lag of 0.8 has squared l2 norm 0.64), and
     the estimator remains usable there.
     """
     arr = params.kernel_array()
+    finite = math.isfinite(params.nu) and bool(np.all(np.isfinite(arr)))
     nonneg = params.nu >= 0.0 and bool(np.all(arr >= 0.0))
     l1 = params.norm_l1
     l2_sq = params.norm_l2_sq
     return ValidationReport(
+        finite=finite,
         nonnegative=nonneg,
         stationary=bool(l1 < 1.0),
         l2_advisory=bool(l2_sq < 0.5),

@@ -3,13 +3,14 @@
 Randomness is counter-style: an :class:`RngStream` is an immutable
 (seed, stream_id) pair, and every sampling function derives the stream's
 state afresh, so calls are pure and replication i of a Monte Carlo run
-draws the same path whether it runs alone, in a batch, or on any number
-of threads.
+draws the same path whether it runs alone (:func:`simulate_path`) or in
+lockstep with other replications (:func:`simulate_lanes`).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,11 +25,10 @@ __all__ = [
     "CountPath",
     "poisson_sample",
     "simulate_path",
+    "simulate_lanes",
     "write_path_csv",
     "read_path_csv",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 DEFAULT_LAMBDA_CAP = 1e9
 
@@ -38,7 +38,7 @@ class RngStream:
     """Immutable handle for one reproducible stream of randomness.
 
     Identical (seed, stream_id) pairs reproduce identical draw sequences
-    bit for bit, on either kernel backend.
+    bit for bit.
     """
 
     seed: int
@@ -46,12 +46,7 @@ class RngStream:
 
     def state(self) -> np.ndarray:
         """Fresh mutable generator state for this stream."""
-        with np.errstate(over="ignore"):
-            key = _k.derive_key(
-                np.uint64(self.seed & _MASK64),
-                np.uint64(self.stream_id & _MASK64),
-            )
-        return np.array([key], dtype=np.uint64)
+        return _k.stream_keys(self.seed, [self.stream_id])
 
     def substream(self, stream_id: int) -> "RngStream":
         return RngStream(self.seed, stream_id)
@@ -104,6 +99,24 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
     return out
 
 
+def _check_inputs(params: ModelParams, T, lam_cap) -> int:
+    T = int(T)
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if not math.isfinite(lam_cap):
+        raise ValueError(f"lambda_cap must be finite, got {lam_cap}")
+    report = validate_params(params)
+    if not report.finite:
+        raise NonStationaryKernel("nu and all kernel entries must be finite")
+    if not report.nonnegative:
+        raise NonStationaryKernel("nu and all kernel entries must be >= 0")
+    if not report.stationary:
+        raise NonStationaryKernel(
+            f"kernel has l1 norm {report.norm_l1:.6g} >= 1"
+        )
+    return T
+
+
 def simulate_path(
     params: ModelParams,
     T: int,
@@ -113,20 +126,11 @@ def simulate_path(
     """Simulate X_1..X_T: X_1 ~ Poisson(nu), then each X_n is Poisson with
     intensity nu plus the kernel-weighted recent counts.
 
-    Raises :class:`Overflow` if any intensity exceeds ``lam_cap`` (runaway,
-    near-critical configurations) and :class:`NonStationaryKernel` if the
-    parameters fail validation.
+    Raises :class:`Overflow` if any intensity, nu included, exceeds
+    ``lam_cap`` (runaway, near-critical configurations) and
+    :class:`NonStationaryKernel` if the parameters fail validation.
     """
-    T = int(T)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    report = validate_params(params)
-    if not report.nonnegative:
-        raise NonStationaryKernel("nu and all kernel entries must be >= 0")
-    if not report.stationary:
-        raise NonStationaryKernel(
-            f"kernel has l1 norm {report.norm_l1:.6g} >= 1"
-        )
+    T = _check_inputs(params, T, lam_cap)
     state = rng.state()
     with np.errstate(over="ignore"):
         x, overflow_at = _k.sim_path(
@@ -142,6 +146,29 @@ def simulate_path(
         stream_id=rng.stream_id,
         params_digest=params.digest(),
     )
+
+
+def simulate_lanes(
+    params: ModelParams,
+    T: int,
+    seed: int,
+    stream_ids,
+    lam_cap: float = DEFAULT_LAMBDA_CAP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate the paths of the streams (seed, i), i in ``stream_ids``,
+    all advancing one step together.
+
+    Returns a (T, N) float64 count array and an (N,) int64 array of the
+    0-based step at which each lane's intensity exceeded ``lam_cap`` (-1
+    where it never did). Column j equals the counts of
+    ``simulate_path(params, T, RngStream(seed, stream_ids[j]), lam_cap)``
+    bit for bit; an overflowed column is zero from its overflow step on.
+    A step costs numpy dispatch however few the lanes, so a single stream
+    is faster through :func:`simulate_path`.
+    """
+    T = _check_inputs(params, T, lam_cap)
+    keys = _k.stream_keys(seed, stream_ids)
+    return _k.sim_lanes(params.nu, params.kernel_array(), T, float(lam_cap), keys)
 
 
 def write_path_csv(path: CountPath, file) -> None:

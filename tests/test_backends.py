@@ -1,133 +1,106 @@
-"""Parity between the compiled and interpreted backends.
+"""Parity between the two simulation routes.
 
-The RNG and simulation loops share one source, so draws and paths must be
-bit-identical under INAR_NUMBA=0. The fallback design builder takes a
-vectorized route, but on integer count data every partial sum is exact in
-double precision, so (Y, b) and the downstream estimates agree exactly too.
+The lane engine (``simulate_lanes``, used by ``run_experiment``) steps many
+streams together; the scalar loop (``simulate_path``, ``poisson_sample``)
+runs one. The scalar loop is the oracle: every lane must reproduce it bit
+for bit, including the step at which a lane's intensity overflows.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inar
-
-DUMP = r"""
-import json
-import numpy as np
-import inar
-
-params = inar.ModelParams(nu=100.0, kernel=inar.geometric_kernel(0.25))
-out = {"backend": inar.backend_name()}
-out["poisson"] = {
-    str(lam): inar.poisson_sample(lam, inar.RngStream(5, 2), size=64).tolist()
-    for lam in (0.5, 3.0, 150.0)
-}
-path = inar.simulate_path(params, 300, inar.RngStream(9))
-out["path"] = path.counts.tolist()
-sys_ = inar.build_design(path, 4)
-out["Y"] = [repr(v) for v in sys_.Y.ravel().tolist()]
-out["b"] = [repr(v) for v in sys_.b.tolist()]
-theta = inar.solve_cls(sys_)
-cov = inar.sandwich_covariance(path, theta)
-out["khat"] = cov.K_hat.ravel().tolist()
-cfg = inar.McConfig(params=params, T=150, p=3, n_experiments=12, base_seed=13)
-s = inar.run_experiment(cfg, threads=2)
-out["mc_mean"] = [repr(v) for v in s.mean_theta.tolist()]
-out["mc_mse"] = repr(s.mse)
-print(json.dumps(out))
-"""
+from inar import _kernels as _k
+from inar import ModelParams, Overflow, RngStream
+from inar.simulate import simulate_lanes
 
 
-def run_dump(numba_flag):
-    env = os.environ.copy()
-    env["INAR_NUMBA"] = numba_flag
-    proc = subprocess.run(
-        [sys.executable, "-c", DUMP], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+def scalar_path(params, T, seed, stream_id, cap):
+    """The one-lane loop: (counts, 0-based overflow step or -1)."""
+    state = RngStream(seed, stream_id).state()
+    with np.errstate(over="ignore"):
+        return _k.sim_path(params.nu, params.kernel_array(), T, float(cap), state)
 
 
-@pytest.fixture(scope="module")
-def dumps():
-    return run_dump("1"), run_dump("0")
+def assert_lanes_match(params, T, seed, ids, cap):
+    counts, overflow_at = simulate_lanes(params, T, seed, ids, cap)
+    assert counts.shape == (T, len(ids)) and overflow_at.shape == (len(ids),)
+    for j, sid in enumerate(ids):
+        x, step = scalar_path(params, T, seed, sid, cap)
+        assert overflow_at[j] == step
+        assert np.array_equal(counts[:, j], x)
+        if step < 0:
+            path = inar.simulate_path(params, T, RngStream(seed, sid), cap)
+            assert np.array_equal(counts[:, j], path.counts)
+        else:
+            with pytest.raises(Overflow, match=f"at step {step + 1}$"):
+                inar.simulate_path(params, T, RngStream(seed, sid), cap)
+    return overflow_at
 
 
-def test_backend_selection(dumps):
-    compiled, interpreted = dumps
-    assert compiled["backend"] == "numba"
-    assert interpreted["backend"] == "python"
+kernels = st.lists(st.floats(0.0, 0.3), max_size=4).filter(lambda k: sum(k) < 0.95)
+rates = st.one_of(
+    st.sampled_from([0.0, 0.5, 3.0, 9.99, 10.0, 150.0]),
+    st.floats(0.0, 12.0),
+    st.floats(10.0, 400.0),
+)
 
 
-def test_env_flag_spellings():
-    for flag in ("0", "false", "off", "no"):
-        env = os.environ.copy()
-        env["INAR_NUMBA"] = flag
-        proc = subprocess.run(
-            [sys.executable, "-c", "import inar; print(inar.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.stdout.strip() == "python"
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(2 ** 63), 2 ** 64 - 1),
+    ids=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=12),
+    nu=rates,
+    kernel=kernels,
+    T=st.integers(1, 40),
+    cap=st.floats(0.0, 600.0),
+)
+def test_paths_bit_identical(seed, ids, nu, kernel, T, cap):
+    assert_lanes_match(ModelParams(nu=nu, kernel=tuple(kernel)), T, seed, ids, cap)
 
 
-def test_poisson_draws_bit_identical(dumps):
-    compiled, interpreted = dumps
-    assert compiled["poisson"] == interpreted["poisson"]
+def test_study_lanes_bit_identical(case1_params, case2_params):
+    ids = range(1, 41)
+    for params in (case1_params, case2_params):
+        overflow_at = assert_lanes_match(params, 120, 11, ids, 1e9)
+        assert np.all(overflow_at == -1)
 
 
-def test_paths_bit_identical(dumps):
-    compiled, interpreted = dumps
-    assert compiled["path"] == interpreted["path"]
+def test_some_lanes_overflow():
+    # Stationary mean 1000 against a cap of 1100: some lanes cross it.
+    overflow_at = assert_lanes_match(ModelParams(nu=100.0, kernel=(0.9,)), 200, 3, range(20), 1100.0)
+    assert 0 < np.count_nonzero(overflow_at >= 0) < 20
 
 
-def test_design_exact_match(dumps):
-    compiled, interpreted = dumps
-    assert compiled["Y"] == interpreted["Y"]
-    assert compiled["b"] == interpreted["b"]
+def test_first_observation_checked_against_cap():
+    counts, overflow_at = simulate_lanes(ModelParams(nu=50.0), 5, 1, range(4), 49.0)
+    assert np.all(overflow_at == 0) and not counts.any()
 
 
-def test_khat_close(dumps):
-    compiled, interpreted = dumps
-    a = np.array(compiled["khat"])
-    b = np.array(interpreted["khat"])
-    scale = max(1.0, np.max(np.abs(a)))
-    assert np.max(np.abs(a - b)) <= 1e-12 * scale
+def test_poisson_draws_bit_identical():
+    # Without a kernel each lane is an i.i.d. stream: the sampler's draws.
+    for lam in (0.5, 3.0, 9.99, 10.0, 150.0, 2e5):
+        counts, _ = simulate_lanes(ModelParams(nu=lam), 64, 5, range(6))
+        for j in range(6):
+            want = inar.poisson_sample(lam, RngStream(5, j), size=64)
+            assert np.array_equal(counts[:, j], want)
 
 
-def test_mc_summary_identical(dumps):
-    compiled, interpreted = dumps
-    assert compiled["mc_mean"] == interpreted["mc_mean"]
-    assert compiled["mc_mse"] == interpreted["mc_mse"]
+def test_tie_recheck_matches_oracle(monkeypatch, case1_params):
+    # An infinite margin sends every slow PTRS test to the scalar re-check.
+    monkeypatch.setattr(_k, "_TIE", np.inf)
+    assert_lanes_match(case1_params, 60, 7, range(1, 21), 1e9)
 
 
-def test_cli_outputs_byte_identical_across_backends(tmp_path, run_cli):
-    cfg = {
-        "nu": 100.0,
-        "kernel": "geometric:0.25",
-        "T": 150,
-        "p": 3,
-        "n_experiments": 20,
-        "seed": 13,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    outs = {}
-    for flag in ("1", "0"):
-        out_dir = tmp_path / f"out{flag}"
-        proc = run_cli(
-            ["mc", "--config", cfg_path, "--out-dir", out_dir],
-            env_extra={"INAR_NUMBA": flag},
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs[flag] = {
-            name: (out_dir / name).read_bytes()
-            for name in ("mc_summary.json", "samples.csv")
-        }
-    assert outs["1"] == outs["0"]
+def test_mc_summary_identical(case1_params, case2_params):
+    # Each replication's estimate equals the scalar simulate-and-fit.
+    for params in (case1_params, case2_params):
+        cfg = inar.McConfig(params=params, T=150, p=3, n_experiments=20, base_seed=13)
+        summary = inar.run_experiment(cfg)
+        assert summary.rep_ids.tolist() == list(range(1, 21))
+        for row, rep in zip(summary.per_component_samples, summary.rep_ids):
+            path = inar.simulate_path(params, cfg.T, RngStream(13, int(rep)), cfg.lam_cap)
+            theta = inar.solve_cls(inar.build_design(path, cfg.p))
+            assert np.array_equal(row, theta.to_array())

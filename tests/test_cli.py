@@ -271,3 +271,63 @@ def test_parse_kernel_spec_library_surface():
     assert geo[0] == 0.5 and len(geo) > 10
     with pytest.raises(inar.ParseError):
         inar.parse_kernel_spec("spline:3")
+
+
+def assert_one_line_error(proc, kind):
+    assert proc.returncode == 1
+    err = proc.stderr.strip()
+    assert "\n" not in err and err.startswith("inar: error:")
+    assert kind in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--nu", "inf"], ["--nu", "nan"], ["--nu", 10, "--lambda-cap", "inf"],
+     ["--nu", 10, "--lambda-cap", "nan"]],
+)
+def test_simulate_non_finite_rejected(tmp_path, run_cli, flags):
+    proc = run_cli(["simulate", *flags, "--kernel", "none", "--T", 5, "--seed", 1,
+                    "--out", tmp_path / "p.csv"])
+    assert_one_line_error(proc, "finite")
+
+
+@pytest.mark.parametrize(
+    "text", ['"nu": Infinity', '"nu": NaN', '"lambda_cap": Infinity',
+             '"kernel": "lags:[0.5,NaN]"']
+)
+def test_config_non_finite_rejected(tmp_path, run_cli, text):
+    doc = {"nu": 100.0, "kernel": "none", "T": 20, "p": 1, "n_experiments": 10, "seed": 1}
+    body = ", ".join(f'"{k}": {json.dumps(v)}' for k, v in doc.items() if f'"{k}"' not in text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{" + body + ", " + text + "}")
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "x"])
+    assert_one_line_error(proc, "ValidationError")
+
+
+def test_mc_summary_strict_json_zero_kernel(tmp_path, run_cli):
+    # The true kernel is zero at p > 0, so the relative alpha error is
+    # infinite: written as null, and the file parses as strict JSON.
+    cfg = write_config(tmp_path, kernel="none", p=2, n_experiments=20)
+    out = tmp_path / "out"
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", out])
+    assert proc.returncode == 0, proc.stderr
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((out / "mc_summary.json").read_text(), parse_constant=reject)
+    assert doc["rel_err_alpha"] is None
+    assert isinstance(doc["rel_err_theta"], float)
+
+
+def test_mc_overflow_counted_not_fatal(tmp_path, run_cli):
+    # Stationary mean 1000 against a cap of 1200: some replications
+    # overflow and are counted as failures.
+    cfg = write_config(tmp_path, nu=100.0, kernel="lags:[0.9]", T=200, p=1,
+                       n_experiments=40, seed=3, lambda_cap=1200.0)
+    out = tmp_path / "out"
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", out])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "mc_summary.json").read_text())
+    assert 0 < doc["failures"] < 40
+    assert doc["n_success"] + doc["failures"] == 40

@@ -176,6 +176,13 @@ class TestValidation:
         rep = inar.validate_params(ModelParams(nu=1.0, kernel=(-0.1, 0.2)))
         assert not rep.nonnegative and not rep.ok
 
+    @pytest.mark.parametrize(
+        "nu,kernel", [(float("inf"), ()), (float("nan"), ()), (1.0, (0.1, float("nan")))]
+    )
+    def test_non_finite_rejected(self, nu, kernel):
+        rep = inar.validate_params(ModelParams(nu=nu, kernel=kernel))
+        assert not rep.finite and not rep.ok
+
 
 class TestGeometricKernel:
     def test_quarter_ratio(self):

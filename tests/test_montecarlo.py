@@ -9,6 +9,7 @@ from inar import (
     DimensionMismatch,
     McConfig,
     ModelParams,
+    Overflow,
     RngStream,
     SampleSizeOutOfRange,
     SingularDesign,
@@ -131,6 +132,32 @@ class TestFailureHandling:
         assert summary.n_success == 5
         assert summary.rep_ids.tolist() == [1, 3, 4, 5, 6]
         assert summary.per_component_samples.shape == (5, cfg.p + 1)
+
+
+    def test_overflowed_replications_counted(self):
+        # Stationary mean 1000 against a cap of 1100: some replications
+        # overflow, and each is dropped and counted, not fatal.
+        params = ModelParams(nu=100.0, kernel=(0.9,))
+        cfg = McConfig(params=params, T=200, p=1, n_experiments=20, base_seed=3, lam_cap=1100.0)
+        summary = inar.run_experiment(cfg)
+        survivors = []
+        for i in range(1, 21):
+            try:
+                inar.simulate_path(params, cfg.T, RngStream(3, i), lam_cap=cfg.lam_cap)
+            except Overflow:
+                continue
+            survivors.append(i)
+        assert 0 < len(survivors) < 20
+        assert summary.rep_ids.tolist() == survivors
+        assert summary.failures == 20 - len(survivors)
+
+    def test_all_replications_overflowed(self):
+        cfg = McConfig(
+            params=ModelParams(nu=100.0, kernel=(0.5,)), T=50, p=1,
+            n_experiments=4, base_seed=3, lam_cap=99.0,
+        )
+        with pytest.raises(AllReplicationsFailed, match="4 intensity overflows"):
+            inar.run_experiment(cfg)
 
 
 class TestTruthVector:

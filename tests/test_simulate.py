@@ -110,6 +110,15 @@ class TestSimulatePath:
             inar.simulate_path(params, 5000, RngStream(2), lam_cap=1e3)
         assert "step" in str(exc.value)
 
+    def test_first_observation_checked_against_cap(self):
+        with pytest.raises(Overflow, match="at step 1$"):
+            inar.simulate_path(ModelParams(nu=500.0), 10, RngStream(2), lam_cap=100.0)
+
+    @pytest.mark.parametrize("cap", [float("inf"), float("nan")])
+    def test_non_finite_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="lambda_cap"):
+            inar.simulate_path(ModelParams(nu=1.0), 10, RngStream(2), lam_cap=cap)
+
     def test_determinism_and_provenance(self, case1_params):
         a = inar.simulate_path(case1_params, 256, RngStream(42, 3))
         b = inar.simulate_path(case1_params, 256, RngStream(42, 3))
@@ -129,6 +138,8 @@ class TestSimulatePath:
             inar.simulate_path(ModelParams(nu=1.0, kernel=(1.0,)), 10, RngStream(1))
         with pytest.raises(NonStationaryKernel):
             inar.simulate_path(ModelParams(nu=1.0, kernel=(-0.2,)), 10, RngStream(1))
+        with pytest.raises(NonStationaryKernel, match="finite"):
+            inar.simulate_path(ModelParams(nu=float("inf")), 10, RngStream(1))
 
     def test_intensity_matches_definition(self, case1_params):
         # lambda_n = nu + sum_{k<n} alpha_k X_{n-k}, checked by brute force
