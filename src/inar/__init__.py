@@ -44,6 +44,7 @@ from .estimate import (
     build_design,
     contrast,
     contrast_gradient,
+    fit_lanes,
     intensity_series,
     rcond,
     residual_norm,

@@ -1,5 +1,5 @@
 """Numerical kernels: counter-based RNG, Poisson sampling, path simulation,
-and design-system accumulation.
+and the design build and solve of conditional least squares.
 
 Paths are simulated by one of two routes that make the same draws:
 
@@ -14,8 +14,11 @@ Paths are simulated by one of two routes that make the same draws:
 """
 
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "derive_key",
@@ -25,6 +28,8 @@ __all__ = [
     "sim_lanes",
     "design_build",
     "khat_build",
+    "rcond",
+    "cls_solve",
 ]
 
 # splitmix64 constants (Steele, Lea, Flood 2014 finalizer, variant 13)
@@ -288,37 +293,141 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     return x, overflow_at
 
 
-def design_build(x, p):
-    # Moment vector b and design matrix Y from the lag matrix. On integer
-    # count data every partial sum is an exact float64 integer, so the
-    # result does not depend on the summation order.
-    n_steps = x.shape[0]
-    m = p + 1
-    lags = np.zeros((n_steps, m), dtype=np.float64)
-    lags[:, 0] = 1.0
+# Design systems. Counts are integers, so every entry of the Gram sums
+# below is an exact float64 integer whatever the summation order: a lane's
+# (Y, b) is the same bit for bit however the lanes are grouped.
+
+# Lanes per design-build chunk; bounds the regressor tensor at
+# _DESIGN_CHUNK * (p + 1) * T values instead of one per lane of the block.
+_DESIGN_CHUNK = 16
+
+
+def _regressors(x, m):
+    # Regressor rows of each row of an (N, T) array: out[i, j, n] is
+    # x[i, n - j] for lag j = 1..m-1 (0 before the path starts), and 1 for
+    # j = 0. Rows of this layout fill by contiguous copies.
+    n_lanes, n_steps = x.shape
+    z = np.zeros((n_lanes, m, n_steps), dtype=np.float64)
+    z[:, 0] = 1.0
     for j in range(1, m):
-        lags[j:, j] = x[: n_steps - j]
-    y = lags.T @ lags
-    y = (y + y.T) * 0.5
+        z[:, j, j:] = x[:, : n_steps - j]
+    return z
+
+
+def design_build(x, p):
+    """Design matrices Y (N, p+1, p+1) and moment vectors b (N, p+1) of
+    the columns of a (T, N) count array."""
+    n_steps, n_lanes = x.shape
+    m = p + 1
+    y = np.empty((n_lanes, m, m), dtype=np.float64)
+    b = np.empty((n_lanes, m), dtype=np.float64)
+    for start in range(0, n_lanes, _DESIGN_CHUNK):
+        lanes = slice(start, start + _DESIGN_CHUNK)
+        xc = np.ascontiguousarray(x[:, lanes].T)
+        z = _regressors(xc, m)
+        g = z @ z.transpose(0, 2, 1)
+        y[lanes] = (g + g.transpose(0, 2, 1)) * 0.5
+        b[lanes] = (z @ xc[:, :, None])[:, :, 0]
     y /= n_steps
-    y[0, 0] = 1.0
-    b = lags.T @ x
+    y[:, 0, 0] = 1.0
     b /= n_steps
     return y, b
 
 
 def khat_build(x, mu, betas):
     # Empirical score-variance plug-in: (4/T) sum z_n z_n' (x_n - phi_n)^2.
+    # The (T, p+1) lag matrix is made C-contiguous: the residual below is
+    # not an integer sum, and BLAS rounds it by the operand layout.
     n_steps = x.shape[0]
-    p = betas.shape[0]
-    m = p + 1
-    lags = np.zeros((n_steps, m), dtype=np.float64)
-    lags[:, 0] = 1.0
-    for j in range(1, m):
-        lags[j:, j] = x[: n_steps - j]
+    lags = np.ascontiguousarray(_regressors(x[None], betas.shape[0] + 1)[0].T)
     theta = np.concatenate((np.array([mu]), np.asarray(betas, dtype=np.float64)))
     resid = x - lags @ theta
     k_hat = (lags * (resid * resid)[:, None]).T @ lags
     k_hat = (k_hat + k_hat.T) * 0.5
     k_hat *= 4.0 / n_steps
     return k_hat
+
+
+# Stacked CLS solve. Each lane goes through the same checks in the same
+# order, and the batched LAPACK calls treat every slice on its own, so a
+# lane's estimate and status do not depend on the other lanes.
+
+RCOND_THRESHOLD = 1e-12
+
+# Per-lane outcome of cls_solve.
+FIT_OK = 0
+FIT_NONFINITE = 1  # Y or b has a non-finite entry
+FIT_RCOND = 2  # reciprocal condition below RCOND_THRESHOLD
+FIT_FACTOR = 3  # the symmetric factorization failed
+FIT_RESIDUAL = 4  # non-finite estimate or residual above its bound
+
+
+class LaneFits(NamedTuple):
+    theta: np.ndarray  # (N, m); NaN rows where status != FIT_OK
+    status: np.ndarray  # (N,) int8 FIT_* code
+    rcond: np.ndarray  # (N,); NaN where not computed
+    resid: np.ndarray  # (N,) l2 norm of Y theta - b; NaN where not computed
+    errors: dict  # lane -> message of its FIT_FACTOR exception
+
+
+def rcond(y):
+    """Reciprocal condition min|eig| / max|eig| of each symmetric matrix
+    of a (..., m, m) stack; 0 for a zero matrix."""
+    eig = np.abs(np.linalg.eigvalsh(y))
+    top = eig.max(axis=-1)
+    out = np.zeros_like(top)
+    np.divide(eig.min(axis=-1), top, out=out, where=top != 0.0)
+    return out
+
+
+def _refined_solve(y, b):
+    # Symmetric solve with pivoting, plus one iterative-refinement step.
+    # The caller screens Y and b for non-finite entries; a non-finite
+    # estimate only propagates NaN to the residual check.
+    theta = scipy.linalg.solve(y, b, assume_a="sym", check_finite=False)
+    theta += scipy.linalg.solve(y, b - y @ theta, assume_a="sym", check_finite=False)
+    return theta
+
+
+def cls_solve(y, b):
+    """Solve Y theta = b for each lane of a (N, m, m), (N, m) stack."""
+    n_lanes, m = b.shape
+    status = np.zeros(n_lanes, dtype=np.int8)
+    errors = {}
+    finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if finite.all():
+        rc = rcond(y)
+    else:
+        status[~finite] = FIT_NONFINITE
+        rc = np.full(n_lanes, np.nan)
+        rc[finite] = rcond(y[finite])
+    status[rc < RCOND_THRESHOLD] = FIT_RCOND
+    live = np.flatnonzero(status == FIT_OK)
+    if live.size == n_lanes:
+        yl, bl = y, b[:, :, None]
+    else:
+        yl, bl = y[live], b[live, :, None]
+    with warnings.catch_warnings():
+        # rcond was screened above; scipy's own ill-conditioning warning
+        # would only pollute the CLI's single-line error contract.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        try:
+            tl = _refined_solve(yl, bl)
+        except ValueError:  # numpy's LinAlgError included
+            # Some lane failed and the batch raised: redo it lane by lane.
+            tl = np.full(bl.shape, np.nan)
+            for i, lane in enumerate(live.tolist()):
+                try:
+                    tl[i] = _refined_solve(yl[i : i + 1], bl[i : i + 1])[0]
+                except ValueError as exc:
+                    status[lane] = FIT_FACTOR
+                    errors[lane] = str(exc)
+    tl = tl[:, :, 0]
+    resid = np.full(n_lanes, np.nan)
+    resid[live] = np.linalg.norm(yl @ tl[:, :, None] - bl, axis=(1, 2))
+    bound = 1e-8 * np.maximum(1.0, np.linalg.norm(bl, axis=(1, 2)))
+    good = np.isfinite(tl).all(axis=1) & (resid[live] <= bound)
+    status[live[~good & (status[live] == FIT_OK)]] = FIT_RESIDUAL
+    theta = np.full((n_lanes, m), np.nan)
+    theta[live[good]] = tl[good]
+    return LaneFits(theta, status, rc, resid, errors)

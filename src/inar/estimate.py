@@ -8,11 +8,9 @@ minimizer solves the linear normal equations Y theta = b.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
@@ -23,6 +21,7 @@ __all__ = [
     "ThetaVector",
     "build_design",
     "solve_cls",
+    "fit_lanes",
     "contrast",
     "contrast_gradient",
     "intensity_series",
@@ -30,7 +29,7 @@ __all__ = [
     "residual_norm",
 ]
 
-RCOND_THRESHOLD = 1e-12
+RCOND_THRESHOLD = _k.RCOND_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,15 @@ def _counts_of(path) -> np.ndarray:
     return np.ascontiguousarray(path, dtype=np.float64)
 
 
+def _check_lag(t: int, p: int) -> int:
+    p = int(p)
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
+    if p > t - 1:
+        raise LagTooLarge(f"p = {p} exceeds T - 1 = {t - 1}")
+    return p
+
+
 def build_design(path, p: int) -> DesignSystem:
     """Build (Y, b): b[0] is the sample mean of X, b[k] the lag-k cross
     moment; Y is the 1/T-scaled Gram matrix of the regressors
@@ -95,27 +103,34 @@ def build_design(path, p: int) -> DesignSystem:
     indices zeroed. Y[0,0] is exactly 1."""
     x = _counts_of(path)
     t = x.shape[0]
-    p = int(p)
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    if p > t - 1:
-        raise LagTooLarge(f"p = {p} exceeds T - 1 = {t - 1}")
-    y, b = _k.design_build(x, p)
-    return DesignSystem(Y=y, b=b, T=t, p=p)
+    p = _check_lag(t, p)
+    y, b = _k.design_build(x[:, None], p)
+    return DesignSystem(Y=y[0], b=b[0], T=t, p=p)
 
 
 def rcond(system: DesignSystem) -> float:
     """Reciprocal condition estimate of Y: min|eig| / max|eig|."""
-    eig = np.abs(scipy.linalg.eigvalsh(system.Y))
-    top = float(eig.max())
-    if top == 0.0:
-        return 0.0
-    return float(eig.min()) / top
+    return float(_k.rcond(system.Y))
 
 
 def residual_norm(system: DesignSystem, theta: ThetaVector) -> float:
     """l2 norm of Y theta - b."""
     return float(np.linalg.norm(system.Y @ theta.to_array() - system.b))
+
+
+def _failure(fits, i: int) -> SingularDesign:
+    status = fits.status[i]
+    if status == _k.FIT_NONFINITE:
+        return SingularDesign("design system contains non-finite entries")
+    if status == _k.FIT_RCOND:
+        return SingularDesign(
+            f"reciprocal condition {fits.rcond[i]:.3e} below threshold {RCOND_THRESHOLD:g}"
+        )
+    if status == _k.FIT_FACTOR:
+        return SingularDesign(f"factorization failed: {fits.errors[i]}")
+    return SingularDesign(
+        f"residual {fits.resid[i]:.3e} too large; system is effectively singular"
+    )
 
 
 def solve_cls(system: DesignSystem) -> ThetaVector:
@@ -125,32 +140,27 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
     Raises :class:`SingularDesign` when the reciprocal condition estimate
     falls below 1e-12 or the residual check fails (collinear lags,
     degenerate paths)."""
-    y = system.Y
-    b = system.b
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(b))):
-        raise SingularDesign("design system contains non-finite entries")
-    rc = rcond(system)
-    if rc < RCOND_THRESHOLD:
-        raise SingularDesign(
-            f"reciprocal condition {rc:.3e} below threshold {RCOND_THRESHOLD:g}"
-        )
-    try:
-        with warnings.catch_warnings():
-            # rcond was screened above; scipy's own ill-conditioning warning
-            # would only pollute the CLI's single-line error contract.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            theta = scipy.linalg.solve(y, b, assume_a="sym")
-            theta += scipy.linalg.solve(y, b - y @ theta, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularDesign(f"factorization failed: {exc}") from exc
-    resid = float(np.linalg.norm(y @ theta - b))
-    if not np.all(np.isfinite(theta)) or resid > 1e-8 * max(
-        1.0, float(np.linalg.norm(b))
-    ):
-        raise SingularDesign(
-            f"residual {resid:.3e} too large; system is effectively singular"
-        )
-    return ThetaVector.from_array(theta)
+    fits = _k.cls_solve(system.Y[None], system.b[None])
+    if fits.status[0] != _k.FIT_OK:
+        raise _failure(fits, 0)
+    return ThetaVector.from_array(fits.theta[0])
+
+
+def fit_lanes(counts, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """CLS fit of every column of a (T, N) count array at lag order p,
+    all columns built and solved together.
+
+    Returns the (N, p+1) estimates and an (N,) bool mask of the columns
+    that were fitted. Row j equals
+    ``solve_cls(build_design(counts[:, j], p)).to_array()`` bit for bit
+    where the mask is set; it is NaN where that call raises
+    :class:`SingularDesign`."""
+    x = np.ascontiguousarray(counts, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"counts must be a (T, N) array, got shape {x.shape}")
+    p = _check_lag(x.shape[0], p)
+    fits = _k.cls_solve(*_k.design_build(x, p))
+    return fits.theta, fits.status == _k.FIT_OK
 
 
 def intensity_series(path, theta: ThetaVector, p: int | None = None) -> np.ndarray:

@@ -90,9 +90,7 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
         k_hat = _k.khat_build(x, theta_hat.mu, betas)
     j_hat = 2.0 * system.Y
 
-    eig = np.abs(scipy.linalg.eigvalsh(j_hat))
-    top = float(eig.max())
-    rc = 0.0 if top == 0.0 else float(eig.min()) / top
+    rc = float(_k.rcond(j_hat))
     if rc < RCOND_THRESHOLD:
         raise SingularDesign(
             f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange, SingularDesign
-from .estimate import build_design, solve_cls
+from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
+from .estimate import fit_lanes
 from .inference import (
     NormalityReport,
     histogram_data,
@@ -176,9 +176,9 @@ _LANE_BLOCK_VALUES = 1 << 20
 
 def run_experiment(config: McConfig, threads: int = 1) -> McSummary:
     """Algorithm: simulate replications i = 1..N together, replication i on
-    stream_id = i, estimate each by CLS, then aggregate. Replications whose
-    design is singular or whose intensity exceeds ``lam_cap`` are dropped
-    and counted; the run fails only if every replication does.
+    stream_id = i, fit them together by CLS, then aggregate. Replications
+    whose design is singular or whose intensity exceeds ``lam_cap`` are
+    dropped and counted; the run fails only if every replication does.
 
     ``threads`` is accepted for compatibility; results and speed do not
     depend on it."""
@@ -192,14 +192,11 @@ def run_experiment(config: McConfig, threads: int = 1) -> McSummary:
         counts, overflow_at = simulate_lanes(
             config.params, config.T, config.base_seed, ids, config.lam_cap
         )
-        overflowed += int(np.count_nonzero(overflow_at >= 0))
-        for j in np.flatnonzero(overflow_at < 0).tolist():
-            try:
-                theta = solve_cls(build_design(counts[:, j], config.p))
-            except SingularDesign:
-                continue
-            results[start + j] = theta.to_array()
-            ok[start + j] = True
+        live = np.flatnonzero(overflow_at < 0)
+        overflowed += len(ids) - live.size
+        if live.size < len(ids):
+            counts = counts[:, live]
+        results[start + live], ok[start + live] = fit_lanes(counts, config.p)
 
     if not ok.any():
         raise AllReplicationsFailed(

@@ -199,7 +199,16 @@ def read_path_csv(file) -> CountPath:
         for row in reader:
             if not row:
                 continue
-            counts.append(int(row[1]))
+            if len(row) != 2:
+                raise ValueError(
+                    f"path CSV line {reader.line_num}: expected 2 fields 'n,x', got {row!r}"
+                )
+            try:
+                counts.append(int(row[1]))
+            except ValueError:
+                raise ValueError(
+                    f"path CSV line {reader.line_num}: count {row[1]!r} is not an integer"
+                ) from None
     finally:
         if own:
             fh.close()

@@ -1,9 +1,13 @@
-"""Parity between the two simulation routes.
+"""Parity between the lane routes and the one-lane routes.
 
 The lane engine (``simulate_lanes``, used by ``run_experiment``) steps many
 streams together; the scalar loop (``simulate_path``, ``poisson_sample``)
 runs one. The scalar loop is the oracle: every lane must reproduce it bit
 for bit, including the step at which a lane's intensity overflows.
+
+The stacked fit (``fit_lanes``) builds and solves the designs of many
+count paths together; ``build_design`` and ``solve_cls`` fit one. Every
+lane's design, estimate and failure must equal the one-lane call's.
 """
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 import inar
 from inar import _kernels as _k
-from inar import ModelParams, Overflow, RngStream
+from inar import ModelParams, Overflow, RngStream, SingularDesign
 from inar.simulate import simulate_lanes
 
 
@@ -104,3 +108,76 @@ def test_mc_summary_identical(case1_params, case2_params):
             path = inar.simulate_path(params, cfg.T, RngStream(13, int(rep)), cfg.lam_cap)
             theta = inar.solve_cls(inar.build_design(path, cfg.p))
             assert np.array_equal(row, theta.to_array())
+
+
+def lane_counts(T):
+    """One count path of length T: all zero, constant, sparse or busy."""
+    return st.one_of(
+        st.just([0] * T),
+        st.integers(0, 400).map(lambda c: [c] * T),
+        st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=T, max_size=T),
+        st.lists(st.integers(0, 300), min_size=T, max_size=T),
+    )
+
+
+def integer_design(x, p):
+    """(Y, b) from exact int64 sums over the zero-padded lag matrix."""
+    T = x.shape[0]
+    z = np.zeros((T, p + 1), dtype=np.int64)
+    z[:, 0] = 1
+    for j in range(1, p + 1):
+        z[j:, j] = x[: T - j]
+    return (z.T @ z) / T, (z.T @ x) / T
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_fit_matches_one_lane(data):
+    T = data.draw(st.integers(1, 30), label="T")
+    p = data.draw(st.integers(0, T - 1), label="p")
+    # More lanes than one design-build chunk, so chunk edges are crossed.
+    lanes = data.draw(st.lists(lane_counts(T), min_size=1, max_size=40), label="lanes")
+    counts = np.array(lanes, dtype=np.int64).T
+    y, b = _k.design_build(counts.astype(np.float64), p)
+    theta, fitted = inar.fit_lanes(counts, p)
+    assert theta.shape == (len(lanes), p + 1) and fitted.shape == (len(lanes),)
+    for j in range(len(lanes)):
+        system = inar.build_design(counts[:, j], p)
+        assert y[j].tobytes() == system.Y.tobytes()
+        assert b[j].tobytes() == system.b.tobytes()
+        y_int, b_int = integer_design(counts[:, j], p)
+        y_int[0, 0] = 1.0
+        assert y_int.tobytes() == system.Y.tobytes()
+        assert b_int.tobytes() == system.b.tobytes()
+        try:
+            want = inar.solve_cls(system).to_array()
+        except SingularDesign:
+            assert not fitted[j] and np.isnan(theta[j]).all()
+            continue
+        assert fitted[j] and theta[j].tobytes() == want.tobytes()
+
+
+def test_failed_batch_solve_keeps_other_lanes(monkeypatch, case1_params):
+    # A factorization failure in one lane makes the batched LAPACK call
+    # raise; every other lane must still get its own estimate.
+    counts, _ = simulate_lanes(case1_params, 200, 5, range(1, 21))
+    theta, fitted = inar.fit_lanes(counts, 4)
+    assert fitted.all()
+    y, b = _k.design_build(counts, 4)
+    marked = b[7, 0]
+    real = _k._refined_solve
+
+    def failing(ys, bs):
+        if (bs[:, 0, 0] == marked).any():
+            raise np.linalg.LinAlgError("forced")
+        return real(ys, bs)
+
+    monkeypatch.setattr(_k, "_refined_solve", failing)
+    fits = _k.cls_solve(y, b)
+    assert fits.status.tolist() == [_k.FIT_FACTOR if j == 7 else _k.FIT_OK for j in range(20)]
+    assert fits.errors == {7: "forced"}
+    assert np.isnan(fits.theta[7]).all()
+    keep = np.arange(20) != 7
+    assert fits.theta[keep].tobytes() == theta[keep].tobytes()
+    with pytest.raises(SingularDesign, match="^factorization failed: forced$"):
+        inar.solve_cls(inar.build_design(counts[:, 7], 4))

@@ -196,6 +196,21 @@ def test_estimate_singular_exits_one(tmp_path, run_cli):
     assert "SingularDesign" in err
 
 
+@pytest.mark.parametrize("body, named", [
+    ("1,3\n2\n", "line 3: expected 2 fields"),
+    ("1,3\n2,abc\n", "line 3: count 'abc' is not an integer"),
+])
+def test_estimate_malformed_csv_row(tmp_path, run_cli, body, named):
+    path_csv = tmp_path / "bad.csv"
+    path_csv.write_text("n,x\n" + body)
+    proc = run_cli(["estimate", "--path", path_csv, "--p", 1])
+    assert proc.returncode == 1
+    err = proc.stderr.strip()
+    assert "\n" not in err
+    assert err.startswith("inar: error: ValueError: path CSV ")
+    assert named in err
+
+
 def test_unknown_config_key(tmp_path, run_cli):
     cfg = write_config(tmp_path, alpha_decay=0.5)
     proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "x"])
