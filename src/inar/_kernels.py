@@ -14,11 +14,9 @@ Paths are simulated by one of two routes that make the same draws:
 """
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "derive_key",
@@ -27,8 +25,9 @@ __all__ = [
     "sim_path",
     "sim_lanes",
     "design_build",
-    "khat_build",
-    "rcond",
+    "sandwich_build",
+    "eigh_rcond",
+    "eigh_solve",
     "cls_solve",
 ]
 
@@ -334,23 +333,27 @@ def design_build(x, p):
     return y, b
 
 
-def khat_build(x, mu, betas):
-    # Empirical score-variance plug-in: (4/T) sum z_n z_n' (x_n - phi_n)^2.
+def sandwich_build(x, theta):
+    """Curvature J_hat = 2Y and score-variance plug-in
+    K_hat = (4/T) sum z_n z_n' (x_n - phi_n)^2 of a (T,) count path at
+    theta = (mu, beta_1..beta_p), both from one lag matrix."""
+    n_steps = x.shape[0]
     # The (T, p+1) lag matrix is made C-contiguous: the residual below is
     # not an integer sum, and BLAS rounds it by the operand layout.
-    n_steps = x.shape[0]
-    lags = np.ascontiguousarray(_regressors(x[None], betas.shape[0] + 1)[0].T)
-    theta = np.concatenate((np.array([mu]), np.asarray(betas, dtype=np.float64)))
+    lags = np.ascontiguousarray(_regressors(x[None], theta.shape[0])[0].T)
+    # Integer sums again, so J_hat is 2Y of design_build bit for bit.
+    y = lags.T @ lags / n_steps
+    y[0, 0] = 1.0
     resid = x - lags @ theta
     k_hat = (lags * (resid * resid)[:, None]).T @ lags
     k_hat = (k_hat + k_hat.T) * 0.5
     k_hat *= 4.0 / n_steps
-    return k_hat
+    return 2.0 * y, k_hat
 
 
 # Stacked CLS solve. Each lane goes through the same checks in the same
-# order, and the batched LAPACK calls treat every slice on its own, so a
-# lane's estimate and status do not depend on the other lanes.
+# order, and the batched LAPACK and BLAS calls treat every slice on its
+# own, so a lane's estimate and status do not depend on the other lanes.
 
 RCOND_THRESHOLD = 1e-12
 
@@ -358,8 +361,7 @@ RCOND_THRESHOLD = 1e-12
 FIT_OK = 0
 FIT_NONFINITE = 1  # Y or b has a non-finite entry
 FIT_RCOND = 2  # reciprocal condition below RCOND_THRESHOLD
-FIT_FACTOR = 3  # the symmetric factorization failed
-FIT_RESIDUAL = 4  # non-finite estimate or residual above its bound
+FIT_RESIDUAL = 3  # non-finite estimate or residual above its bound
 
 
 class LaneFits(NamedTuple):
@@ -367,67 +369,64 @@ class LaneFits(NamedTuple):
     status: np.ndarray  # (N,) int8 FIT_* code
     rcond: np.ndarray  # (N,); NaN where not computed
     resid: np.ndarray  # (N,) l2 norm of Y theta - b; NaN where not computed
-    errors: dict  # lane -> message of its FIT_FACTOR exception
 
 
-def rcond(y):
-    """Reciprocal condition min|eig| / max|eig| of each symmetric matrix
-    of a (..., m, m) stack; 0 for a zero matrix."""
-    eig = np.abs(np.linalg.eigvalsh(y))
-    top = eig.max(axis=-1)
-    out = np.zeros_like(top)
-    np.divide(eig.min(axis=-1), top, out=out, where=top != 0.0)
-    return out
+def eigh_rcond(y):
+    """Eigenvalues w, eigenvectors v and reciprocal condition
+    min|w| / max|w| (0 for a zero matrix) of each symmetric matrix of a
+    (..., m, m) stack."""
+    w, v = np.linalg.eigh(y)
+    size = np.abs(w)
+    top = size.max(axis=-1)
+    rc = np.zeros_like(top)
+    np.divide(size.min(axis=-1), top, out=rc, where=top != 0.0)
+    return w, v, rc
 
 
-def _refined_solve(y, b):
-    # Symmetric solve with pivoting, plus one iterative-refinement step.
-    # The caller screens Y and b for non-finite entries; a non-finite
-    # estimate only propagates NaN to the residual check.
-    theta = scipy.linalg.solve(y, b, assume_a="sym", check_finite=False)
-    theta += scipy.linalg.solve(y, b - y @ theta, assume_a="sym", check_finite=False)
-    return theta
+def _inverse_apply(w, v, r):
+    # Y^-1 r = V diag(1/w) V' r, lane by lane over any leading axes.
+    return v @ ((np.swapaxes(v, -1, -2) @ r) / w[..., None])
+
+
+def eigh_solve(y, w, v, r):
+    """Y^-1 r for symmetric Y = V diag(w) V' and (..., m, k) right-hand
+    sides r: one solve plus one iterative-refinement step, both from the
+    eigendecomposition (w, v) of ``eigh_rcond``."""
+    x = _inverse_apply(w, v, r)
+    # The residual is formed in extended precision where the platform has
+    # it (x86 long double): the step then lands within about one rounding
+    # of the exact solution, not within 1/rcond roundings.
+    x += _inverse_apply(w, v, (r - y.astype(np.longdouble) @ x).astype(np.float64))
+    return x
+
+
+def _keep(a, mask):
+    # Rows of ``a`` where ``mask`` is set, without a copy when it is all set.
+    return a if mask.all() else a[mask]
 
 
 def cls_solve(y, b):
-    """Solve Y theta = b for each lane of a (N, m, m), (N, m) stack."""
+    """Solve Y theta = b for each lane of a (N, m, m), (N, m) stack from
+    one eigendecomposition of each lane's Y: it screens the reciprocal
+    condition, gives the solution and one iterative-refinement step."""
     n_lanes, m = b.shape
     status = np.zeros(n_lanes, dtype=np.int8)
-    errors = {}
+    rc = np.full(n_lanes, np.nan)
     finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    if finite.all():
-        rc = rcond(y)
-    else:
-        status[~finite] = FIT_NONFINITE
-        rc = np.full(n_lanes, np.nan)
-        rc[finite] = rcond(y[finite])
-    status[rc < RCOND_THRESHOLD] = FIT_RCOND
-    live = np.flatnonzero(status == FIT_OK)
-    if live.size == n_lanes:
-        yl, bl = y, b[:, :, None]
-    else:
-        yl, bl = y[live], b[live, :, None]
-    with warnings.catch_warnings():
-        # rcond was screened above; scipy's own ill-conditioning warning
-        # would only pollute the CLI's single-line error contract.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        try:
-            tl = _refined_solve(yl, bl)
-        except ValueError:  # numpy's LinAlgError included
-            # Some lane failed and the batch raised: redo it lane by lane.
-            tl = np.full(bl.shape, np.nan)
-            for i, lane in enumerate(live.tolist()):
-                try:
-                    tl[i] = _refined_solve(yl[i : i + 1], bl[i : i + 1])[0]
-                except ValueError as exc:
-                    status[lane] = FIT_FACTOR
-                    errors[lane] = str(exc)
-    tl = tl[:, :, 0]
+    status[~finite] = FIT_NONFINITE
+    live = np.flatnonzero(finite)
+    yl, bl = _keep(y, finite), _keep(b, finite)[:, :, None]
+    w, v, rc[live] = eigh_rcond(yl)
+    conditioned = rc[live] >= RCOND_THRESHOLD
+    status[live[~conditioned]] = FIT_RCOND
+    live = live[conditioned]
+    yl, bl, w, v = (_keep(c, conditioned) for c in (yl, bl, w, v))
+    tl = eigh_solve(yl, w, v, bl)
     resid = np.full(n_lanes, np.nan)
-    resid[live] = np.linalg.norm(yl @ tl[:, :, None] - bl, axis=(1, 2))
+    resid[live] = np.linalg.norm(yl @ tl - bl, axis=(1, 2))
     bound = 1e-8 * np.maximum(1.0, np.linalg.norm(bl, axis=(1, 2)))
-    good = np.isfinite(tl).all(axis=1) & (resid[live] <= bound)
-    status[live[~good & (status[live] == FIT_OK)]] = FIT_RESIDUAL
+    good = np.isfinite(tl).all(axis=(1, 2)) & (resid[live] <= bound)
+    status[live[~good]] = FIT_RESIDUAL
     theta = np.full((n_lanes, m), np.nan)
-    theta[live[good]] = tl[good]
-    return LaneFits(theta, status, rc, resid, errors)
+    theta[live[good]] = tl[good, :, 0]
+    return LaneFits(theta, status, rc, resid)

@@ -1,7 +1,7 @@
 """Command-line interface: simulate, estimate, mc, normality.
 
 All JSON outputs embed provenance (tool version, config digest, base seed
-where one exists) and are byte-identical across reruns and worker counts.
+where one exists) and are byte-identical across reruns.
 Exit codes: 0 success, 1 runtime error (single machine-parsable line on
 stderr), 2 usage error.
 """
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import __version__
 from .config import parse_config, parse_kernel_spec
 from .errors import InarError
 from .estimate import build_design, rcond, residual_norm, solve_cls
-from .inference import confidence_intervals, jarque_bera, sandwich_covariance, shapiro_wilk
+from .inference import confidence_intervals, normality_report, sandwich_covariance
 from .model import ModelParams
 from .montecarlo import component_label, normality_suite, run_experiment
 from .simulate import (
@@ -62,18 +63,6 @@ def _write_json(doc: dict, out: str | None) -> None:
 
 def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("INAR_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InarError(f"INAR_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def _cmd_simulate(args) -> int:
@@ -127,11 +116,8 @@ def _cmd_mc(args) -> int:
         text = fh.read()
     config = parse_config(text)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, base_seed=args.seed)
-    threads = _resolve_threads(args.threads)
-    summary = run_experiment(config, threads=threads)
+    summary = run_experiment(config)
     diagnostics = normality_suite(summary)
 
     out_dir = args.out_dir
@@ -217,16 +203,7 @@ def _cmd_normality(args) -> int:
     for label in wanted:
         if label not in labels:
             raise InarError(f"component {label!r} not present in samples CSV")
-        col = samples[:, labels.index(label)]
-        jb_stat, jb_p = jarque_bera(col)
-        sw_stat, sw_p = shapiro_wilk(col)
-        reports[label] = {
-            "jb_stat": jb_stat,
-            "jb_p": jb_p,
-            "sw_stat": sw_stat,
-            "sw_p": sw_p,
-            "sample_size": int(col.shape[0]),
-        }
+        reports[label] = asdict(normality_report(samples[:, labels.index(label)]))
     doc = {
         "normality": reports,
         "normality_samples": "raw",
@@ -271,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="Monte Carlo study from a JSON config")
     mc.add_argument("--config", required=True, help="config JSON path")
     mc.add_argument("--out-dir", default=".", help="output directory")
-    mc.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility (default: INAR_THREADS or 1); "
-                         "changes neither results nor speed")
     mc.add_argument("--seed", type=int, default=None,
                     help="override the config's base seed")
     mc.add_argument("--no-samples", action="store_true",

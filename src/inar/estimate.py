@@ -110,7 +110,7 @@ def build_design(path, p: int) -> DesignSystem:
 
 def rcond(system: DesignSystem) -> float:
     """Reciprocal condition estimate of Y: min|eig| / max|eig|."""
-    return float(_k.rcond(system.Y))
+    return float(_k.eigh_rcond(system.Y)[2])
 
 
 def residual_norm(system: DesignSystem, theta: ThetaVector) -> float:
@@ -126,16 +126,14 @@ def _failure(fits, i: int) -> SingularDesign:
         return SingularDesign(
             f"reciprocal condition {fits.rcond[i]:.3e} below threshold {RCOND_THRESHOLD:g}"
         )
-    if status == _k.FIT_FACTOR:
-        return SingularDesign(f"factorization failed: {fits.errors[i]}")
     return SingularDesign(
         f"residual {fits.resid[i]:.3e} too large; system is effectively singular"
     )
 
 
 def solve_cls(system: DesignSystem) -> ThetaVector:
-    """Solve Y theta = b by a symmetric factorization with pivoting, plus
-    one iterative-refinement step.
+    """Solve Y theta = b through the eigendecomposition of Y, plus one
+    iterative-refinement step with the same decomposition.
 
     Raises :class:`SingularDesign` when the reciprocal condition estimate
     falls below 1e-12 or the residual check fails (collinear lags,

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels as _k
 from .errors import (
@@ -24,14 +23,14 @@ from .errors import (
     SingularDesign,
     ZeroVariance,
 )
-from .estimate import RCOND_THRESHOLD, ThetaVector, build_design
-from .simulate import CountPath
+from .estimate import RCOND_THRESHOLD, ThetaVector, _check_lag, _counts_of
 
 __all__ = [
     "SandwichCovariance",
     "NormalityReport",
     "sandwich_covariance",
     "confidence_intervals",
+    "normality_report",
     "jarque_bera",
     "shapiro_wilk",
     "qq_data",
@@ -73,32 +72,28 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
 
     J_hat = 2Y; K_hat = (4/T) sum z_n z_n' (X_n - Phi(n))^2 with regressors
     z_n = (1, X_{n-1}, ..., X_{n-p}) zero-padded at the start; Sigma_hat is
-    computed via two symmetric solves, never forming an inverse."""
+    computed via two refined solves with the one eigendecomposition of
+    J_hat that also screens its condition, never forming an inverse."""
     if p is None:
         p = theta_hat.p
-    p = int(p)
-    system = build_design(path, p)
-    if isinstance(path, CountPath):
-        x = path.counts_float()
-    else:
-        x = np.ascontiguousarray(path, dtype=np.float64)
-    betas = np.zeros(p, dtype=np.float64)
+    x = _counts_of(path)
+    p = _check_lag(x.shape[0], p)
+    theta = np.zeros(p + 1, dtype=np.float64)
+    theta[0] = theta_hat.mu
     use = min(p, theta_hat.p)
-    if use:
-        betas[:use] = theta_hat.betas[:use]
+    theta[1 : use + 1] = theta_hat.betas[:use]
     with np.errstate(over="ignore"):
-        k_hat = _k.khat_build(x, theta_hat.mu, betas)
-    j_hat = 2.0 * system.Y
+        j_hat, k_hat = _k.sandwich_build(x, theta)
+    if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
+        raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
 
-    rc = float(_k.rcond(j_hat))
+    w, v, rc = _k.eigh_rcond(j_hat)
     if rc < RCOND_THRESHOLD:
         raise SingularDesign(
             f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        half = scipy.linalg.solve(j_hat, k_hat, assume_a="sym")
-        sigma = scipy.linalg.solve(j_hat, half.T, assume_a="sym")
+    half = _k.eigh_solve(j_hat, w, v, k_hat)
+    sigma = _k.eigh_solve(j_hat, w, v, half.T)
     sigma = (sigma + sigma.T) * 0.5
     return SandwichCovariance(J_hat=j_hat, K_hat=k_hat, Sigma_hat=sigma)
 
@@ -122,6 +117,16 @@ def confidence_intervals(
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.maximum(diag, 0.0) / float(T))
     return [(float(v - h), float(v + h)) for v, h in zip(vec, half)]
+
+
+def normality_report(sample) -> NormalityReport:
+    """Jarque-Bera and Shapiro-Wilk on one sample."""
+    x = np.asarray(sample, dtype=np.float64).ravel()
+    jb_stat, jb_p = jarque_bera(x)
+    sw_stat, sw_p = shapiro_wilk(x)
+    return NormalityReport(
+        jb_stat=jb_stat, jb_p=jb_p, sw_stat=sw_stat, sw_p=sw_p, sample_size=x.shape[0]
+    )
 
 
 def jarque_bera(sample) -> tuple[float, float]:

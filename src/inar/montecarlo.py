@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
 from .estimate import fit_lanes
-from .inference import (
-    NormalityReport,
-    histogram_data,
-    jarque_bera,
-    qq_data,
-    shapiro_wilk,
-)
+from .inference import NormalityReport, histogram_data, normality_report, qq_data
 from .model import ModelParams
 from .simulate import DEFAULT_LAMBDA_CAP, simulate_lanes
 
@@ -174,14 +168,11 @@ def summarize(estimates, truth, cap_negatives: bool = True) -> McSummary:
 _LANE_BLOCK_VALUES = 1 << 20
 
 
-def run_experiment(config: McConfig, threads: int = 1) -> McSummary:
+def run_experiment(config: McConfig) -> McSummary:
     """Algorithm: simulate replications i = 1..N together, replication i on
     stream_id = i, fit them together by CLS, then aggregate. Replications
     whose design is singular or whose intensity exceeds ``lam_cap`` are
-    dropped and counted; the run fails only if every replication does.
-
-    ``threads`` is accepted for compatibility; results and speed do not
-    depend on it."""
+    dropped and counted; the run fails only if every replication does."""
     n = config.n_experiments
     block = max(1, _LANE_BLOCK_VALUES // config.T)
     results = np.full((n, config.p + 1), np.nan, dtype=np.float64)
@@ -232,20 +223,12 @@ def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagn
                 f"component {j} out of range for p = {m - 1}"
             )
         col = samples[:, j]
-        jb_stat, jb_p = jarque_bera(col)
-        sw_stat, sw_p = shapiro_wilk(col)
         qq_z, qq_value = qq_data(col)
         left, right, count = histogram_data(col, bins=30)
         out.append(
             ComponentDiagnostics(
                 label=component_label(j),
-                report=NormalityReport(
-                    jb_stat=jb_stat,
-                    jb_p=jb_p,
-                    sw_stat=sw_stat,
-                    sw_p=sw_p,
-                    sample_size=n,
-                ),
+                report=normality_report(col),
                 qq_z=qq_z,
                 qq_value=qq_value,
                 hist_left=left,

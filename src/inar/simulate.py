@@ -187,7 +187,8 @@ def write_path_csv(path: CountPath, file) -> None:
 
 def read_path_csv(file) -> CountPath:
     """Read a path written by :func:`write_path_csv`; counts round-trip
-    exactly (generation provenance is not stored in the CSV)."""
+    exactly (generation provenance is not stored in the CSV). Steps n
+    must run 1, 2, 3, ... without gaps or repeats."""
     own = isinstance(file, (str, os.PathLike))
     fh = open(file, "r", newline="") if own else file
     try:
@@ -202,6 +203,11 @@ def read_path_csv(file) -> CountPath:
             if len(row) != 2:
                 raise ValueError(
                     f"path CSV line {reader.line_num}: expected 2 fields 'n,x', got {row!r}"
+                )
+            step = len(counts) + 1
+            if row[0].strip() != str(step):
+                raise ValueError(
+                    f"path CSV line {reader.line_num}: step n={row[0]!r}, expected n={step}"
                 )
             try:
                 counts.append(int(row[1]))

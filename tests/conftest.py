@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -20,15 +19,11 @@ def case2_params():
     return inar.ModelParams(nu=100.0, kernel=(0.8,), kernel_tail="lags:[0.8]")
 
 
-def _run_cli(args, env_extra=None, cwd=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "inar", *[str(a) for a in args]],
         capture_output=True,
         text=True,
-        env=env,
         cwd=cwd,
     )
 

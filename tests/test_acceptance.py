@@ -7,7 +7,6 @@ estimator algebra, the analytic oracles, sandwich sanity, and raw sampler
 statistics. Each criterion prints a single PASS/FAIL line.
 """
 
-import os
 import time
 
 import numpy as np
@@ -15,10 +14,6 @@ import pytest
 
 import inar
 from inar import CountPath, ModelParams, RngStream, ThetaVector
-
-
-def _threads():
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 def _line(num, name, ok, detail):
@@ -39,7 +34,7 @@ def study(case1_params, case2_params):
                 base_seed=inar.DEFAULT_BASE_SEED,
             )
             t0 = time.perf_counter()
-            runs[label, T] = inar.run_experiment(cfg, threads=_threads())
+            runs[label, T] = inar.run_experiment(cfg)
             times[label, T] = time.perf_counter() - t0
     return {"runs": runs, "times": times}
 

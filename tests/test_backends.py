@@ -157,27 +157,24 @@ def test_stacked_fit_matches_one_lane(data):
         assert fitted[j] and theta[j].tobytes() == want.tobytes()
 
 
-def test_failed_batch_solve_keeps_other_lanes(monkeypatch, case1_params):
-    # A factorization failure in one lane makes the batched LAPACK call
-    # raise; every other lane must still get its own estimate.
+def test_failed_lanes_keep_other_lanes(case1_params):
+    # One stack with a non-finite lane and an all-zero lane among ordinary
+    # ones: each failed lane gets its own status, and every ordinary lane
+    # gets exactly its one-lane estimate and rcond.
     counts, _ = simulate_lanes(case1_params, 200, 5, range(1, 21))
-    theta, fitted = inar.fit_lanes(counts, 4)
-    assert fitted.all()
+    counts[50, 3] = np.nan
+    counts[:, 11] = 0.0
     y, b = _k.design_build(counts, 4)
-    marked = b[7, 0]
-    real = _k._refined_solve
-
-    def failing(ys, bs):
-        if (bs[:, 0, 0] == marked).any():
-            raise np.linalg.LinAlgError("forced")
-        return real(ys, bs)
-
-    monkeypatch.setattr(_k, "_refined_solve", failing)
     fits = _k.cls_solve(y, b)
-    assert fits.status.tolist() == [_k.FIT_FACTOR if j == 7 else _k.FIT_OK for j in range(20)]
-    assert fits.errors == {7: "forced"}
-    assert np.isnan(fits.theta[7]).all()
-    keep = np.arange(20) != 7
-    assert fits.theta[keep].tobytes() == theta[keep].tobytes()
-    with pytest.raises(SingularDesign, match="^factorization failed: forced$"):
-        inar.solve_cls(inar.build_design(counts[:, 7], 4))
+    failed = {3: _k.FIT_NONFINITE, 11: _k.FIT_RCOND}
+    assert fits.status.tolist() == [failed.get(j, _k.FIT_OK) for j in range(20)]
+    assert np.isnan(fits.rcond[3]) and fits.rcond[11] == 0.0
+    for j in range(20):
+        system = inar.build_design(counts[:, j], 4)
+        if j in failed:
+            assert np.isnan(fits.theta[j]).all()
+            with pytest.raises(SingularDesign):
+                inar.solve_cls(system)
+            continue
+        assert fits.theta[j].tobytes() == inar.solve_cls(system).to_array().tobytes()
+        assert fits.rcond[j] == inar.rcond(system)

@@ -91,7 +91,7 @@ def test_mc_outputs_and_rerun_identical(tmp_path, run_cli):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     p1 = run_cli(["mc", "--config", cfg, "--out-dir", out1])
-    p2 = run_cli(["mc", "--config", cfg, "--out-dir", out2, "--threads", 4])
+    p2 = run_cli(["mc", "--config", cfg, "--out-dir", out2])
     assert p1.returncode == 0 and p1.stderr == ""
     assert p2.returncode == 0
     for name in ("mc_summary.json", "samples.csv"):
@@ -150,16 +150,6 @@ def test_mc_seed_override(tmp_path, run_cli):
     assert (out1 / "samples.csv").read_bytes() != (out2 / "samples.csv").read_bytes()
 
 
-def test_mc_threads_env_fallback(tmp_path, run_cli):
-    cfg = write_config(tmp_path)
-    out1, out2 = tmp_path / "env", tmp_path / "flag"
-    p1 = run_cli(["mc", "--config", cfg, "--out-dir", out1],
-                 env_extra={"INAR_THREADS": "3"})
-    p2 = run_cli(["mc", "--config", cfg, "--out-dir", out2, "--threads", 3])
-    assert p1.returncode == 0 and p2.returncode == 0
-    assert (out1 / "mc_summary.json").read_bytes() == (out2 / "mc_summary.json").read_bytes()
-
-
 def test_normality_subcommand_matches_summary(tmp_path, run_cli):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -199,6 +189,7 @@ def test_estimate_singular_exits_one(tmp_path, run_cli):
 @pytest.mark.parametrize("body, named", [
     ("1,3\n2\n", "line 3: expected 2 fields"),
     ("1,3\n2,abc\n", "line 3: count 'abc' is not an integer"),
+    ("1,3\n5,2\n1,7\n", "line 3: step n='5', expected n=2"),
 ])
 def test_estimate_malformed_csv_row(tmp_path, run_cli, body, named):
     path_csv = tmp_path / "bad.csv"

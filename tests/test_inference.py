@@ -275,6 +275,14 @@ class TestSandwich:
         with pytest.raises(SingularDesign):
             inar.sandwich_covariance(path, theta)
 
+    @pytest.mark.parametrize("path, theta", [
+        (np.array([1.0, np.nan, 3.0, 4.0, 5.0]), ThetaVector(mu=1.0, betas=(0.1,))),
+        (np.array([1.0, 2.0, 3.0, 4.0, 5.0]), ThetaVector(mu=np.nan, betas=(0.1,))),
+    ])
+    def test_non_finite_rejected(self, path, theta):
+        with pytest.raises(ValueError, match="non-finite"):
+            inar.sandwich_covariance(path, theta)
+
     def test_matches_known_sampling_variance(self):
         # nu=100, empty kernel, p=0: Var(nu_hat) should track Sigma/T across seeds
         params = ModelParams(nu=100.0)

@@ -43,15 +43,6 @@ class TestSeeding:
         b = inar.run_experiment(small_config(case1_params, seed=2))
         assert not np.array_equal(a.per_component_samples, b.per_component_samples)
 
-    def test_threads_do_not_change_results(self, case1_params):
-        cfg = small_config(case1_params, n=64, T=120)
-        one = inar.run_experiment(cfg, threads=1)
-        four = inar.run_experiment(cfg, threads=4)
-        assert np.array_equal(one.per_component_samples, four.per_component_samples)
-        assert one.mse == four.mse
-        assert np.array_equal(one.mean_theta, four.mean_theta)
-        assert np.array_equal(one.rep_ids, four.rep_ids)
-
 
 class TestSummarize:
     def test_exact_estimates(self):
@@ -180,7 +171,7 @@ class TestTruthVector:
 @pytest.fixture(scope="module")
 def summary(case1_params):
     cfg = McConfig(params=case1_params, T=400, p=3, n_experiments=120, base_seed=5)
-    return inar.run_experiment(cfg, threads=4)
+    return inar.run_experiment(cfg)
 
 
 class TestNormalitySuite:
