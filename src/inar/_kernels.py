@@ -1,16 +1,15 @@
 """Numerical kernels: counter-based RNG, Poisson sampling, path simulation,
 and the design build and solve of conditional least squares.
 
-Paths are simulated by one of two routes that make the same draws:
+Paths are simulated by one of two routes that make the same draws. Both
+read counter-based splitmix64 streams (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) from ``_uniforms``: the k-th uniform
+of the stream with key c is mix64(c + k * GOLDEN).
 
-- the scalar loop (``fill_poisson``, ``sim_path``) runs one stream on numpy
-  scalars, which wrap uint64 arithmetic; callers suppress numpy's
-  scalar-overflow RuntimeWarning. It is the one-lane path and the reference
-  the lane engine is tested against.
-- the lane engine (``sim_lanes``) advances many independent streams one
-  step together, each on its own counter-based splitmix64 lane (Salmon et
-  al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Lane i
-  reproduces the scalar loop on key i bit for bit.
+- the scalar loop (``fill_poisson``, ``sim_path``) runs one stream in plain
+  Python; it is the one-lane path and the lane engine's reference.
+- the lane engine (``sim_lanes``) advances many streams one step together;
+  lane i reproduces the scalar loop on key i bit for bit.
 """
 
 import math
@@ -19,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "derive_key",
     "stream_keys",
     "fill_poisson",
     "sim_path",
@@ -51,35 +49,47 @@ def _mix64(z):
     return z ^ (z >> _S31)
 
 
-def derive_key(seed, stream_id):
-    # Full avalanche on both inputs so nearby (seed, stream) pairs decorrelate.
-    a = _mix64(seed ^ _SEED_TAG)
-    b = _mix64(stream_id ^ _STREAM_TAG)
-    return _mix64(a + b)
-
-
 def stream_keys(seed, stream_ids):
     """uint64 generator key of each stream (seed, i), i in ``stream_ids``;
     seeds and ids wrap modulo 2**64."""
     ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return derive_key(np.uint64(int(seed) & _MASK64), ids)
+    # Full avalanche on both inputs so nearby (seed, stream) pairs decorrelate.
+    a = _mix64(np.full_like(ids, int(seed) & _MASK64) ^ _SEED_TAG)
+    b = _mix64(ids ^ _STREAM_TAG)
+    return _mix64(a + b)
 
 
-def _next_uniform(state):
-    # splitmix64 step; top 52 bits centered in (0, 1), never 0 or 1.
-    state[0] = state[0] + _GOLDEN
-    z = _mix64(state[0])
-    return (np.float64(z >> _S12) + 0.5) * _INV52
+def _uniforms(state):
+    # splitmix64 step of every entry of ``state``, in place (array uint64
+    # arithmetic wraps silently); top 52 bits centered in (0, 1).
+    state += _GOLDEN
+    z = _mix64(state)
+    return ((z >> _S12).astype(np.float64) + 0.5) * _INV52
 
 
-def _poisson_draw(lam, state):
+# Uniforms per block of one stream. A block steps counters j..j+B-1 to
+# j+1..j+B; the skip adds B-1 (as an array: numpy scalars warn on wrap).
+_BLOCK = 512
+_BLOCK_OFFSETS = np.arange(_BLOCK, dtype=np.uint64) * _GOLDEN
+_BLOCK_SKIP = np.array([_BLOCK - 1], dtype=np.uint64) * _GOLDEN
+
+
+def _stream_uniforms(key):
+    """The uniforms of the stream with uint64 ``key``, in order, as Python
+    floats: the k-th (k = 1, 2, ...) is mix64(key + k * GOLDEN)."""
+    state = key + _BLOCK_OFFSETS
+    while True:
+        yield from _uniforms(state).tolist()
+        state += _BLOCK_SKIP
+
+
+def _poisson_draw(lam, uniform):
     if lam <= 0.0:
         return 0
     if lam < 10.0:
         # Inversion by sequential search. The iteration cap guards against
         # the accumulated CDF saturating just below a uniform near 1.
-        u = _next_uniform(state)
+        u = uniform()
         p = math.exp(-lam)
         f = p
         k = 0
@@ -96,8 +106,8 @@ def _poisson_draw(lam, state):
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     while True:
-        u = _next_uniform(state) - 0.5
-        v = _next_uniform(state)
+        u = uniform() - 0.5
+        v = uniform()
         us = 0.5 - abs(u)
         k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
         if us >= 0.07 and v <= v_r:
@@ -109,28 +119,26 @@ def _poisson_draw(lam, state):
             return int(k)
 
 
-def fill_poisson(lam, out, state):
-    for i in range(out.shape[0]):
-        out[i] = _poisson_draw(lam, state)
+def fill_poisson(lam, out, key):
+    uniform = _stream_uniforms(key).__next__
+    out[:] = [_poisson_draw(lam, uniform) for _ in range(out.shape[0])]
 
 
-def sim_path(nu, kern, n_steps, cap, state):
-    # Counts kept as float64: integer-valued, exact below 2**53, and the
-    # rolling intensity dot product then needs no casts.
-    x = np.zeros(n_steps, dtype=np.float64)
-    klen = kern.shape[0]
-    if not (nu <= cap):
-        return x, 0
-    x[0] = _poisson_draw(nu, state)
-    for n in range(1, n_steps):
-        kmax = min(n, klen)
+def sim_path(nu, kern, n_steps, cap, key):
+    # Counts kept as Python ints: int * float rounds as float64 * float64.
+    uniform = _stream_uniforms(key).__next__
+    kern = kern.tolist()
+    x = []
+    for n in range(n_steps):
         lam = nu
-        for k in range(1, kmax + 1):
+        for k in range(1, min(n, len(kern)) + 1):
             lam += kern[k - 1] * x[n - k]
         if not (lam <= cap):
-            return x, n
-        x[n] = _poisson_draw(lam, state)
-    return x, -1
+            break
+        x.append(_poisson_draw(lam, uniform))
+    out = np.zeros(n_steps, dtype=np.float64)
+    out[: len(x)] = x
+    return out, (len(x) if len(x) < n_steps else -1)
 
 
 # Lane engine. Each function below applies the scalar sampler's arithmetic
@@ -146,13 +154,6 @@ def sim_path(nu, kern, n_steps, cap, state):
 _TIE = 2.0 ** -40
 # Largest k whose log k! is cached; larger draws call math.lgamma per lane.
 _LOGFACT_CACHE = 1 << 16
-
-
-def _uniforms(state):
-    # _next_uniform on every lane: advances ``state`` in place.
-    state += _GOLDEN
-    z = _mix64(state)
-    return ((z >> _S12).astype(np.float64) + 0.5) * _INV52
 
 
 class _LogFactorials:

@@ -131,6 +131,14 @@ def _failure(fits, i: int) -> SingularDesign:
     )
 
 
+def _solve_with_rcond(system: DesignSystem) -> tuple[ThetaVector, float]:
+    # solve_cls plus the rcond() of Y, both from the one decomposition.
+    fits = _k.cls_solve(system.Y[None], system.b[None])
+    if fits.status[0] != _k.FIT_OK:
+        raise _failure(fits, 0)
+    return ThetaVector.from_array(fits.theta[0]), float(fits.rcond[0])
+
+
 def solve_cls(system: DesignSystem) -> ThetaVector:
     """Solve Y theta = b through the eigendecomposition of Y, plus one
     iterative-refinement step with the same decomposition.
@@ -138,10 +146,7 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
     Raises :class:`SingularDesign` when the reciprocal condition estimate
     falls below 1e-12 or the residual check fails (collinear lags,
     degenerate paths)."""
-    fits = _k.cls_solve(system.Y[None], system.b[None])
-    if fits.status[0] != _k.FIT_OK:
-        raise _failure(fits, 0)
-    return ThetaVector.from_array(fits.theta[0])
+    return _solve_with_rcond(system)[0]
 
 
 def fit_lanes(counts, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +171,7 @@ def intensity_series(path, theta: ThetaVector, p: int | None = None) -> np.ndarr
     n = 1..T; Phi(1) = mu. Extra betas beyond p are treated as zero."""
     x = _counts_of(path)
     t = x.shape[0]
-    if p is None:
-        p = theta.p
-    p = int(p)
-    if p > t - 1:
-        raise LagTooLarge(f"p = {p} exceeds T - 1 = {t - 1}")
+    p = _check_lag(t, theta.p if p is None else p)
     betas = np.zeros(p, dtype=np.float64)
     use = min(p, theta.p)
     if use:

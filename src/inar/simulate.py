@@ -1,8 +1,8 @@
 """Reproducible simulation of cumulative INAR sample paths.
 
 Randomness is counter-style: an :class:`RngStream` is an immutable
-(seed, stream_id) pair, and every sampling function derives the stream's
-state afresh, so calls are pure and replication i of a Monte Carlo run
+(seed, stream_id) pair, and every sampling function reads the stream from
+its key afresh, so calls are pure and replication i of a Monte Carlo run
 draws the same path whether it runs alone (:func:`simulate_path`) or in
 lockstep with other replications (:func:`simulate_lanes`).
 """
@@ -45,7 +45,7 @@ class RngStream:
     stream_id: int = 0
 
     def state(self) -> np.ndarray:
-        """Fresh mutable generator state for this stream."""
+        """This stream's generator key, a (1,) uint64 array nothing mutates."""
         return _k.stream_keys(self.seed, [self.stream_id])
 
     def substream(self, stream_id: int) -> "RngStream":
@@ -91,12 +91,8 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
     if n < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     out = np.empty(n, dtype=np.int64)
-    state = rng.state()
-    with np.errstate(over="ignore"):
-        _k.fill_poisson(lam, out, state)
-    if size is None:
-        return int(out[0])
-    return out
+    _k.fill_poisson(lam, out, rng.state())
+    return int(out[0]) if size is None else out
 
 
 def _check_inputs(params: ModelParams, T, lam_cap) -> int:
@@ -131,14 +127,11 @@ def simulate_path(
     :class:`NonStationaryKernel` if the parameters fail validation.
     """
     T = _check_inputs(params, T, lam_cap)
-    state = rng.state()
-    with np.errstate(over="ignore"):
-        x, overflow_at = _k.sim_path(
-            params.nu, params.kernel_array(), T, float(lam_cap), state
-        )
+    kern = params.kernel_array()
+    x, overflow_at = _k.sim_path(params.nu, kern, T, float(lam_cap), rng.state())
     if overflow_at >= 0:
         raise Overflow(
-            f"intensity exceeded cap {lam_cap:g} at step {int(overflow_at) + 1}"
+            f"intensity exceeded cap {lam_cap:g} at step {overflow_at + 1}"
         )
     return CountPath(
         counts=x.astype(np.int64),
@@ -215,6 +208,10 @@ def read_path_csv(file) -> CountPath:
                 raise ValueError(
                     f"path CSV line {reader.line_num}: count {row[1]!r} is not an integer"
                 ) from None
+            if not -(1 << 63) <= counts[-1] < 1 << 63:
+                raise ValueError(
+                    f"path CSV line {reader.line_num}: count {row[1]!r} does not fit in int64"
+                )
     finally:
         if own:
             fh.close()

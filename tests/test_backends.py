@@ -23,9 +23,8 @@ from inar.simulate import simulate_lanes
 
 def scalar_path(params, T, seed, stream_id, cap):
     """The one-lane loop: (counts, 0-based overflow step or -1)."""
-    state = RngStream(seed, stream_id).state()
-    with np.errstate(over="ignore"):
-        return _k.sim_path(params.nu, params.kernel_array(), T, float(cap), state)
+    key = RngStream(seed, stream_id).state()
+    return _k.sim_path(params.nu, params.kernel_array(), T, float(cap), key)
 
 
 def assert_lanes_match(params, T, seed, ids, cap):
@@ -90,6 +89,18 @@ def test_poisson_draws_bit_identical():
         for j in range(6):
             want = inar.poisson_sample(lam, RngStream(5, j), size=64)
             assert np.array_equal(counts[:, j], want)
+
+
+def test_stream_uniforms_cross_blocks():
+    # The one-stream generator, read over several blocks, equals the lane
+    # generator stepped one uniform at a time, and leaves the key as it was.
+    key = RngStream(5, 2).state()
+    n = 3 * _k._BLOCK + 7
+    gen = _k._stream_uniforms(key)
+    got = [next(gen) for _ in range(n)]
+    state = key.copy()
+    assert got == [_k._uniforms(state)[0] for _ in range(n)]
+    assert key.tolist() == RngStream(5, 2).state().tolist()
 
 
 def test_tie_recheck_matches_oracle(monkeypatch, case1_params):

@@ -190,6 +190,8 @@ def test_estimate_singular_exits_one(tmp_path, run_cli):
     ("1,3\n2\n", "line 3: expected 2 fields"),
     ("1,3\n2,abc\n", "line 3: count 'abc' is not an integer"),
     ("1,3\n5,2\n1,7\n", "line 3: step n='5', expected n=2"),
+    ("1,99999999999999999999\n2,3\n3,4\n",
+     "line 2: count '99999999999999999999' does not fit in int64"),
 ])
 def test_estimate_malformed_csv_row(tmp_path, run_cli, body, named):
     path_csv = tmp_path / "bad.csv"

@@ -86,6 +86,13 @@ class TestBuildDesign:
             inar.build_design(path, 5)
         with pytest.raises(ValueError):
             inar.build_design(path, -1)
+        theta = ThetaVector(mu=1.0, betas=(0.5,))
+        with pytest.raises(LagTooLarge):
+            inar.contrast(path, theta, p=5)
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            inar.contrast(path, theta, p=-1)
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            inar.intensity_series(path, theta, p=-1)
 
     def test_design_system_shape_check(self):
         with pytest.raises(DimensionMismatch):

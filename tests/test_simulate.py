@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import inar
+from inar import _kernels as _k
 from inar import (
     CountPath,
     InvalidRate,
@@ -61,6 +62,37 @@ class TestPoissonSample:
         x = inar.poisson_sample(10.0, base.substream(4), size=8)
         y = inar.poisson_sample(10.0, RngStream(55, 4), size=8)
         assert np.array_equal(x, y)
+
+
+class TestPinnedDraws:
+    """Draws fixed as literals: the same (seed, stream_id) gives the same
+    draws across versions and machines, not only within one run."""
+
+    @pytest.mark.parametrize("lam, want", [
+        (0.4, [0, 1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0]),
+        (3.0, [2, 6, 2, 4, 2, 3, 1, 2, 5, 4, 2, 4]),
+        (9.99, [7, 15, 7, 12, 9, 10, 7, 8, 13, 11, 9, 11]),
+        (10.0, [7, 9, 6, 9, 14, 10, 9, 6, 8, 6, 7, 12]),
+        (150.0, [138, 145, 136, 164, 147, 165, 149, 147, 134, 144, 137, 138]),
+        (2e5, [199613, 199584, 199814, 199511, 200511, 199896,
+               200544, 199970, 199895, 199433, 199790, 199536]),
+    ])
+    def test_poisson_sample(self, lam, want):
+        assert inar.poisson_sample(lam, RngStream(11, 0), size=12).tolist() == want
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64 - 1])
+    def test_stream_keys(self, seed):
+        keys = _k.stream_keys(seed, [0, 1, 2 ** 64 - 1])
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [
+            17020132932256205796, 12799278014855634190, 14752056802710546819,
+        ]
+
+    def test_case1_path(self, case1_params):
+        path = inar.simulate_path(case1_params, 12, RngStream(11, 0))
+        assert path.counts.tolist() == [
+            90, 118, 122, 153, 145, 163, 152, 148, 134, 140, 134, 133,
+        ]
 
 
 class TestSimulatePath:
