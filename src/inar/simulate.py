@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_CAP = 1e9
+# Counts are int64. PTRS draws lie within a few sqrt(lam) of lam, so rates
+# below 2**62 draw below 2**63; a path's rates are bounded only by its cap,
+# so its counts are checked after the draw.
+_MAX_RATE = 2.0 ** 62
+_INT64_END = 2.0 ** 63
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,15 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
 
     With ``size=None`` returns the stream's first variate as an int;
     otherwise the first ``size`` variates as an int64 array. Inversion by
-    sequential search below lam=10, transformed rejection above.
+    sequential search below lam=10, transformed rejection above. Rates at
+    or above 2**62 raise :class:`InvalidRate`: their draws may not fit in
+    int64.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidRate(f"rate must be finite and >= 0, got {lam}")
+    if lam >= _MAX_RATE:
+        raise InvalidRate(f"rate must be below 2**62 for int64 draws, got {lam:g}")
     n = 1 if size is None else int(size)
     if n < 0:
         raise ValueError(f"size must be >= 0, got {size}")
@@ -123,12 +132,17 @@ def simulate_path(
     intensity nu plus the kernel-weighted recent counts.
 
     Raises :class:`Overflow` if any intensity, nu included, exceeds
-    ``lam_cap`` (runaway, near-critical configurations) and
-    :class:`NonStationaryKernel` if the parameters fail validation.
+    ``lam_cap`` (runaway, near-critical configurations) or a count does not
+    fit in int64, and :class:`NonStationaryKernel` if the parameters fail
+    validation.
     """
     T = _check_inputs(params, T, lam_cap)
     kern = params.kernel_array()
     x, overflow_at = _k.sim_path(params.nu, kern, T, float(lam_cap), rng.state())
+    # Counts stay 0 after an intensity overflow, so a huge count comes first.
+    huge = np.flatnonzero(x >= _INT64_END)
+    if huge.size:
+        raise Overflow(f"count at step {huge[0] + 1} does not fit in int64")
     if overflow_at >= 0:
         raise Overflow(
             f"intensity exceeded cap {lam_cap:g} at step {overflow_at + 1}"

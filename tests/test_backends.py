@@ -91,6 +91,51 @@ def test_poisson_draws_bit_identical():
             assert np.array_equal(counts[:, j], want)
 
 
+def counted_draws(lam, key, n):
+    """The one-stream sampler's first n draws at rate lam on ``key``, and
+    the number of uniforms it has read after each."""
+    gen = _k._stream_uniforms(key)
+    used = []
+
+    def uniform():
+        used[-1] += 1
+        return next(gen)
+
+    draws = []
+    for _ in range(n):
+        used.append(used[-1] if used else 0)
+        draws.append(_k._poisson_draw(lam, uniform))
+    return draws, used
+
+
+def test_ptrs_passes_match_oracle():
+    # Near lam = 10 about 0.4% of PTRS draws reject every round of a
+    # pass, so 500 lanes x 20 steps send some lanes to further passes.
+    # Each lane has its own rate, so a log test on another lane's
+    # parameters shows, and after every step each lane's state must sit
+    # exactly as many counters past its key as the scalar loop has read.
+    n_lanes, n_steps = 500, 20
+    keys = _k.stream_keys(9, range(n_lanes))
+    lam = 10.0 + np.arange(n_lanes) / n_lanes
+    state = keys.copy()
+    logfact = _k._LogFactorials()
+    got, states = [], []
+    for _ in range(n_steps):
+        got.append(_k._poisson_lanes(lam, state, logfact))
+        states.append(state.copy())
+    want, used = zip(*(counted_draws(lam[j], keys[j : j + 1], n_steps) for j in range(n_lanes)))
+    assert np.array_equal(np.array(got), np.array(want).T)
+    used = np.array(used, dtype=np.uint64).T
+    assert np.array_equal(np.array(states), keys + used * _k._GOLDEN)
+    rounds = np.diff(used, axis=0, prepend=np.uint64(0)) // 2
+    assert np.count_nonzero(rounds > _k._PTRS_ROUNDS) >= 5
+
+    # The same through the public calls, one rate for every lane.
+    counts, _ = simulate_lanes(ModelParams(nu=10.0), n_steps, 9, range(n_lanes))
+    for j in range(n_lanes):
+        assert np.array_equal(counts[:, j], inar.poisson_sample(10.0, RngStream(9, j), size=n_steps))
+
+
 def test_stream_uniforms_cross_blocks():
     # The one-stream generator, read over several blocks, equals the lane
     # generator stepped one uniform at a time, and leaves the key as it was.

@@ -299,6 +299,16 @@ def test_simulate_non_finite_rejected(tmp_path, run_cli, flags):
     assert_one_line_error(proc, "finite")
 
 
+def test_simulate_count_beyond_int64(tmp_path, run_cli):
+    # Counts near 1e20 pass a cap of 1e300 but not int64: one error line
+    # naming the step, no numpy cast warning, no file.
+    out = tmp_path / "p.csv"
+    proc = run_cli(["simulate", "--nu", "1e20", "--kernel", "none", "--T", 3, "--seed", 1,
+                    "--lambda-cap", "1e300", "--out", out])
+    assert_one_line_error(proc, "Overflow: count at step 1 does not fit in int64")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text", ['"nu": Infinity', '"nu": NaN', '"lambda_cap": Infinity',
              '"kernel": "lags:[0.5,NaN]"']

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import inar
 from inar import _kernels as _k
@@ -37,10 +39,17 @@ class TestPoissonSample:
         assert inar.poisson_sample(0.0, RngStream(1)) == 0
         assert np.all(inar.poisson_sample(0.0, RngStream(1), size=100) == 0)
 
-    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    # From 2**62 on, draws may not fit in int64.
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), 2.0 ** 62, 1e19])
     def test_invalid_rate(self, lam):
         with pytest.raises(InvalidRate):
             inar.poisson_sample(lam, RngStream(1))
+
+    def test_largest_rate_draws_fit(self):
+        lam = np.nextafter(2.0 ** 62, 0.0)
+        x = inar.poisson_sample(lam, RngStream(1, 0), size=8)
+        assert x.dtype == np.int64
+        assert np.all(np.abs(x - lam) < 1e3 * np.sqrt(lam))
 
     def test_determinism(self):
         a = inar.poisson_sample(150.0, RngStream(9, 2), size=1000)
@@ -146,6 +155,13 @@ class TestSimulatePath:
         with pytest.raises(Overflow, match="at step 1$"):
             inar.simulate_path(ModelParams(nu=500.0), 10, RngStream(2), lam_cap=100.0)
 
+    @pytest.mark.parametrize("nu, kernel, step", [(1e20, (), 1), (5e18, (0.9,), 2)])
+    def test_count_beyond_int64(self, nu, kernel, step):
+        # The cap lets the intensity through; the count itself overflows.
+        params = ModelParams(nu=nu, kernel=kernel)
+        with pytest.raises(Overflow, match=f"count at step {step} does not fit in int64"):
+            inar.simulate_path(params, 3, RngStream(1), lam_cap=1e300)
+
     @pytest.mark.parametrize("cap", [float("inf"), float("nan")])
     def test_non_finite_cap_rejected(self, cap):
         with pytest.raises(ValueError, match="lambda_cap"):
@@ -215,6 +231,21 @@ class TestCountPath:
         inar.write_path_csv(src, fname)
         back = inar.read_path_csv(fname)
         assert np.array_equal(back.counts, src.counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(
+        st.one_of(st.sampled_from([0, 2 ** 63 - 1]), st.integers(0, 2 ** 63 - 1)),
+        min_size=1, max_size=200,
+    ))
+    @example(counts=[2 ** 63 - 1])
+    @example(counts=[0, 2 ** 63 - 1] * 100)
+    def test_csv_roundtrip_any_counts(self, counts):
+        path = CountPath(counts=np.array(counts, dtype=np.int64))
+        buf = io.StringIO()
+        inar.write_path_csv(path, buf)
+        back = inar.read_path_csv(io.StringIO(buf.getvalue()))
+        assert back.counts.dtype == np.int64
+        assert back.counts.tolist() == counts
 
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
