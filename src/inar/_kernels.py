@@ -40,6 +40,8 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S12 = np.uint64(12)
 _INV52 = 2.220446049250313e-16  # 2**-52
+# Counts from here on do not fit in int64.
+INT64_END = 2.0 ** 63
 _MASK64 = (1 << 64) - 1
 
 
@@ -297,8 +299,9 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     """``sim_path`` on one lane per uint64 key, all lanes stepping together.
 
     Returns the (n_steps, N) float64 counts, column i being sim_path's path
-    on key i, and the 0-based step at which each lane's intensity exceeded
-    ``cap`` (-1 for none); a lane's counts stay 0 from that step on.
+    on key i, and the 0-based step at which each lane overflowed (-1 for
+    none): its intensity exceeded ``cap``, or it drew a count of INT64_END
+    or more. A lane's counts stay 0 from that step on.
     """
     n_lanes = keys.shape[0]
     state = np.array(keys, dtype=np.uint64)
@@ -320,6 +323,11 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
         alive &= ~over
         lam[~alive] = 0.0
         x[n] = _poisson_lanes(lam, state, logfact)
+        huge = x[n] >= INT64_END
+        if huge.any():
+            overflow_at[huge] = n
+            alive &= ~huge
+            x[n, huge] = 0.0
     return x, overflow_at
 
 

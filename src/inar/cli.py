@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import parse_config, parse_kernel_spec
+from .config import parse_config, parse_kernel_spec, require_seed
 from .errors import InarError
 from .estimate import _solve_with_rcond, build_design, residual_norm
 from .inference import confidence_intervals, normality_report, sandwich_covariance
@@ -29,6 +29,7 @@ from .montecarlo import component_label, normality_suite, run_experiment
 from .simulate import (
     DEFAULT_LAMBDA_CAP,
     RngStream,
+    _csv_rows,
     read_path_csv,
     simulate_path,
     write_path_csv,
@@ -68,7 +69,7 @@ def _finite_or_none(value: float) -> float | None:
 def _cmd_simulate(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     params = ModelParams(nu=args.nu, kernel=kernel, kernel_tail=args.kernel)
-    rng = RngStream(args.seed, args.stream_id)
+    rng = RngStream(require_seed(args.seed), args.stream_id)
     path = simulate_path(params, args.T, rng, args.lambda_cap)
     write_path_csv(path, args.out)
     return 0
@@ -102,13 +103,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _write_samples_csv(summary, out_path: str) -> None:
-    m = summary.per_component_samples.shape[1]
+def _write_table(out_path: str, header: list[str], columns) -> None:
+    """CSV of equal-length 1-d arrays, one per column; floats are written
+    as their shortest round-trip text (str is repr for a float)."""
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rep"] + [component_label(j) for j in range(m)])
-        for rep, row in zip(summary.rep_ids, summary.per_component_samples):
-            writer.writerow([int(rep)] + [repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(zip(*(col.tolist() for col in columns)))
 
 
 def _cmd_mc(args) -> int:
@@ -116,7 +117,7 @@ def _cmd_mc(args) -> int:
         text = fh.read()
     config = parse_config(text)
     if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
+        config = replace(config, base_seed=require_seed(args.seed))
     summary = run_experiment(config)
     diagnostics = normality_suite(summary)
 
@@ -163,34 +164,46 @@ def _cmd_mc(args) -> int:
     _write_json(doc, os.path.join(out_dir, "mc_summary.json"))
 
     if not args.no_samples:
-        _write_samples_csv(summary, os.path.join(out_dir, "samples.csv"))
+        labels = [component_label(j) for j in range(summary.per_component_samples.shape[1])]
+        _write_table(os.path.join(out_dir, "samples.csv"), ["rep"] + labels,
+                     [summary.rep_ids, *summary.per_component_samples.T])
     for diag in diagnostics:
-        with open(os.path.join(out_dir, f"qq_{diag.label}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "value"])
-            for z, v in zip(diag.qq_z, diag.qq_value):
-                writer.writerow([repr(float(z)), repr(float(v))])
-        with open(os.path.join(out_dir, f"hist_{diag.label}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for left, right, count in zip(
-                diag.hist_left, diag.hist_right, diag.hist_count
-            ):
-                writer.writerow([repr(float(left)), repr(float(right)), int(count)])
+        _write_table(os.path.join(out_dir, f"qq_{diag.label}.csv"), ["z", "value"],
+                     [diag.qq_z, diag.qq_value])
+        _write_table(os.path.join(out_dir, f"hist_{diag.label}.csv"),
+                     ["bin_left", "bin_right", "count"],
+                     [diag.hist_left, diag.hist_right, diag.hist_count])
     return 0
 
 
 def _read_samples_csv(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        lines = _csv_rows(fh, "samples")
+        header = next(lines, (0, None))[1]
         if not header or header[0] != "rep":
             raise InarError("samples CSV must start with header 'rep,mu_hat,...'")
-        labels = header[1:]
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
+        rows = []
+        for line, row in lines:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InarError(
+                    f"samples CSV line {line}: expected {len(header)} fields, got {len(row)}"
+                )
+            values = []
+            for text in row[1:]:
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):
+                    raise InarError(
+                        f"samples CSV line {line}: value {text!r} is not a finite number"
+                    )
+            rows.append(values)
     if not rows:
         raise InarError("samples CSV contains no data rows")
-    return labels, np.asarray(rows, dtype=np.float64)
+    return header[1:], np.asarray(rows, dtype=np.float64)
 
 
 def _cmd_normality(args) -> int:

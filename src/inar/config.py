@@ -16,7 +16,7 @@ from .model import ModelParams, geometric_kernel
 from .montecarlo import McConfig
 from .simulate import DEFAULT_LAMBDA_CAP
 
-__all__ = ["parse_kernel_spec", "parse_config", "CONFIG_KEYS"]
+__all__ = ["parse_kernel_spec", "parse_config", "require_seed", "CONFIG_KEYS"]
 
 CONFIG_KEYS = {
     "nu": True,
@@ -73,7 +73,10 @@ def parse_kernel_spec(spec: str) -> tuple[float, ...]:
 def _require_number(raw, key: str, minimum: float | None = None) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValidationError(f"{key}: expected a number, got {raw!r}")
-    val = float(raw)
+    try:
+        val = float(raw)
+    except OverflowError:  # an integer beyond float range
+        val = math.inf
     if not math.isfinite(val):
         raise ValidationError(f"{key}: must be finite, got {raw!r}")
     if minimum is not None and val < minimum:
@@ -86,6 +89,15 @@ def _require_int(raw, key: str, minimum: int) -> int:
         raise ValidationError(f"{key}: expected an integer, got {raw!r}")
     if raw < minimum:
         raise ValidationError(f"{key}: must be >= {minimum}, got {raw}")
+    return raw
+
+
+def require_seed(raw) -> int:
+    """A base seed: an integer that fits in 64 bits, signed or unsigned."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValidationError(f"seed: expected an integer, got {raw!r}")
+    if not -_SEED_LIMIT < raw < _SEED_LIMIT:
+        raise ValidationError(f"seed: must fit in 64 bits, got {raw}")
     return raw
 
 
@@ -112,11 +124,7 @@ def parse_config(text: str) -> McConfig:
     if p > t - 1:
         raise ValidationError(f"p: must be <= T-1 = {t - 1}, got {p}")
     n_experiments = _require_int(doc["n_experiments"], "n_experiments", minimum=1)
-    seed = doc["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed: expected an integer, got {seed!r}")
-    if not -_SEED_LIMIT < seed < _SEED_LIMIT:
-        raise ValidationError(f"seed: must fit in 64 bits, got {seed}")
+    seed = require_seed(doc["seed"])
 
     cap_negatives = doc.get("cap_negatives", True)
     if not isinstance(cap_negatives, bool):

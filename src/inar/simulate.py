@@ -32,10 +32,9 @@ __all__ = [
 
 DEFAULT_LAMBDA_CAP = 1e9
 # Counts are int64. PTRS draws lie within a few sqrt(lam) of lam, so rates
-# below 2**62 draw below 2**63; a path's rates are bounded only by its cap,
-# so its counts are checked after the draw.
+# below 2**62 draw below 2**63 (_k.INT64_END); a path's rates are bounded
+# only by its cap, so its counts are checked after the draw.
 _MAX_RATE = 2.0 ** 62
-_INT64_END = 2.0 ** 63
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def simulate_path(
     kern = params.kernel_array()
     x, overflow_at = _k.sim_path(params.nu, kern, T, float(lam_cap), rng.state())
     # Counts stay 0 after an intensity overflow, so a huge count comes first.
-    huge = np.flatnonzero(x >= _INT64_END)
+    huge = np.flatnonzero(x >= _k.INT64_END)
     if huge.size:
         raise Overflow(f"count at step {huge[0] + 1} does not fit in int64")
     if overflow_at >= 0:
@@ -166,8 +165,10 @@ def simulate_lanes(
     all advancing one step together.
 
     Returns a (T, N) float64 count array and an (N,) int64 array of the
-    0-based step at which each lane's intensity exceeded ``lam_cap`` (-1
-    where it never did). Column j equals the counts of
+    0-based step at which each lane overflowed (-1 where it never did):
+    its intensity exceeded ``lam_cap`` or its count did not fit in int64,
+    the step :func:`simulate_path` names in its :class:`Overflow`. Column j
+    equals the counts of
     ``simulate_path(params, T, RngStream(seed, stream_ids[j]), lam_cap)``
     bit for bit; an overflowed column is zero from its overflow step on.
     A step costs numpy dispatch however few the lanes, so a single stream
@@ -192,6 +193,21 @@ def write_path_csv(path: CountPath, file) -> None:
             fh.close()
 
 
+def _csv_rows(fh, what: str):
+    """Yield (line number, row) for each row of CSV text; text the csv
+    module cannot split (a field beyond its size limit) raises ValueError
+    naming the line."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{what} CSV line {reader.line_num}: {exc}") from None
+        yield reader.line_num, row
+
+
 def read_path_csv(file) -> CountPath:
     """Read a path written by :func:`write_path_csv`; counts round-trip
     exactly (generation provenance is not stored in the CSV). Steps n
@@ -199,32 +215,32 @@ def read_path_csv(file) -> CountPath:
     own = isinstance(file, (str, os.PathLike))
     fh = open(file, "r", newline="") if own else file
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        lines = _csv_rows(fh, "path")
+        header = next(lines, (0, None))[1]
         if header is None or [h.strip() for h in header] != ["n", "x"]:
             raise ValueError("path CSV must start with header 'n,x'")
         counts = []
-        for row in reader:
+        for line, row in lines:
             if not row:
                 continue
             if len(row) != 2:
                 raise ValueError(
-                    f"path CSV line {reader.line_num}: expected 2 fields 'n,x', got {row!r}"
+                    f"path CSV line {line}: expected 2 fields 'n,x', got {row!r}"
                 )
             step = len(counts) + 1
             if row[0].strip() != str(step):
                 raise ValueError(
-                    f"path CSV line {reader.line_num}: step n={row[0]!r}, expected n={step}"
+                    f"path CSV line {line}: step n={row[0]!r}, expected n={step}"
                 )
             try:
                 counts.append(int(row[1]))
             except ValueError:
                 raise ValueError(
-                    f"path CSV line {reader.line_num}: count {row[1]!r} is not an integer"
+                    f"path CSV line {line}: count {row[1]!r} is not an integer"
                 ) from None
             if not -(1 << 63) <= counts[-1] < 1 << 63:
                 raise ValueError(
-                    f"path CSV line {reader.line_num}: count {row[1]!r} does not fit in int64"
+                    f"path CSV line {line}: count {row[1]!r} does not fit in int64"
                 )
     finally:
         if own:

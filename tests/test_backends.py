@@ -82,6 +82,32 @@ def test_first_observation_checked_against_cap():
     assert np.all(overflow_at == 0) and not counts.any()
 
 
+@pytest.mark.parametrize("nu, kernel, T", [
+    (1e19, (0.3,), 4),        # every lane overflows at step 1
+    (5e18, (0.9,), 4),        # step 2, once the kernel adds 0.9 of step 1
+    (2.0 ** 63, (), 3),       # i.i.d. draws about 2**63: mixed steps, one lane never
+])
+def test_counts_beyond_int64_overflow_lanes(nu, kernel, T):
+    # A count of 2**63 or more ends its lane as an intensity overflow does,
+    # at the step simulate_path's Overflow names; earlier counts are kept.
+    params = ModelParams(nu=nu, kernel=kernel)
+    counts, overflow_at = simulate_lanes(params, T, 3, range(12), 1e300)
+    for j in range(12):
+        step = int(overflow_at[j])
+        if step < 0:
+            path = inar.simulate_path(params, T, RngStream(3, j), 1e300)
+            assert np.array_equal(counts[:, j], path.counts)
+            continue
+        with pytest.raises(Overflow, match=f"count at step {step + 1} does not fit in int64$"):
+            inar.simulate_path(params, T, RngStream(3, j), 1e300)
+        x, _ = scalar_path(params, T, 3, j, 1e300)
+        assert np.array_equal(counts[:step, j], x[:step])
+        assert not counts[step:, j].any()
+    assert np.count_nonzero(overflow_at >= 0) >= 11
+    if nu == 2.0 ** 63:
+        assert len(set(overflow_at.tolist())) == 4
+
+
 def test_poisson_draws_bit_identical():
     # Without a kernel each lane is an i.i.d. stream: the sampler's draws.
     for lam in (0.5, 3.0, 9.99, 10.0, 150.0, 2e5):

@@ -2,11 +2,18 @@
 
 import csv
 import json
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import inar
+import inar.cli
+from inar.config import CONFIG_KEYS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -349,3 +356,199 @@ def test_mc_overflow_counted_not_fatal(tmp_path, run_cli):
     doc = json.loads((out / "mc_summary.json").read_text())
     assert 0 < doc["failures"] < 40
     assert doc["n_success"] + doc["failures"] == 40
+
+
+def run_main(capsys, args):
+    """``inar`` in-process: (exit code, stdout, stderr)."""
+    capsys.readouterr()
+    code = inar.cli.main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith("inar: error: ")
+
+
+@pytest.mark.parametrize("row, named", [
+    ("11,nan,0.3", "line 3: value 'nan' is not a finite number"),
+    ("11,0.1,-inf", "line 3: value '-inf' is not a finite number"),
+    ("11,abc,0.3", "line 3: value 'abc' is not a finite number"),
+    ("11,,0.3", "line 3: value '' is not a finite number"),
+    ("11,0.1", "line 3: expected 3 fields, got 2"),
+    ("11,0.1,0.3,0.5", "line 3: expected 3 fields, got 4"),
+])
+def test_normality_bad_sample_row_named(tmp_path, capsys, row, named):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("rep,mu_hat,beta_1\n10,0.1,0.2\n" + row + "\n12,0.2,0.1\n")
+    code, out, err = run_main(capsys, ["normality", "--samples", samples])
+    assert_one_error_line(code, out, err)
+    assert f"samples CSV {named}" in err
+
+
+@pytest.mark.parametrize("seed", [2 ** 64 + 5, -(2 ** 64) - 5])
+def test_seed_flag_must_fit_in_64_bits(tmp_path, capsys, seed):
+    # --seed and the config's seed share one check and one message.
+    cfg = write_config(tmp_path)
+    code, out, err = run_main(capsys, ["mc", "--config", cfg, "--out-dir", tmp_path / "a",
+                                       "--seed", seed])
+    assert_one_error_line(code, out, err)
+    assert err == f"inar: error: ValidationError: seed: must fit in 64 bits, got {seed}\n"
+    assert not (tmp_path / "a").exists()
+    bad = write_config(tmp_path, name="bad.json", seed=seed)
+    assert run_main(capsys, ["mc", "--config", bad, "--out-dir", tmp_path / "b"])[2] == err
+    code, out, err2 = run_main(capsys, ["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
+                                        "--seed", seed, "--out", tmp_path / "p.csv"])
+    assert_one_error_line(code, out, err2)
+    assert err2 == err and not (tmp_path / "p.csv").exists()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # The runtime is numpy plus the standard library; scipy is test-only.
+    cfg = write_config(tmp_path, T=60, p=2, n_experiments=20)
+    code = (
+        "import sys\n"
+        "import inar, inar.cli\n"
+        f"assert inar.cli.main(['mc', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "mc_summary.json").exists()
+
+
+# Malformed input, by construction: every case must exit 1 with one stderr
+# line and nothing on stdout.
+
+VALID_CONFIG = {"nu": 100.0, "kernel": "geometric:0.25", "T": 150, "p": 3,
+                "n_experiments": 40, "seed": 7, "cap_negatives": True,
+                "lambda_cap": 1e9, "case": "case 1"}
+assert set(VALID_CONFIG) == set(CONFIG_KEYS)
+
+_non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+_beyond_float = st.integers(min_value=2 ** 1024, max_value=2 ** 1100)
+_not_number = st.one_of(st.text(max_size=8), st.booleans(), st.none(),
+                        st.lists(st.integers(), max_size=2))
+_not_int = st.one_of(_not_number, st.floats())
+_bad_kernel = st.one_of(
+    st.sampled_from(["", "banana", "geometric:", "geometric:abc", "lags:[", "lags:[0.5,oops]",
+                     "lags:[0.6,0.6]", "lags:[0.5,NaN]", "geometric:inf"]),
+    st.floats(min_value=1.0).map(lambda r: f"geometric:{r!r}"),
+    st.floats(max_value=0.0).map(lambda r: f"geometric:{r!r}"),
+    st.floats(max_value=-1e-300).map(lambda a: f"lags:[0.5,{a!r}]"),
+)
+WRONG_TYPE = {
+    "nu": _not_number,
+    "lambda_cap": _not_number,
+    "T": _not_int,
+    "p": _not_int,
+    "n_experiments": _not_int,
+    "seed": _not_int,
+    "kernel": st.one_of(st.floats(), st.integers(), st.booleans(), st.none()),
+    "cap_negatives": st.one_of(st.integers(), st.text(max_size=4), st.none()),
+    "case": st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+}
+OUT_OF_RANGE = {
+    "nu": st.one_of(st.floats(max_value=-1e-300), _non_finite, _beyond_float),
+    "lambda_cap": st.one_of(st.floats(max_value=0.0), _non_finite, _beyond_float),
+    "T": st.integers(max_value=0),
+    "p": st.one_of(st.integers(max_value=-1), st.integers(min_value=150, max_value=10 ** 30)),
+    "n_experiments": st.integers(max_value=0),
+    "seed": st.one_of(st.integers(min_value=2 ** 64), st.integers(max_value=-(2 ** 64))),
+    "kernel": _bad_kernel,
+}
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _with(key, value):
+    return {**VALID_CONFIG, key: value}
+
+
+bad_configs = st.one_of(
+    st.sampled_from(sorted(k for k, req in CONFIG_KEYS.items() if req)).map(
+        lambda key: json.dumps({k: v for k, v in VALID_CONFIG.items() if k != key})),
+    st.text(min_size=1, max_size=12).filter(lambda key: key not in CONFIG_KEYS).map(
+        lambda key: json.dumps(_with(key, 1))),
+    st.sampled_from(sorted(WRONG_TYPE)).flatmap(
+        lambda key: WRONG_TYPE[key].map(lambda v: json.dumps(_with(key, v)))),
+    st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+        lambda key: OUT_OF_RANGE[key].map(lambda v: json.dumps(_with(key, v)))),
+    st.text(max_size=40).filter(_not_json),
+    st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=8)).map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=bad_configs)
+def test_malformed_config_one_error_line(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    assert_one_error_line(*run_main(capsys, ["mc", "--config", cfg, "--out-dir", out_dir]))
+    assert not out_dir.exists()
+
+
+def _path_rows(counts):
+    return [f"{n},{x}" for n, x in enumerate(counts, start=1)]
+
+
+def _replace_row(counts, make_row):
+    # Row i (1-based step) of a valid path replaced by make_row(i, counts).
+    return st.integers(1, len(counts)).flatmap(
+        lambda i: make_row(i, counts).map(
+            lambda row: _path_rows(counts)[: i - 1] + [row] + _path_rows(counts)[i:]))
+
+
+def _not_int_text(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_row_defects = [
+    lambda i, c: st.sampled_from([f"{i}", f"{i},{c[i - 1]},0", f"{i};{c[i - 1]}"]),
+    lambda i, c: st.one_of(
+        st.sampled_from(["abc", "1.5", "", "nan", "1e3", "0x10", "3 4"]),
+        st.text(alphabet="0123456789.e+-x ", min_size=1, max_size=8).filter(_not_int_text),
+    ).map(lambda x: f"{i},{x}"),
+    lambda i, c: st.integers(-(10 ** 6), 10 ** 6).filter(lambda n: n != i).map(
+        lambda n: f"{n},{c[i - 1]}"),
+    lambda i, c: st.one_of(st.integers(min_value=2 ** 63), st.integers(max_value=-(2 ** 63) - 1),
+                           st.integers(-(2 ** 63), -1)).map(lambda x: f"{i},{x}"),
+    lambda i, c: st.just(f"{i},{'9' * 200_000}"),
+]
+
+
+def bad_paths():
+    counts = st.lists(st.integers(0, 1000), min_size=3, max_size=30)
+    return st.one_of(
+        counts.flatmap(lambda c: st.sampled_from(_row_defects).flatmap(
+            lambda make_row: _replace_row(c, make_row))).map(lambda rows: "n,x\n" + "\n".join(rows)),
+        counts.flatmap(lambda c: st.sampled_from(["", "x,n", "n", "n,x,y", "step,count"]).map(
+            lambda header: header + "\n" + "\n".join(_path_rows(c)))),
+        counts.map(lambda c: "\n".join(_path_rows(c))),
+        st.sampled_from(["", "n,x\n"]),
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=bad_paths())
+def test_malformed_path_csv_one_error_line(tmp_path, capsys, text):
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text(text + "\n")
+    assert_one_error_line(*run_main(capsys, ["estimate", "--path", path_csv, "--p", 1]))

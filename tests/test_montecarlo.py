@@ -152,6 +152,15 @@ class TestFailureHandling:
         with pytest.raises(AllReplicationsFailed, match="4 intensity overflows"):
             inar.run_experiment(cfg)
 
+    def test_counts_beyond_int64_counted_as_overflows(self):
+        # Rates of 1e19 pass a cap of 1e300, but their counts overflow int64.
+        cfg = McConfig(
+            params=ModelParams(nu=1e19, kernel=(0.3,)), T=50, p=1,
+            n_experiments=4, base_seed=3, lam_cap=1e300,
+        )
+        with pytest.raises(AllReplicationsFailed, match="0 singular designs, 4 intensity overflows"):
+            inar.run_experiment(cfg)
+
 
 class TestTruthVector:
     def test_case1_padding(self, case1_params):
