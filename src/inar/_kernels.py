@@ -1,15 +1,19 @@
 """Numerical kernels: counter-based RNG, Poisson sampling, path simulation,
 and the design build and solve of conditional least squares.
 
-Paths are simulated by one of two routes that make the same draws. Both
-read counter-based splitmix64 streams (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11) from ``_uniforms``: the k-th uniform
-of the stream with key c is mix64(c + k * GOLDEN).
+Every sampler reads counter-based splitmix64 streams (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) from ``_uniforms``:
+the k-th uniform of the stream with key c is mix64(c + k * GOLDEN). The
+draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
+``_stream_uniforms``); three routes make them:
 
-- the scalar loop (``fill_poisson``, ``sim_path``) runs one stream in plain
-  Python; it is the one-lane path and the lane engine's reference.
+- the scalar loop itself (``sim_path``) runs one path in plain Python, for
+  paths whose rate depends on their past; it is every route's reference.
 - the lane engine (``sim_lanes``) advances many streams one step together;
   lane i reproduces the scalar loop on key i bit for bit.
+- the block sampler (``poisson_stream``) draws one constant-rate stream in
+  blocks of counters with the lane engine's kernels: at a fixed rate a
+  draw's uniforms do not depend on the draws before it.
 """
 
 import math
@@ -19,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "stream_keys",
-    "fill_poisson",
+    "poisson_stream",
     "sim_path",
     "sim_lanes",
     "design_build",
@@ -121,11 +125,6 @@ def _poisson_draw(lam, uniform):
             return int(k)
 
 
-def fill_poisson(lam, out, key):
-    uniform = _stream_uniforms(key).__next__
-    out[:] = [_poisson_draw(lam, uniform) for _ in range(out.shape[0])]
-
-
 def sim_path(nu, kern, n_steps, cap, key):
     # Counts kept as Python ints: int * float rounds as float64 * float64.
     uniform = _stream_uniforms(key).__next__
@@ -161,26 +160,31 @@ _LOGFACT_CACHE = 1 << 16
 class _LogFactorials:
     """log k! = math.lgamma(k + 1) for integer-valued float arrays k, from a
     table grown on demand (scipy's gammaln differs from math.lgamma in the
-    last bit on about half of its inputs)."""
+    last bit on about half of its inputs). Values past the table are
+    computed one by one until as many have been as the table would gain;
+    then it grows. A few draws at a large rate then build no table."""
 
     def __init__(self):
         self.table = np.zeros(0)
+        self.spent = 0
 
     def __call__(self, k):
         top = int(k.max()) + 1
-        if top > _LOGFACT_CACHE:
-            return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
         if top > self.table.shape[0]:
+            self.spent += k.shape[0]
+            if top > _LOGFACT_CACHE or self.spent < top - self.table.shape[0]:
+                return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+            self.spent = 0
             size = min(_LOGFACT_CACHE, max(top, 2 * self.table.shape[0]))
             self.table = np.array([math.lgamma(i + 1.0) for i in range(size)])
         return self.table[k.astype(np.intp)]
 
 
-def _inversion_lanes(lam, state):
-    # Sequential search; every lane still searching has taken the same
-    # number of steps, so k is one counter for all of them.
+def _inversion_lanes(lam, p, state):
+    # Sequential search from p = math.exp(-lam), given per lane by the
+    # caller; every lane still searching has taken the same number of
+    # steps, so k is one counter for all of them.
     u = _uniforms(state)
-    p = np.array([math.exp(-v) for v in lam.tolist()])
     f = p.copy()
     out = np.zeros(lam.shape[0])
     pos = np.arange(lam.shape[0])
@@ -232,37 +236,56 @@ _PASS_OFFSETS = np.concatenate([
 ])[:, None] * _GOLDEN
 
 
-def _ptrs_lanes(lam, state, logfact):
-    # Masked PTRS in passes: each pass tries _PTRS_ROUNDS rounds (u, v) of
-    # the lanes still rejecting and drops the lanes that accept in any.
+def _ptrs_constants(lam):
     b = 0.931 + 2.53 * np.sqrt(lam)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
+    return a, b, inv_alpha, v_r
+
+
+def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact, need):
+    # PTRS rounds on (R, n) grids of uniforms: cell (r, i) is round r of
+    # lane i, with u from wu and v from wv, at lane i's lam and constants.
+    # Returns the candidate k and the acceptance of every cell. The cells
+    # are indexed flat (cell = round * n + lane): 2-D masks cost more
+    # dispatch. The log test runs only where it can decide one of a lane's
+    # first ``need`` acceptances: on rounds before its need-th squeeze
+    # acceptance. Later cells may read rejected although they accept.
+    n = wu.shape[1]
+    u = wu - 0.5
+    us = 0.5 - np.abs(u)
+    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+    accept = (us >= 0.07) & (wv <= v_r)
+    if need == 1:
+        undecided = ~np.logical_or.accumulate(accept)
+    else:
+        undecided = ~accept & (np.cumsum(accept, axis=0) < need)
+    slow = undecided & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
+    slow = slow.reshape(-1).nonzero()[0]
+    if slow.size:
+        lane = slow % n
+        accept.reshape(-1)[slow] = _log_test(
+            k.reshape(-1)[slow], lam[lane], us.reshape(-1)[slow],
+            wv.reshape(-1)[slow], a[lane], b[lane], inv_alpha[lane], logfact,
+        )
+    return k, accept
+
+
+def _ptrs_lanes(lam, state, logfact):
+    # Masked PTRS in passes: each pass tries _PTRS_ROUNDS rounds (u, v) of
+    # the lanes still rejecting and drops the lanes that accept in any.
+    a, b, inv_alpha, v_r = _ptrs_constants(lam)
     out = np.empty(lam.shape[0])
     pos = np.arange(lam.shape[0])
     st = state
     while True:
         n = pos.size
-        # (2R, n) counters; the cells of the (R, n) grids below are indexed
-        # flat (cell = round * n + lane): 2-D masks cost more dispatch.
         grid = st + _PASS_OFFSETS
         w = _uniforms(grid)
-        u = w[:_PTRS_ROUNDS] - 0.5
-        v = w[_PTRS_ROUNDS:]
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-        accept = (us >= 0.07) & (v <= v_r)
-        # The log test only where it can decide the draw: rounds before the
-        # lane's first squeeze acceptance.
-        slow = ~np.logical_or.accumulate(accept) & (k >= 0.0) & ((us >= 0.013) | (v <= us))
-        slow = slow.reshape(-1).nonzero()[0]
-        if slow.size:
-            lane = slow % n
-            accept.reshape(-1)[slow] = _log_test(
-                k.reshape(-1)[slow], lam[lane], us.reshape(-1)[slow],
-                v.reshape(-1)[slow], a[lane], b[lane], inv_alpha[lane], logfact,
-            )
+        k, accept = _ptrs_rounds(
+            w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r, logfact, 1,
+        )
         cell = accept.argmax(axis=0) * n + np.arange(n)
         hit = accept.reshape(-1)[cell]
         if hit.all():
@@ -285,7 +308,8 @@ def _poisson_lanes(lam, state, logfact):
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
     if small.size:
         st = state[small]
-        out[small] = _inversion_lanes(lam[small], st)
+        lam_s = lam[small]
+        out[small] = _inversion_lanes(lam_s, np.array([math.exp(-v) for v in lam_s.tolist()]), st)
         state[small] = st
     large = np.flatnonzero(lam >= 10.0)
     if large.size:
@@ -293,6 +317,61 @@ def _poisson_lanes(lam, state, logfact):
         out[large] = _ptrs_lanes(lam[large], st, logfact)
         state[large] = st
     return out
+
+
+# Block sampler. At a constant rate a stream's draws are a fixed function
+# of its uniforms: inversion reads one uniform per draw, so draw j reads
+# counter j + 1; PTRS round r reads counters 2r + 1 (u) and 2r + 2 (v), so
+# the draws are the k of the accepting rounds, in order. A block evaluates
+# up to _STREAM_BLOCK draws or rounds at once with the lane kernels: 2**13
+# already spreads a block's dispatch thinly (2**14 draws no faster) and
+# holds half the temporary arrays of 2**14.
+_STREAM_BLOCK = 1 << 13
+
+
+def _counters(base, size):
+    # The states base, base + GOLDEN, ... of ``size`` consecutive counters.
+    return base + np.arange(size, dtype=np.uint64) * _GOLDEN
+
+
+def poisson_stream(lam, out, key):
+    """Fill ``out`` with the first Poisson(lam) draws of the stream with
+    uint64 ``key`` (a (1,) array, left as it is): bit for bit the draws of
+    the scalar loop on that stream."""
+    n_draws = out.shape[0]
+    if lam <= 0.0:
+        out[:] = 0
+        return
+    # The counter before the next block; _uniforms steps a block's states
+    # in place, so its last state is the next block's base.
+    base = key
+    done = 0
+    if lam < 10.0:
+        while done < n_draws:
+            size = min(_STREAM_BLOCK, n_draws - done)
+            state = _counters(base, size)
+            out[done : done + size] = _inversion_lanes(
+                np.full(size, lam), np.full(size, math.exp(-lam)), state
+            )
+            base = state[-1:]
+            done += size
+        return
+    lam = np.array([lam])
+    constants = _ptrs_constants(lam)
+    logfact = _LogFactorials()
+    while done < n_draws:
+        # A round accepts with probability 0.75 at lam = 10, rising to 0.89
+        # at large lam: 4/3 rounds per draw still wanted mostly suffice, and
+        # a short block is followed by another.
+        need = n_draws - done
+        rounds = min(_STREAM_BLOCK, need + need // 3 + 8)
+        state = _counters(base, 2 * rounds)
+        w = _uniforms(state).reshape(rounds, 2)
+        k, accept = _ptrs_rounds(w[:, :1], w[:, 1:], lam, *constants, logfact, need)
+        got = k[accept][:need]
+        out[done : done + got.size] = got
+        base = state[-1:]
+        done += got.size
 
 
 def sim_lanes(nu, kern, n_steps, cap, keys):

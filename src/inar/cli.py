@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import parse_config, parse_kernel_spec, require_seed
+from .config import parse_config, parse_kernel_spec, require_seed, require_stream_id
 from .errors import InarError
 from .estimate import _solve_with_rcond, build_design, residual_norm
 from .inference import confidence_intervals, normality_report, sandwich_covariance
@@ -69,7 +69,7 @@ def _finite_or_none(value: float) -> float | None:
 def _cmd_simulate(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     params = ModelParams(nu=args.nu, kernel=kernel, kernel_tail=args.kernel)
-    rng = RngStream(require_seed(args.seed), args.stream_id)
+    rng = RngStream(require_seed(args.seed), require_stream_id(args.stream_id))
     path = simulate_path(params, args.T, rng, args.lambda_cap)
     write_path_csv(path, args.out)
     return 0

@@ -16,7 +16,7 @@ from .model import ModelParams, geometric_kernel
 from .montecarlo import McConfig
 from .simulate import DEFAULT_LAMBDA_CAP
 
-__all__ = ["parse_kernel_spec", "parse_config", "require_seed", "CONFIG_KEYS"]
+__all__ = ["parse_kernel_spec", "parse_config", "require_seed", "require_stream_id", "CONFIG_KEYS"]
 
 CONFIG_KEYS = {
     "nu": True,
@@ -98,6 +98,13 @@ def require_seed(raw) -> int:
         raise ValidationError(f"seed: expected an integer, got {raw!r}")
     if not -_SEED_LIMIT < raw < _SEED_LIMIT:
         raise ValidationError(f"seed: must fit in 64 bits, got {raw}")
+    return raw
+
+
+def require_stream_id(raw: int) -> int:
+    """A stream id: an integer in [0, 2**64)."""
+    if not 0 <= raw < _SEED_LIMIT:
+        raise ValidationError(f"stream_id: must be in [0, 2**64), got {raw}")
     return raw
 
 

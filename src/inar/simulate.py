@@ -86,9 +86,10 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
 
     With ``size=None`` returns the stream's first variate as an int;
     otherwise the first ``size`` variates as an int64 array. Inversion by
-    sequential search below lam=10, transformed rejection above. Rates at
-    or above 2**62 raise :class:`InvalidRate`: their draws may not fit in
-    int64.
+    sequential search below lam=10, transformed rejection above. The draws
+    are made in numpy blocks of up to 2**13 draws or rejection rounds, bit
+    for bit those of the one-at-a-time scalar loop. Rates at or above 2**62
+    raise :class:`InvalidRate`: their draws may not fit in int64.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0.0:
@@ -99,7 +100,7 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
     if n < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     out = np.empty(n, dtype=np.int64)
-    _k.fill_poisson(lam, out, rng.state())
+    _k.poisson_stream(lam, out, rng.state())
     return int(out[0]) if size is None else out
 
 
@@ -134,10 +135,20 @@ def simulate_path(
     ``lam_cap`` (runaway, near-critical configurations) or a count does not
     fit in int64, and :class:`NonStationaryKernel` if the parameters fail
     validation.
+
+    A path whose kernel is zero has the constant rate nu: its counts are
+    :func:`poisson_sample`'s draws, made in numpy blocks. Any other path is
+    simulated one step at a time in plain Python.
     """
     T = _check_inputs(params, T, lam_cap)
     kern = params.kernel_array()
-    x, overflow_at = _k.sim_path(params.nu, kern, T, float(lam_cap), rng.state())
+    if kern.any():
+        x, overflow_at = _k.sim_path(params.nu, kern, T, float(lam_cap), rng.state())
+    elif params.nu <= lam_cap:
+        x, overflow_at = np.empty(T), -1
+        _k.poisson_stream(params.nu, x, rng.state())
+    else:
+        x, overflow_at = np.zeros(T), 0
     # Counts stay 0 after an intensity overflow, so a huge count comes first.
     huge = np.flatnonzero(x >= _k.INT64_END)
     if huge.size:
@@ -171,7 +182,7 @@ def simulate_lanes(
     equals the counts of
     ``simulate_path(params, T, RngStream(seed, stream_ids[j]), lam_cap)``
     bit for bit; an overflowed column is zero from its overflow step on.
-    A step costs numpy dispatch however few the lanes, so a single stream
+    A step costs numpy dispatch however few the lanes, so a single path
     is faster through :func:`simulate_path`.
     """
     T = _check_inputs(params, T, lam_cap)
@@ -211,7 +222,8 @@ def _csv_rows(fh, what: str):
 def read_path_csv(file) -> CountPath:
     """Read a path written by :func:`write_path_csv`; counts round-trip
     exactly (generation provenance is not stored in the CSV). Steps n
-    must run 1, 2, 3, ... without gaps or repeats."""
+    must run 1, 2, 3, ... without gaps or repeats, and counts are written
+    in digits 0-9 only."""
     own = isinstance(file, (str, os.PathLike))
     fh = open(file, "r", newline="") if own else file
     try:
@@ -232,16 +244,18 @@ def read_path_csv(file) -> CountPath:
                 raise ValueError(
                     f"path CSV line {line}: step n={row[0]!r}, expected n={step}"
                 )
-            try:
-                counts.append(int(row[1]))
-            except ValueError:
+            # Digits only: int() would also take signs, spaces and "1_0".
+            if not (row[1].isascii() and row[1].isdigit()):
                 raise ValueError(
-                    f"path CSV line {line}: count {row[1]!r} is not an integer"
-                ) from None
-            if not -(1 << 63) <= counts[-1] < 1 << 63:
+                    f"path CSV line {line}: count {row[1]!r} is not an integer "
+                    "(digits 0-9 only)"
+                )
+            digits = row[1].lstrip("0") or "0"
+            if len(digits) > 19 or int(digits) >= 1 << 63:
                 raise ValueError(
                     f"path CSV line {line}: count {row[1]!r} does not fit in int64"
                 )
+            counts.append(int(digits))
     finally:
         if own:
             fh.close()

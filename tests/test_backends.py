@@ -1,9 +1,12 @@
 """Parity between the lane routes and the one-lane routes.
 
 The lane engine (``simulate_lanes``, used by ``run_experiment``) steps many
-streams together; the scalar loop (``simulate_path``, ``poisson_sample``)
-runs one. The scalar loop is the oracle: every lane must reproduce it bit
-for bit, including the step at which a lane's intensity overflows.
+streams together; the scalar loop (``_k.sim_path``, behind ``simulate_path``
+for paths with a kernel) runs one. The block sampler (``poisson_sample``
+and kernel-free ``simulate_path``) draws one constant-rate stream with the
+lane kernels. The scalar loop is the oracle: every lane and every block
+must reproduce it bit for bit, including the step at which a lane's
+intensity overflows.
 
 The stacked fit (``fit_lanes``) builds and solves the designs of many
 count paths together; ``build_design`` and ``solve_cls`` fit one. Every
@@ -12,7 +15,7 @@ lane's design, estimate and failure must equal the one-lane call's.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import inar
@@ -109,12 +112,12 @@ def test_counts_beyond_int64_overflow_lanes(nu, kernel, T):
 
 
 def test_poisson_draws_bit_identical():
-    # Without a kernel each lane is an i.i.d. stream: the sampler's draws.
+    # Without a kernel each lane is an i.i.d. stream: the scalar loop's draws.
     for lam in (0.5, 3.0, 9.99, 10.0, 150.0, 2e5):
         counts, _ = simulate_lanes(ModelParams(nu=lam), 64, 5, range(6))
         for j in range(6):
-            want = inar.poisson_sample(lam, RngStream(5, j), size=64)
-            assert np.array_equal(counts[:, j], want)
+            want, _ = counted_draws(lam, RngStream(5, j).state(), 64)
+            assert counts[:, j].tolist() == want
 
 
 def counted_draws(lam, key, n):
@@ -160,6 +163,74 @@ def test_ptrs_passes_match_oracle():
     counts, _ = simulate_lanes(ModelParams(nu=10.0), n_steps, 9, range(n_lanes))
     for j in range(n_lanes):
         assert np.array_equal(counts[:, j], inar.poisson_sample(10.0, RngStream(9, j), size=n_steps))
+
+
+constant_rates = st.one_of(
+    st.sampled_from([0.0, 10.0]),
+    st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+    st.floats(10.0, 2e5),
+)
+# Small calls, and sizes around the block sampler's edges: inversion blocks
+# hold B draws; PTRS blocks hold B rounds, and the first block is sized to
+# 4/3 of the draws requested, so it reaches B from about 3B/4 draws on.
+B = _k._STREAM_BLOCK
+stream_sizes = st.one_of(
+    st.integers(0, 40),
+    st.sampled_from([B * 3 // 4 - 8, B * 3 // 4, B - 1, B, B + 1, 2 * B + 1, 40000]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=constant_rates,
+    n=stream_sizes,
+    seed=st.integers(-(2 ** 63), 2 ** 64 - 1),
+    stream_id=st.integers(0, 2 ** 64 - 1),
+)
+@example(lam=3.0, n=B + 1, seed=2 ** 64 - 1, stream_id=0)
+@example(lam=9.999999, n=B, seed=11, stream_id=2 ** 64 - 1)
+@example(lam=10.0, n=B * 3 // 4, seed=-1, stream_id=7)
+@example(lam=150.0, n=40000, seed=11, stream_id=0)
+@example(lam=2e5, n=2 * B + 1, seed=5, stream_id=3)
+def test_constant_rate_stream_matches_scalar_loop(lam, n, seed, stream_id):
+    rng = RngStream(seed, stream_id)
+    want, _ = counted_draws(lam, rng.state(), n)
+    got = inar.poisson_sample(lam, rng, size=n)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_stream_prefixes_match_scalar_loop():
+    # A block runs the log test only up to its last wanted acceptance, so
+    # every prefix length must still end on the scalar loop's draws. Near
+    # lam = 10 about one round in eight needs the log test.
+    for stream_id in range(100):
+        rng = RngStream(3, stream_id)
+        want, _ = counted_draws(10.0, rng.state(), 12)
+        for n in range(1, 13):
+            assert inar.poisson_sample(10.0, rng, size=n).tolist() == want[:n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nu=constant_rates,
+    kernel=st.sampled_from([(), (0.0,), (0.0, 0.0, 0.0)]),
+    T=st.one_of(st.integers(1, 40), st.sampled_from([B, B + 1])),
+    seed=st.integers(-(2 ** 63), 2 ** 64 - 1),
+    stream_id=st.integers(0, 2 ** 64 - 1),
+    cap=st.floats(0.0, 3e5),
+)
+@example(nu=3.0, kernel=(), T=2 * B + 1, seed=1, stream_id=2, cap=1e9)
+@example(nu=150.0, kernel=(0.0,), T=2 * B + 1, seed=1, stream_id=2, cap=1e9)
+@example(nu=150.0, kernel=(), T=5, seed=1, stream_id=2, cap=149.0)
+def test_kernel_free_path_matches_scalar_loop(nu, kernel, T, seed, stream_id, cap):
+    params = ModelParams(nu=nu, kernel=kernel)
+    x, step = scalar_path(params, T, seed, stream_id, cap)
+    if step >= 0:
+        with pytest.raises(Overflow, match="at step 1$"):
+            inar.simulate_path(params, T, RngStream(seed, stream_id), cap)
+        return
+    path = inar.simulate_path(params, T, RngStream(seed, stream_id), cap)
+    assert path.counts.tolist() == x.tolist()
 
 
 def test_stream_uniforms_cross_blocks():

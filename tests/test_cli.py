@@ -373,6 +373,25 @@ def assert_one_error_line(code, out, err):
     assert err.startswith("inar: error: ")
 
 
+@pytest.mark.parametrize("stream_id", [-1, 2 ** 64, 2 ** 65])
+def test_simulate_stream_id_out_of_range(tmp_path, capsys, stream_id):
+    # Ids wrap modulo 2**64 in the generator, so -1 would alias 2**64 - 1.
+    out = tmp_path / "path.csv"
+    code, stdout, err = run_main(capsys, ["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
+                                          "--seed", 1, "--stream-id", stream_id, "--out", out])
+    assert_one_error_line(code, stdout, err)
+    assert "stream_id" in err and not out.exists()
+
+
+def test_simulate_largest_stream_id(tmp_path, capsys):
+    out = tmp_path / "path.csv"
+    code, _, _ = run_main(capsys, ["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
+                                   "--seed", 1, "--stream-id", 2 ** 64 - 1, "--out", out])
+    assert code == 0
+    path = inar.simulate_path(inar.ModelParams(nu=5.0), 3, inar.RngStream(1, 2 ** 64 - 1))
+    assert inar.read_path_csv(out).counts.tolist() == path.counts.tolist()
+
+
 @pytest.mark.parametrize("row, named", [
     ("11,nan,0.3", "line 3: value 'nan' is not a finite number"),
     ("11,0.1,-inf", "line 3: value '-inf' is not a finite number"),
@@ -511,19 +530,16 @@ def _replace_row(counts, make_row):
             lambda row: _path_rows(counts)[: i - 1] + [row] + _path_rows(counts)[i:]))
 
 
-def _not_int_text(text):
-    try:
-        int(text)
-    except ValueError:
-        return True
-    return False
+def _not_digits(text):
+    # A count is digits 0-9 only: int() would also take "+4", " 4", "1_0".
+    return not (text.isascii() and text.isdigit())
 
 
 _row_defects = [
     lambda i, c: st.sampled_from([f"{i}", f"{i},{c[i - 1]},0", f"{i};{c[i - 1]}"]),
     lambda i, c: st.one_of(
-        st.sampled_from(["abc", "1.5", "", "nan", "1e3", "0x10", "3 4"]),
-        st.text(alphabet="0123456789.e+-x ", min_size=1, max_size=8).filter(_not_int_text),
+        st.sampled_from(["abc", "1.5", "", "nan", "1e3", "0x10", "3 4", "1_0", " 4", "+4"]),
+        st.text(alphabet="0123456789.e+-x ", min_size=1, max_size=8).filter(_not_digits),
     ).map(lambda x: f"{i},{x}"),
     lambda i, c: st.integers(-(10 ** 6), 10 ** 6).filter(lambda n: n != i).map(
         lambda n: f"{n},{c[i - 1]}"),

@@ -1,6 +1,7 @@
 """Sampler statistics, path simulation, determinism, and CSV round trips."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,23 @@ class TestCountPath:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             inar.read_path_csv(io.StringIO("a,b\n1,2\n"))
+
+    # int() takes all of these; a count is digits 0-9 only.
+    @pytest.mark.parametrize("body, line, count", [
+        ("1,3\n2,1_0\n3,4\n", 3, "'1_0'"),
+        ("1,3\n2,1\n3, 4\n", 4, "' 4'"),
+        ("1,3\n2,+4\n", 3, "'+4'"),
+        ("1,-2\n", 2, "'-2'"),
+        ("1,\u0663\n", 2, "'\u0663'"),
+    ])
+    def test_csv_rejects_non_digit_counts(self, body, line, count):
+        want = re.escape(f"path CSV line {line}: count {count} is not an integer")
+        with pytest.raises(ValueError, match=f"^{want}"):
+            inar.read_path_csv(io.StringIO("n,x\n" + body))
+
+    def test_csv_counts_with_leading_zeros(self):
+        text = "n,x\n1,007\n2," + "0" * 5000 + "9223372036854775807\n"
+        assert inar.read_path_csv(io.StringIO(text)).counts.tolist() == [7, 2 ** 63 - 1]
+        too_big = "n,x\n1,00009223372036854775808\n"
+        with pytest.raises(ValueError, match="^path CSV line 2: count '0+9223372036854775808' does not"):
+            inar.read_path_csv(io.StringIO(too_big))
