@@ -13,7 +13,8 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   lane i reproduces the scalar loop on key i bit for bit.
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters with the lane engine's kernels: at a fixed rate a
-  draw's uniforms do not depend on the draws before it.
+  draw's uniforms do not depend on the draws before it. ``sim_one`` sends
+  a path whose kernel is zero here and any other path to ``sim_path``.
 """
 
 import math
@@ -25,6 +26,7 @@ __all__ = [
     "stream_keys",
     "poisson_stream",
     "sim_path",
+    "sim_one",
     "sim_lanes",
     "design_build",
     "sandwich_build",
@@ -160,24 +162,22 @@ _LOGFACT_CACHE = 1 << 16
 class _LogFactorials:
     """log k! = math.lgamma(k + 1) for integer-valued float arrays k, from a
     table grown on demand (scipy's gammaln differs from math.lgamma in the
-    last bit on about half of its inputs). Values past the table are
-    computed one by one until as many have been as the table would gain;
-    then it grows. A few draws at a large rate then build no table."""
+    last bit on about half of its inputs)."""
 
     def __init__(self):
         self.table = np.zeros(0)
-        self.spent = 0
 
     def __call__(self, k):
         top = int(k.max()) + 1
-        if top > self.table.shape[0]:
-            self.spent += k.shape[0]
-            if top > _LOGFACT_CACHE or self.spent < top - self.table.shape[0]:
-                return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
-            self.spent = 0
-            size = min(_LOGFACT_CACHE, max(top, 2 * self.table.shape[0]))
-            self.table = np.array([math.lgamma(i + 1.0) for i in range(size)])
-        return self.table[k.astype(np.intp)]
+        if top > _LOGFACT_CACHE:
+            return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+        # One read of the table: a caller on another thread may replace it
+        # meanwhile, and this call indexes the table it checked.
+        table = self.table
+        if top > table.shape[0]:
+            size = min(_LOGFACT_CACHE, max(top, 2 * table.shape[0]))
+            table = self.table = np.array([math.lgamma(i + 1.0) for i in range(size)])
+        return table[k.astype(np.intp)]
 
 
 def _inversion_lanes(lam, p, state):
@@ -244,24 +244,20 @@ def _ptrs_constants(lam):
     return a, b, inv_alpha, v_r
 
 
-def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact, need):
+def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact):
     # PTRS rounds on (R, n) grids of uniforms: cell (r, i) is round r of
     # lane i, with u from wu and v from wv, at lane i's lam and constants.
     # Returns the candidate k and the acceptance of every cell. The cells
     # are indexed flat (cell = round * n + lane): 2-D masks cost more
-    # dispatch. The log test runs only where it can decide one of a lane's
-    # first ``need`` acceptances: on rounds before its need-th squeeze
-    # acceptance. Later cells may read rejected although they accept.
+    # dispatch. The log test runs only where it can decide the draw: on
+    # rounds before the lane's first squeeze acceptance. Later rounds may
+    # read rejected although they accept.
     n = wu.shape[1]
     u = wu - 0.5
     us = 0.5 - np.abs(u)
     k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
     accept = (us >= 0.07) & (wv <= v_r)
-    if need == 1:
-        undecided = ~np.logical_or.accumulate(accept)
-    else:
-        undecided = ~accept & (np.cumsum(accept, axis=0) < need)
-    slow = undecided & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
+    slow = ~np.logical_or.accumulate(accept) & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
     slow = slow.reshape(-1).nonzero()[0]
     if slow.size:
         lane = slow % n
@@ -284,7 +280,7 @@ def _ptrs_lanes(lam, state, logfact):
         grid = st + _PASS_OFFSETS
         w = _uniforms(grid)
         k, accept = _ptrs_rounds(
-            w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r, logfact, 1,
+            w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r, logfact,
         )
         cell = accept.argmax(axis=0) * n + np.arange(n)
         hit = accept.reshape(-1)[cell]
@@ -327,11 +323,9 @@ def _poisson_lanes(lam, state, logfact):
 # already spreads a block's dispatch thinly (2**14 draws no faster) and
 # holds half the temporary arrays of 2**14.
 _STREAM_BLOCK = 1 << 13
-
-
-def _counters(base, size):
-    # The states base, base + GOLDEN, ... of ``size`` consecutive counters.
-    return base + np.arange(size, dtype=np.uint64) * _GOLDEN
+# log k! for the block sampler, shared by its calls: a stream at a large
+# rate grows one table, not one per call.
+_STREAM_LOGFACT = _LogFactorials()
 
 
 def poisson_stream(lam, out, key):
@@ -342,36 +336,60 @@ def poisson_stream(lam, out, key):
     if lam <= 0.0:
         out[:] = 0
         return
-    # The counter before the next block; _uniforms steps a block's states
-    # in place, so its last state is the next block's base.
-    base = key
+    # The counter before the next block. State j of a block is its base
+    # plus offsets[j]. Blocks shrink as draws are made, so the first
+    # block's buffer holds the states of every block; _uniforms steps them
+    # in place, and the last is the next base.
+    base = key.copy()
     done = 0
     if lam < 10.0:
+        p = math.exp(-lam)
+        offsets = np.arange(min(_STREAM_BLOCK, n_draws), dtype=np.uint64) * _GOLDEN
+        buf = np.empty_like(offsets)
         while done < n_draws:
             size = min(_STREAM_BLOCK, n_draws - done)
-            state = _counters(base, size)
+            state = np.add(base, offsets[:size], out=buf[:size])
             out[done : done + size] = _inversion_lanes(
-                np.full(size, lam), np.full(size, math.exp(-lam)), state
+                np.broadcast_to(lam, size), np.broadcast_to(p, size), state
             )
-            base = state[-1:]
+            base[:] = state[-1]
             done += size
         return
-    lam = np.array([lam])
-    constants = _ptrs_constants(lam)
-    logfact = _LogFactorials()
+    # A round accepts with probability 0.75 at lam = 10, rising to 0.89 at
+    # large lam: 4/3 rounds per draw still wanted mostly suffice, and a
+    # short block is followed by another.
+    constants = (lam,) + _ptrs_constants(np.array([lam]))
+    rounds = min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8)
+    offsets = np.arange(2 * rounds, dtype=np.uint64) * _GOLDEN
+    buf = np.empty_like(offsets)
     while done < n_draws:
-        # A round accepts with probability 0.75 at lam = 10, rising to 0.89
-        # at large lam: 4/3 rounds per draw still wanted mostly suffice, and
-        # a short block is followed by another.
         need = n_draws - done
         rounds = min(_STREAM_BLOCK, need + need // 3 + 8)
-        state = _counters(base, 2 * rounds)
+        state = np.add(base, offsets[: 2 * rounds], out=buf[: 2 * rounds])
         w = _uniforms(state).reshape(rounds, 2)
-        k, accept = _ptrs_rounds(w[:, :1], w[:, 1:], lam, *constants, logfact, need)
+        # The block's rounds as one round of ``rounds`` lanes at one rate:
+        # every round is decided.
+        k, accept = _ptrs_rounds(
+            w[None, :, 0], w[None, :, 1],
+            *(np.broadcast_to(c, rounds) for c in constants), _STREAM_LOGFACT,
+        )
         got = k[accept][:need]
         out[done : done + got.size] = got
-        base = state[-1:]
+        base[:] = state[-1]
         done += got.size
+
+
+def sim_one(nu, kern, n_steps, cap, key):
+    """``sim_path(nu, kern, n_steps, cap, key)``'s counts and overflow
+    step, n_steps >= 1. A zero kernel is the constant rate nu, whose counts
+    the block sampler draws; any other kernel runs ``sim_path``."""
+    if kern.any():
+        return sim_path(nu, kern, n_steps, cap, key)
+    if not (nu <= cap):
+        return np.zeros(n_steps), 0
+    x = np.empty(n_steps)
+    poisson_stream(nu, x, key)
+    return x, -1
 
 
 def sim_lanes(nu, kern, n_steps, cap, keys):
@@ -462,8 +480,12 @@ def sandwich_build(x, theta):
     # Integer sums again, so J_hat is 2Y of design_build bit for bit.
     y = lags.T @ lags / n_steps
     y[0, 0] = 1.0
-    resid = x - lags @ theta
-    k_hat = (lags * (resid * resid)[:, None]).T @ lags
+    # The squared residual in place: at T = 1e5 each (T,) temporary is
+    # 0.8 MB at the peak of a sandwich.
+    resid = lags @ theta
+    np.subtract(x, resid, out=resid)
+    resid *= resid
+    k_hat = (lags * resid[:, None]).T @ lags
     k_hat = (k_hat + k_hat.T) * 0.5
     k_hat *= 4.0 / n_steps
     return 2.0 * y, k_hat

@@ -142,13 +142,7 @@ def simulate_path(
     """
     T = _check_inputs(params, T, lam_cap)
     kern = params.kernel_array()
-    if kern.any():
-        x, overflow_at = _k.sim_path(params.nu, kern, T, float(lam_cap), rng.state())
-    elif params.nu <= lam_cap:
-        x, overflow_at = np.empty(T), -1
-        _k.poisson_stream(params.nu, x, rng.state())
-    else:
-        x, overflow_at = np.zeros(T), 0
+    x, overflow_at = _k.sim_one(params.nu, kern, T, float(lam_cap), rng.state())
     # Counts stay 0 after an intensity overflow, so a huge count comes first.
     huge = np.flatnonzero(x >= _k.INT64_END)
     if huge.size:

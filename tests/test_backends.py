@@ -13,6 +13,9 @@ count paths together; ``build_design`` and ``solve_cls`` fit one. Every
 lane's design, estimate and failure must equal the one-lane call's.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,14 +203,38 @@ def test_constant_rate_stream_matches_scalar_loop(lam, n, seed, stream_id):
 
 
 def test_stream_prefixes_match_scalar_loop():
-    # A block runs the log test only up to its last wanted acceptance, so
-    # every prefix length must still end on the scalar loop's draws. Near
-    # lam = 10 about one round in eight needs the log test.
+    # The first block is sized to the draws requested, so small calls run
+    # short blocks and often a second one; every prefix length must still
+    # end on the scalar loop's draws. Near lam = 10 about one round in
+    # eight needs the log test.
     for stream_id in range(100):
         rng = RngStream(3, stream_id)
         want, _ = counted_draws(10.0, rng.state(), 12)
         for n in range(1, 13):
             assert inar.poisson_sample(10.0, rng, size=n).tolist() == want[:n]
+
+
+def test_shared_log_factorials_across_threads(monkeypatch):
+    # The block sampler shares its log k! table between calls and nothing
+    # else. Threads that grow the table at once, each to a different size,
+    # must each draw the scalar loop's values; their draws span several
+    # blocks, so block state shared between calls would show too.
+    rates = [1e3 * 2 ** j for j in range(6)]
+    want = [counted_draws(lam, RngStream(4, j).state(), 20000)[0] for j, lam in enumerate(rates)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(_k, "_STREAM_LOGFACT", _k._LogFactorials())
+            with ThreadPoolExecutor(max_workers=len(rates)) as pool:
+                futures = [
+                    pool.submit(inar.poisson_sample, lam, RngStream(4, j), 20000)
+                    for j, lam in enumerate(rates)
+                ]
+                got = [f.result(timeout=60).tolist() for f in futures]
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=40, deadline=None)
