@@ -12,9 +12,11 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
 - the lane engine (``sim_lanes``) advances many streams one step together;
   lane i reproduces the scalar loop on key i bit for bit.
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
-  blocks of counters with the lane engine's kernels: at a fixed rate a
-  draw's uniforms do not depend on the draws before it. ``sim_one`` sends
-  a path whose kernel is zero here and any other path to ``sim_path``.
+  blocks of counters: at a fixed rate a draw's uniforms do not depend on
+  the draws before it. Inversion is one binary search of the rate's CDF
+  table, whose entries are the sums the sequential search adds up; PTRS
+  runs the lane engine's round kernel. ``sim_one`` sends a path whose
+  kernel is zero here and any other path to ``sim_path``.
 """
 
 import math
@@ -128,7 +130,10 @@ def _poisson_draw(lam, uniform):
 
 
 def sim_path(nu, kern, n_steps, cap, key):
-    # Counts kept as Python ints: int * float rounds as float64 * float64.
+    # The output first: a size that cannot be allocated fails before the
+    # loop. Counts kept as Python ints: int * float rounds as float64 *
+    # float64.
+    out = np.zeros(n_steps, dtype=np.float64)
     uniform = _stream_uniforms(key).__next__
     kern = kern.tolist()
     x = []
@@ -139,7 +144,6 @@ def sim_path(nu, kern, n_steps, cap, key):
         if not (lam <= cap):
             break
         x.append(_poisson_draw(lam, uniform))
-    out = np.zeros(n_steps, dtype=np.float64)
     out[: len(x)] = x
     return out, (len(x) if len(x) < n_steps else -1)
 
@@ -180,11 +184,11 @@ class _LogFactorials:
         return table[k.astype(np.intp)]
 
 
-def _inversion_lanes(lam, p, state):
-    # Sequential search from p = math.exp(-lam), given per lane by the
-    # caller; every lane still searching has taken the same number of
-    # steps, so k is one counter for all of them.
+def _inversion_lanes(lam, state):
+    # Sequential search; every lane still searching has taken the same
+    # number of steps, so k is one counter for all of them.
     u = _uniforms(state)
+    p = np.array([math.exp(-v) for v in lam.tolist()])
     f = p.copy()
     out = np.zeros(lam.shape[0])
     pos = np.arange(lam.shape[0])
@@ -304,8 +308,7 @@ def _poisson_lanes(lam, state, logfact):
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
     if small.size:
         st = state[small]
-        lam_s = lam[small]
-        out[small] = _inversion_lanes(lam_s, np.array([math.exp(-v) for v in lam_s.tolist()]), st)
+        out[small] = _inversion_lanes(lam[small], st)
         state[small] = st
     large = np.flatnonzero(lam >= 10.0)
     if large.size:
@@ -319,13 +322,39 @@ def _poisson_lanes(lam, state, logfact):
 # of its uniforms: inversion reads one uniform per draw, so draw j reads
 # counter j + 1; PTRS round r reads counters 2r + 1 (u) and 2r + 2 (v), so
 # the draws are the k of the accepting rounds, in order. A block evaluates
-# up to _STREAM_BLOCK draws or rounds at once with the lane kernels: 2**13
+# up to _STREAM_BLOCK draws or rounds at once: inversion by one search of
+# the rate's CDF table, PTRS with the lane engine's round kernel. 2**13
 # already spreads a block's dispatch thinly (2**14 draws no faster) and
 # holds half the temporary arrays of 2**14.
 _STREAM_BLOCK = 1 << 13
 # log k! for the block sampler, shared by its calls: a stream at a large
 # rate grows one table, not one per call.
 _STREAM_LOGFACT = _LogFactorials()
+
+
+def _inversion_table(lam):
+    # F_0, F_1, ... at 0 < lam < 10: the floats the sequential search
+    # compares u with, made by its operations in its order. Past the mode
+    # (k > lam) p only shrinks, so once a term leaves F as it is, F stays
+    # there; the search stops at F_199.
+    p = math.exp(-lam)
+    f = p
+    table = [f]
+    for k in range(1, 200):
+        p *= lam / k
+        if k > lam and f + p == f:
+            break
+        f += p
+        table.append(f)
+    return np.array(table)
+
+
+def _inversion_search(table, u, out):
+    # The sequential search's draws for the uniforms u: F is nondecreasing,
+    # so the first k with u <= F_k is a binary search; past the table, the
+    # search ran to its cap of 200.
+    out[:] = np.searchsorted(table, u)
+    out[out == table.shape[0]] = 200
 
 
 def poisson_stream(lam, out, key):
@@ -343,15 +372,13 @@ def poisson_stream(lam, out, key):
     base = key.copy()
     done = 0
     if lam < 10.0:
-        p = math.exp(-lam)
+        table = _inversion_table(lam)
         offsets = np.arange(min(_STREAM_BLOCK, n_draws), dtype=np.uint64) * _GOLDEN
         buf = np.empty_like(offsets)
         while done < n_draws:
             size = min(_STREAM_BLOCK, n_draws - done)
             state = np.add(base, offsets[:size], out=buf[:size])
-            out[done : done + size] = _inversion_lanes(
-                np.broadcast_to(lam, size), np.broadcast_to(p, size), state
-            )
+            _inversion_search(table, _uniforms(state), out[done : done + size])
             base[:] = state[-1]
             done += size
         return

@@ -284,6 +284,10 @@ def main(argv=None) -> int:
     except (InarError, ValueError, OSError) as exc:
         sys.stderr.write(f"inar: error: {type(exc).__name__}: {exc}\n")
         return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; name the builtin.
+        sys.stderr.write(f"inar: error: MemoryError: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -85,10 +85,11 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
     """Exact Poisson(lam) draws from the given stream.
 
     With ``size=None`` returns the stream's first variate as an int;
-    otherwise the first ``size`` variates as an int64 array. Inversion by
-    sequential search below lam=10, transformed rejection above. The draws
-    are made in numpy blocks of up to 2**13 draws or rejection rounds, bit
-    for bit those of the one-at-a-time scalar loop. Rates at or above 2**62
+    otherwise the first ``size`` variates as an int64 array. Inversion
+    below lam=10, by a binary search of the rate's CDF table that gives the
+    sequential search's result; transformed rejection above. The draws are
+    made in numpy blocks of up to 2**13 draws or rejection rounds, bit for
+    bit those of the one-at-a-time scalar loop. Rates at or above 2**62
     raise :class:`InvalidRate`: their draws may not fit in int64.
     """
     lam = float(lam)

@@ -4,9 +4,9 @@ The lane engine (``simulate_lanes``, used by ``run_experiment``) steps many
 streams together; the scalar loop (``_k.sim_path``, behind ``simulate_path``
 for paths with a kernel) runs one. The block sampler (``poisson_sample``
 and kernel-free ``simulate_path``) draws one constant-rate stream with the
-lane kernels. The scalar loop is the oracle: every lane and every block
-must reproduce it bit for bit, including the step at which a lane's
-intensity overflows.
+lanes' rejection kernel or a search of the rate's CDF table. The scalar
+loop is the oracle: every lane and every block must reproduce it bit for
+bit, including the step at which a lane's intensity overflows.
 
 The stacked fit (``fit_lanes``) builds and solves the designs of many
 count paths together; ``build_design`` and ``solve_cls`` fit one. Every
@@ -212,6 +212,23 @@ def test_stream_prefixes_match_scalar_loop():
         want, _ = counted_draws(10.0, rng.state(), 12)
         for n in range(1, 13):
             assert inar.poisson_sample(10.0, rng, size=n).tolist() == want[:n]
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.4, 3.0, 9.99, 9.999999])
+def test_inversion_table_ends_match_scalar_search(lam):
+    # The block sampler searches F_0..F_m, stopped once F cannot move; the
+    # scalar loop searches on to its cap of 200. Both must draw alike at
+    # the smallest uniform, at both ends of the table, just past its end
+    # and at the largest uniform. At 9.99 the table ends below 1 - 2**-53,
+    # so the uniforms past it draw the cap; at the other rates it ends at 1.
+    table = _k._inversion_table(lam)
+    edges = [2.0 ** -53, table[0], table[-1], np.nextafter(table[-1], 1.0), 1.0 - 2.0 ** -53]
+    got = np.empty(len(edges), dtype=np.int64)
+    _k._inversion_search(table, np.array(edges), got)
+    want = [_k._poisson_draw(lam, lambda u=float(u): u) for u in edges]
+    assert got.tolist() == want
+    assert [k == 200 for k in want] == [u > table[-1] for u in edges]
+    assert (want[-1] == 200) == (lam == 9.99)
 
 
 def test_shared_log_factorials_across_threads(monkeypatch):

@@ -425,6 +425,30 @@ def test_seed_flag_must_fit_in_64_bits(tmp_path, capsys, seed):
     assert err2 == err and not (tmp_path / "p.csv").exists()
 
 
+# 10**15 float64 counts are 7 PiB, beyond the address space: the allocation
+# fails at once, before any draw.
+HUGE = 10 ** 15
+
+
+@pytest.mark.parametrize("kernel", ["none", "geometric:0.25"])
+def test_simulate_unallocatable_length(tmp_path, capsys, kernel):
+    # The block sampler and the scalar loop both allocate their counts
+    # before the first step.
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_main(capsys, ["simulate", "--nu", 3, "--kernel", kernel,
+                                          "--T", HUGE, "--seed", 1, "--out", out])
+    assert_one_error_line(code, stdout, err)
+    assert err.startswith("inar: error: MemoryError: ") and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["T", "n_experiments"])
+def test_mc_unallocatable_size(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: HUGE})
+    code, out, err = run_main(capsys, ["mc", "--config", cfg, "--out-dir", tmp_path / "o"])
+    assert_one_error_line(code, out, err)
+    assert err.startswith("inar: error: MemoryError: ") and not (tmp_path / "o").exists()
+
+
 def test_runtime_imports_no_scipy(tmp_path):
     # The runtime is numpy plus the standard library; scipy is test-only.
     cfg = write_config(tmp_path, T=60, p=2, n_experiments=20)
