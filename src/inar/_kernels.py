@@ -15,8 +15,10 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. Inversion is one binary search of the rate's CDF
   table, whose entries are the sums the sequential search adds up; PTRS
-  runs the lane engine's round kernel. ``sim_one`` sends a path whose
-  kernel is zero here and any other path to ``sim_path``.
+  runs the lane engine's round kernel, which takes per-lane constants or
+  floats shared by every cell and finds first acceptances by a running OR.
+  ``sim_one`` sends a path whose kernel is zero here and any other path to
+  ``sim_path``.
 """
 
 import math
@@ -206,7 +208,7 @@ def _inversion_lanes(lam, state):
 
 
 def _log_test(k, lam, us, v, a, b, inv_alpha, logfact):
-    # PTRS acceptance test for lanes past the squeeze.
+    # PTRS acceptance test past the squeeze, at per-cell or shared constants.
     lv = np.log(v)
     li = np.log(inv_alpha)
     lq = np.log(a / (us * us) + b)
@@ -216,7 +218,10 @@ def _log_test(k, lam, us, v, a, b, inv_alpha, logfact):
     rhs = t - lam - lg
     accept = lhs <= rhs
     tie = np.abs(lhs - rhs) <= _TIE * (np.abs(lv) + np.abs(li) + np.abs(lq) + np.abs(t) + lam + lg)
-    for i in np.flatnonzero(tie).tolist():
+    tie = np.flatnonzero(tie).tolist()
+    if tie:  # float constants as per-cell arrays, indexed like the lanes'
+        lam, a, b, inv_alpha = np.broadcast_arrays(lam, a, b, inv_alpha, k)[:4]
+    for i in tie:
         accept[i] = (
             math.log(v[i]) + math.log(inv_alpha[i]) - math.log(a[i] / (us[i] * us[i]) + b[i])
             <= k[i] * math.log(lam[i]) - lam[i] - math.lgamma(k[i] + 1.0)
@@ -250,24 +255,30 @@ def _ptrs_constants(lam):
 
 def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact):
     # PTRS rounds on (R, n) grids of uniforms: cell (r, i) is round r of
-    # lane i, with u from wu and v from wv, at lane i's lam and constants.
-    # Returns the candidate k and the acceptance of every cell. The cells
-    # are indexed flat (cell = round * n + lane): 2-D masks cost more
-    # dispatch. The log test runs only where it can decide the draw: on
-    # rounds before the lane's first squeeze acceptance. Later rounds may
-    # read rejected although they accept.
+    # lane i, with u from wu and v from wv. The constants are (n,) arrays,
+    # one per lane, or floats shared by every lane. Returns the candidate
+    # k and the acceptance of every cell. The cells are indexed flat
+    # (cell = round * n + lane): 2-D masks cost more dispatch. The log test
+    # runs only where it can decide the draw: on rounds before the lane's
+    # first squeeze acceptance, found by a running OR down the rows. Later
+    # rounds may read rejected although they accept.
     n = wu.shape[1]
     u = wu - 0.5
     us = 0.5 - np.abs(u)
     k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
     accept = (us >= 0.07) & (wv <= v_r)
-    slow = ~np.logical_or.accumulate(accept) & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
+    seen = accept.copy()
+    for r in range(1, seen.shape[0]):
+        np.logical_or(seen[r], seen[r - 1], out=seen[r])
+    slow = ~seen & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
     slow = slow.reshape(-1).nonzero()[0]
     if slow.size:
-        lane = slow % n
+        if isinstance(lam, np.ndarray):
+            lane = slow % n
+            lam, a, b, inv_alpha = lam[lane], a[lane], b[lane], inv_alpha[lane]
         accept.reshape(-1)[slow] = _log_test(
-            k.reshape(-1)[slow], lam[lane], us.reshape(-1)[slow],
-            wv.reshape(-1)[slow], a[lane], b[lane], inv_alpha[lane], logfact,
+            k.reshape(-1)[slow], lam, us.reshape(-1)[slow],
+            wv.reshape(-1)[slow], a, b, inv_alpha, logfact,
         )
     return k, accept
 
@@ -323,9 +334,9 @@ def _poisson_lanes(lam, state, logfact):
 # counter j + 1; PTRS round r reads counters 2r + 1 (u) and 2r + 2 (v), so
 # the draws are the k of the accepting rounds, in order. A block evaluates
 # up to _STREAM_BLOCK draws or rounds at once: inversion by one search of
-# the rate's CDF table, PTRS with the lane engine's round kernel. 2**13
-# already spreads a block's dispatch thinly (2**14 draws no faster) and
-# holds half the temporary arrays of 2**14.
+# the rate's CDF table, PTRS with the lane engine's round kernel on float
+# constants. 2**13 already spreads a block's dispatch thinly (2**14 draws
+# no faster) and holds half the temporary arrays of 2**14.
 _STREAM_BLOCK = 1 << 13
 # log k! for the block sampler, shared by its calls: a stream at a large
 # rate grows one table, not one per call.
@@ -385,7 +396,7 @@ def poisson_stream(lam, out, key):
     # A round accepts with probability 0.75 at lam = 10, rising to 0.89 at
     # large lam: 4/3 rounds per draw still wanted mostly suffice, and a
     # short block is followed by another.
-    constants = (lam,) + _ptrs_constants(np.array([lam]))
+    constants = (lam, *(float(c[0]) for c in _ptrs_constants(np.array([lam]))))
     rounds = min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8)
     offsets = np.arange(2 * rounds, dtype=np.uint64) * _GOLDEN
     buf = np.empty_like(offsets)
@@ -397,8 +408,7 @@ def poisson_stream(lam, out, key):
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
         k, accept = _ptrs_rounds(
-            w[None, :, 0], w[None, :, 1],
-            *(np.broadcast_to(c, rounds) for c in constants), _STREAM_LOGFACT,
+            w[None, :, 0], w[None, :, 1], *constants, _STREAM_LOGFACT,
         )
         got = k[accept][:need]
         out[done : done + got.size] = got

@@ -1,9 +1,13 @@
+import io
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import inar
+import inar.cli
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +24,28 @@ def case2_params():
 
 
 def _run_cli(args, cwd=None):
+    """``inar`` in process: ``inar.cli.main`` with stdout and stderr
+    captured, run in ``cwd`` if given. A ``SystemExit`` (usage errors,
+    ``--version``) gives its code, as the process would exit with."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = inar.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def _run_cli_process(args, cwd=None):
+    """``python -m inar`` in a fresh interpreter, for the tests that check
+    the process itself."""
     return subprocess.run(
         [sys.executable, "-m", "inar", *[str(a) for a in args]],
         capture_output=True,
@@ -31,3 +57,8 @@ def _run_cli(args, cwd=None):
 @pytest.fixture(scope="session")
 def run_cli():
     return _run_cli
+
+
+@pytest.fixture(scope="session")
+def run_cli_process():
+    return _run_cli_process

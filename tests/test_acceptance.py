@@ -7,7 +7,9 @@ estimator algebra, the analytic oracles, sandwich sanity, and raw sampler
 statistics. Each criterion prints a single PASS/FAIL line.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,28 @@ def test_criterion_3_table2_case2(study):
         f"mean_a1={a1:.4f} mean_a2={a2:.5f} mse={s.mse:.2f}",
     )
     assert ok
+
+
+def readme_study_rows():
+    """The README "Bundled study" table: (case, T, [mean nu_hat, mean
+    a1_hat, MSE] as printed)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Bundled study", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([12]) \| (\d+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$",
+                      section, flags=re.MULTILINE)
+    return [(f"case{c}", int(T), list(cells)) for c, T, *cells in rows]
+
+
+def test_readme_study_table(study):
+    # The printed table is pinned behaviour: every cell must be the run's
+    # value at the digits printed.
+    rows = readme_study_rows()
+    assert sorted((case, T) for case, T, _ in rows) == sorted(study["runs"])
+    for case, T, printed in rows:
+        s = study["runs"][case, T]
+        for value, cell in zip((s.mean_theta[0], s.mean_theta[1], s.mse), printed):
+            digits = len(cell.split(".")[1])
+            assert f"{value:.{digits}f}" == cell, (case, T, value, cell)
 
 
 def test_criterion_4_normality_pattern(study):

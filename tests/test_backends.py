@@ -295,6 +295,19 @@ def test_tie_recheck_matches_oracle(monkeypatch, case1_params):
     assert_lanes_match(case1_params, 60, 7, range(1, 21), 1e9)
 
 
+@pytest.mark.parametrize("lam", [10.0, 37.3, 150.0, 1e4])
+def test_block_tie_recheck_matches_oracle(monkeypatch, lam):
+    # The same on the block sampler, whose constants are floats shared by
+    # every cell; more draws than one block holds rounds.
+    monkeypatch.setattr(_k, "_TIE", np.inf)
+    n = B + 500
+    for stream_id in (0, 1):
+        rng = RngStream(11, stream_id)
+        uniform = _k._stream_uniforms(rng.state()).__next__
+        want = [_k._poisson_draw(lam, uniform) for _ in range(n)]
+        assert inar.poisson_sample(lam, rng, size=n).tolist() == want
+
+
 def test_mc_summary_identical(case1_params, case2_params):
     # Each replication's estimate equals the scalar simulate-and-fit.
     for params in (case1_params, case2_params):

@@ -36,8 +36,8 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def test_version(run_cli):
-    proc = run_cli(["--version"])
+def test_version(run_cli_process):
+    proc = run_cli_process(["--version"])
     assert proc.returncode == 0
     assert inar.__version__ in proc.stdout
 
@@ -94,10 +94,11 @@ def test_estimate_stdout_and_ci(tmp_path, run_cli):
     assert half == pytest.approx(1.959964 * doc["se"][0], rel=1e-6)
 
 
-def test_mc_outputs_and_rerun_identical(tmp_path, run_cli):
+def test_mc_outputs_and_rerun_identical(tmp_path, run_cli, run_cli_process):
+    # One run through a real ``python -m inar`` process, the rerun in process.
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    p1 = run_cli(["mc", "--config", cfg, "--out-dir", out1])
+    p1 = run_cli_process(["mc", "--config", cfg, "--out-dir", out1])
     p2 = run_cli(["mc", "--config", cfg, "--out-dir", out2])
     assert p1.returncode == 0 and p1.stderr == ""
     assert p2.returncode == 0
