@@ -1,4 +1,5 @@
-"""The A/B recorder's summary (``tools/ab.py``) on fixed numbers."""
+"""The A/B recorder (``tools/ab.py``): its summary and output diff on fixed
+numbers."""
 
 import importlib.util
 import json
