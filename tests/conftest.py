@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -26,20 +27,25 @@ def case2_params():
 def _run_cli(args, cwd=None):
     """``inar`` in process: ``inar.cli.main`` with stdout and stderr
     captured, run in ``cwd`` if given. A ``SystemExit`` (usage errors,
-    ``--version``) gives its code, as the process would exit with."""
+    ``--version``) gives its code, as the process would exit with. Each
+    warning the test's filters let through is appended to stderr as the
+    process would print it; the ones they turn into errors still raise."""
     argv = [str(a) for a in args]
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
     try:
         if cwd is not None:
             os.chdir(cwd)
-        with redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
             try:
                 code = inar.cli.main(argv)
             except SystemExit as exc:
                 code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
     finally:
         os.chdir(home)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
     return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 

@@ -68,3 +68,20 @@ def test_output_diff(tmp_path):
     assert got["s.json"] == {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3)}
     (b / "t.csv").write_text("z,value\n0.5,abc\n")
     assert ab.diff_outputs(a, b)["t.csv"] == "differs"
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ("1.0", "nan", "differs"),
+    ("nan", "1.0", "differs"),
+    ("inf", "1.0", "differs"),
+    ("inf", "-inf", "differs"),
+    ("nan", "nan", {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3)}),
+])
+def test_output_diff_non_finite(tmp_path, parent, change, expected):
+    # NaN in the same place on both sides is equal; a number that turns
+    # non-finite on one side is a broken output, not a small difference.
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "t.csv").write_text(f"z,value\n1.0,{parent}\n")
+    (b / "t.csv").write_text(f"z,value\n1.5,{change}\n")
+    assert ab.diff_outputs(a, b)["t.csv"] == expected

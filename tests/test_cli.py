@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import inar
-import inar.cli
 from inar.config import CONFIG_KEYS
 
 
@@ -359,36 +358,28 @@ def test_mc_overflow_counted_not_fatal(tmp_path, run_cli):
     assert doc["n_success"] + doc["failures"] == 40
 
 
-def run_main(capsys, args):
-    """``inar`` in-process: (exit code, stdout, stderr)."""
-    capsys.readouterr()
-    code = inar.cli.main([str(a) for a in args])
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def assert_one_error_line(code, out, err):
-    assert code == 1
-    assert out == ""
-    assert err.endswith("\n") and err.count("\n") == 1
-    assert err.startswith("inar: error: ")
+def assert_one_error_line(proc):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("inar: error: ")
 
 
 @pytest.mark.parametrize("stream_id", [-1, 2 ** 64, 2 ** 65])
-def test_simulate_stream_id_out_of_range(tmp_path, capsys, stream_id):
+def test_simulate_stream_id_out_of_range(tmp_path, run_cli, stream_id):
     # Ids wrap modulo 2**64 in the generator, so -1 would alias 2**64 - 1.
     out = tmp_path / "path.csv"
-    code, stdout, err = run_main(capsys, ["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
-                                          "--seed", 1, "--stream-id", stream_id, "--out", out])
-    assert_one_error_line(code, stdout, err)
-    assert "stream_id" in err and not out.exists()
+    proc = run_cli(["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
+                    "--seed", 1, "--stream-id", stream_id, "--out", out])
+    assert_one_error_line(proc)
+    assert "stream_id" in proc.stderr and not out.exists()
 
 
-def test_simulate_largest_stream_id(tmp_path, capsys):
+def test_simulate_largest_stream_id(tmp_path, run_cli):
     out = tmp_path / "path.csv"
-    code, _, _ = run_main(capsys, ["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
-                                   "--seed", 1, "--stream-id", 2 ** 64 - 1, "--out", out])
-    assert code == 0
+    proc = run_cli(["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
+                    "--seed", 1, "--stream-id", 2 ** 64 - 1, "--out", out])
+    assert proc.returncode == 0
     path = inar.simulate_path(inar.ModelParams(nu=5.0), 3, inar.RngStream(1, 2 ** 64 - 1))
     assert inar.read_path_csv(out).counts.tolist() == path.counts.tolist()
 
@@ -401,29 +392,29 @@ def test_simulate_largest_stream_id(tmp_path, capsys):
     ("11,0.1", "line 3: expected 3 fields, got 2"),
     ("11,0.1,0.3,0.5", "line 3: expected 3 fields, got 4"),
 ])
-def test_normality_bad_sample_row_named(tmp_path, capsys, row, named):
+def test_normality_bad_sample_row_named(tmp_path, run_cli, row, named):
     samples = tmp_path / "samples.csv"
     samples.write_text("rep,mu_hat,beta_1\n10,0.1,0.2\n" + row + "\n12,0.2,0.1\n")
-    code, out, err = run_main(capsys, ["normality", "--samples", samples])
-    assert_one_error_line(code, out, err)
-    assert f"samples CSV {named}" in err
+    proc = run_cli(["normality", "--samples", samples])
+    assert_one_error_line(proc)
+    assert f"samples CSV {named}" in proc.stderr
 
 
 @pytest.mark.parametrize("seed", [2 ** 64 + 5, -(2 ** 64) - 5])
-def test_seed_flag_must_fit_in_64_bits(tmp_path, capsys, seed):
+def test_seed_flag_must_fit_in_64_bits(tmp_path, run_cli, seed):
     # --seed and the config's seed share one check and one message.
     cfg = write_config(tmp_path)
-    code, out, err = run_main(capsys, ["mc", "--config", cfg, "--out-dir", tmp_path / "a",
-                                       "--seed", seed])
-    assert_one_error_line(code, out, err)
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "a", "--seed", seed])
+    assert_one_error_line(proc)
+    err = proc.stderr
     assert err == f"inar: error: ValidationError: seed: must fit in 64 bits, got {seed}\n"
     assert not (tmp_path / "a").exists()
     bad = write_config(tmp_path, name="bad.json", seed=seed)
-    assert run_main(capsys, ["mc", "--config", bad, "--out-dir", tmp_path / "b"])[2] == err
-    code, out, err2 = run_main(capsys, ["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
-                                        "--seed", seed, "--out", tmp_path / "p.csv"])
-    assert_one_error_line(code, out, err2)
-    assert err2 == err and not (tmp_path / "p.csv").exists()
+    assert run_cli(["mc", "--config", bad, "--out-dir", tmp_path / "b"]).stderr == err
+    proc = run_cli(["simulate", "--nu", 5, "--kernel", "none", "--T", 3,
+                    "--seed", seed, "--out", tmp_path / "p.csv"])
+    assert_one_error_line(proc)
+    assert proc.stderr == err and not (tmp_path / "p.csv").exists()
 
 
 # 10**15 float64 counts are 7 PiB, beyond the address space: the allocation
@@ -432,22 +423,23 @@ HUGE = 10 ** 15
 
 
 @pytest.mark.parametrize("kernel", ["none", "geometric:0.25"])
-def test_simulate_unallocatable_length(tmp_path, capsys, kernel):
+def test_simulate_unallocatable_length(tmp_path, run_cli, kernel):
     # The block sampler and the scalar loop both allocate their counts
     # before the first step.
     out = tmp_path / "p.csv"
-    code, stdout, err = run_main(capsys, ["simulate", "--nu", 3, "--kernel", kernel,
-                                          "--T", HUGE, "--seed", 1, "--out", out])
-    assert_one_error_line(code, stdout, err)
-    assert err.startswith("inar: error: MemoryError: ") and not out.exists()
+    proc = run_cli(["simulate", "--nu", 3, "--kernel", kernel,
+                    "--T", HUGE, "--seed", 1, "--out", out])
+    assert_one_error_line(proc)
+    assert proc.stderr.startswith("inar: error: MemoryError: ") and not out.exists()
 
 
 @pytest.mark.parametrize("key", ["T", "n_experiments"])
-def test_mc_unallocatable_size(tmp_path, capsys, key):
+def test_mc_unallocatable_size(tmp_path, run_cli, key):
     cfg = write_config(tmp_path, **{key: HUGE})
-    code, out, err = run_main(capsys, ["mc", "--config", cfg, "--out-dir", tmp_path / "o"])
-    assert_one_error_line(code, out, err)
-    assert err.startswith("inar: error: MemoryError: ") and not (tmp_path / "o").exists()
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "o"])
+    assert_one_error_line(proc)
+    assert proc.stderr.startswith("inar: error: MemoryError: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_runtime_imports_no_scipy(tmp_path):
@@ -536,11 +528,11 @@ bad_configs = st.one_of(
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=bad_configs)
-def test_malformed_config_one_error_line(tmp_path, capsys, text):
+def test_malformed_config_one_error_line(tmp_path, run_cli, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out_dir = tmp_path / "out"
-    assert_one_error_line(*run_main(capsys, ["mc", "--config", cfg, "--out-dir", out_dir]))
+    assert_one_error_line(run_cli(["mc", "--config", cfg, "--out-dir", out_dir]))
     assert not out_dir.exists()
 
 
@@ -589,7 +581,7 @@ def bad_paths():
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=bad_paths())
-def test_malformed_path_csv_one_error_line(tmp_path, capsys, text):
+def test_malformed_path_csv_one_error_line(tmp_path, run_cli, text):
     path_csv = tmp_path / "path.csv"
     path_csv.write_text(text + "\n")
-    assert_one_error_line(*run_main(capsys, ["estimate", "--path", path_csv, "--p", 1]))
+    assert_one_error_line(run_cli(["estimate", "--path", path_csv, "--p", 1]))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B record of a change against its parent commit.
 
-    python3 tools/ab.py --parent HEAD --out BENCH_11.json --pairs 10
+    python3 tools/ab.py --parent HEAD --out BENCH_11.json
 
 Checks the parent commit out into a temporary ``git worktree`` (local, no
 network) and runs, on each side, the benchmark's own command unchanged on
@@ -10,13 +10,13 @@ every workload of ``BENCHMARK.json``, for its run length:
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
 The change side is the checkout this script lives in, as its files stand.
-Each pair runs both sides on one seed, and the side that runs first
-alternates from pair to pair. In the same run, every output file of
+Each of the ten pairs runs both sides on one seed, and the side that runs
+first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
 the sides: identical, or the largest absolute and relative difference of
 its numbers. The record (``--out``) is rewritten after every run, so an
 interrupted session keeps what it measured; the worktree is removed at
-exit.
+exit. Its ``notes`` are left empty for the author to fill in.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import shutil
@@ -38,6 +39,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 MC_SEED = 11
+PAIRS = 10
 
 
 def quartiles(values):
@@ -121,7 +123,8 @@ def _numbers(path):
 def diff_outputs(parent_dir, change_dir):
     """Each file of either directory: "identical", or the largest absolute
     and relative difference of its numbers, or "missing" on one side, or
-    "differs" where its text or shape differs."""
+    "differs" where its text or shape differs or where two numbers differ
+    and one of them is not finite (NaN on both sides counts as equal)."""
     parent_dir, change_dir = Path(parent_dir), Path(change_dir)
     names = sorted({p.name for d in (parent_dir, change_dir) for p in d.iterdir()})
     out = {}
@@ -143,6 +146,11 @@ def diff_outputs(parent_dir, change_dir):
             if va == vb:
                 continue
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb)):
+                max_abs = None
+                break
+            if not (math.isfinite(va) and math.isfinite(vb)):
+                if math.isnan(va) and math.isnan(vb):
+                    continue
                 max_abs = None
                 break
             d = abs(vb - va)
@@ -193,11 +201,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     parser.add_argument("--out", required=True, type=Path, help="record to write (JSON)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1101,
                         help="pair i (1-based) runs both sides on seed seed-base + i - 1")
-    parser.add_argument("--note", default="the change as its files stand",
-                        help="what the change side is, for the record")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -225,7 +230,7 @@ def main(argv=None):
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json."
             ),
             "parent": parent,
-            "sets": {"final": args.note},
+            "sets": {"final": "the change side's files as they stood when the record was made"},
             "notes": "",
             "machine": {
                 "cores": os.cpu_count(),
@@ -249,7 +254,7 @@ def main(argv=None):
         print(f"ab: inar mc --seed {MC_SEED} outputs "
               f"{'identical' if same else 'differ'}", file=sys.stderr)
         order = 0
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             seed = args.seed_base + pair - 1
             sides = (("parent", parent_root), ("change", ROOT))
             if pair % 2 == 0:
