@@ -73,10 +73,22 @@ def stream_keys(seed, stream_ids):
 
 def _uniforms(state):
     # splitmix64 step of every entry of ``state``, in place (array uint64
-    # arithmetic wraps silently); top 52 bits centered in (0, 1).
+    # arithmetic wraps silently); top 52 bits centered in (0, 1). The mix
+    # runs in place on two temporaries; its values are _mix64's.
     state += _GOLDEN
-    z = _mix64(state)
-    return ((z >> _S12).astype(np.float64) + 0.5) * _INV52
+    z = state >> _S30
+    z ^= state
+    z *= _MIX1
+    t = z >> _S27
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    z >>= _S12
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= _INV52
+    return u
 
 
 # Uniforms per block of one stream. A block steps counters j..j+B-1 to
@@ -283,28 +295,43 @@ def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact):
     return k, accept
 
 
+def _ptrs_pass(st, lam, a, b, inv_alpha, v_r, logfact):
+    # One pass of _PTRS_ROUNDS rounds (u, v) on the lanes with states st:
+    # each lane's first accepting round (round 0 where none accepts), its
+    # k, its state after that round, whether it accepted, and the grid.
+    n = st.shape[0]
+    grid = st + _PASS_OFFSETS
+    w = _uniforms(grid)
+    k, accept = _ptrs_rounds(
+        w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r, logfact,
+    )
+    cell = accept.argmax(axis=0) * n + np.arange(n)
+    return (k.reshape(-1)[cell], grid[_PTRS_ROUNDS:].reshape(-1)[cell],
+            accept.reshape(-1)[cell], grid)
+
+
 def _ptrs_lanes(lam, state, logfact):
     # Masked PTRS in passes: each pass tries _PTRS_ROUNDS rounds (u, v) of
-    # the lanes still rejecting and drops the lanes that accept in any.
+    # the lanes still rejecting and drops the lanes that accept in any. The
+    # first pass covers every lane and writes all of out and state; a lane
+    # it leaves rejecting has both overwritten by the pass that accepts it.
     a, b, inv_alpha, v_r = _ptrs_constants(lam)
-    out = np.empty(lam.shape[0])
-    pos = np.arange(lam.shape[0])
-    st = state
+    out, st_k, hit, grid = _ptrs_pass(state, lam, a, b, inv_alpha, v_r, logfact)
+    state[:] = st_k
+    if hit.all():
+        return out
+    miss = ~hit
+    pos = np.flatnonzero(miss)
+    st = grid[-1, miss]
+    lam, a, b, inv_alpha, v_r = (c[miss] for c in (lam, a, b, inv_alpha, v_r))
     while True:
-        n = pos.size
-        grid = st + _PASS_OFFSETS
-        w = _uniforms(grid)
-        k, accept = _ptrs_rounds(
-            w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r, logfact,
-        )
-        cell = accept.argmax(axis=0) * n + np.arange(n)
-        hit = accept.reshape(-1)[cell]
+        k, st_k, hit, grid = _ptrs_pass(st, lam, a, b, inv_alpha, v_r, logfact)
         if hit.all():
-            out[pos] = k.reshape(-1)[cell]
-            state[pos] = grid[_PTRS_ROUNDS:].reshape(-1)[cell]
+            out[pos] = k
+            state[pos] = st_k
             return out
-        out[pos[hit]] = k.reshape(-1)[cell[hit]]
-        state[pos[hit]] = grid[_PTRS_ROUNDS:].reshape(-1)[cell[hit]]
+        out[pos[hit]] = k[hit]
+        state[pos[hit]] = st_k[hit]
         miss = ~hit
         pos, lam, a, b, inv_alpha, v_r = (
             c[miss] for c in (pos, lam, a, b, inv_alpha, v_r)
@@ -314,7 +341,10 @@ def _ptrs_lanes(lam, state, logfact):
 
 def _poisson_lanes(lam, state, logfact):
     # One Poisson(lam[i]) draw on lane i, advancing state[i]; lanes with
-    # lam = 0 draw nothing.
+    # lam = 0 draw nothing. When every lane runs PTRS (every step of the
+    # paper's study), state goes to it whole, with no gather or scatter.
+    if lam.min() >= 10.0:
+        return _ptrs_lanes(lam, state, logfact)
     out = np.zeros(lam.shape[0])
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
     if small.size:
@@ -441,7 +471,10 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     state = np.array(keys, dtype=np.uint64)
     x = np.zeros((n_steps, n_lanes), dtype=np.float64)
     overflow_at = np.full(n_lanes, -1, dtype=np.int64)
+    if not n_lanes:  # the steps below take maxima over the lanes
+        return x, overflow_at
     alive = np.ones(n_lanes, dtype=bool)
+    all_alive = True
     klen = kern.shape[0]
     logfact = _LogFactorials()
     tmp = np.empty(n_lanes)
@@ -452,16 +485,21 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
         for k in range(1, min(n, klen) + 1):
             np.multiply(kern[k - 1], x[n - k], out=tmp)
             lam += tmp
-        over = alive & ~(lam <= cap)
-        overflow_at[over] = n
-        alive &= ~over
-        lam[~alive] = 0.0
+        # The overflow masks only once a lane is dead or over the cap (a
+        # NaN maximum counts as over).
+        if not (all_alive and lam.max() <= cap):
+            over = alive & ~(lam <= cap)
+            overflow_at[over] = n
+            alive &= ~over
+            lam[~alive] = 0.0
+            all_alive = bool(alive.all())
         x[n] = _poisson_lanes(lam, state, logfact)
-        huge = x[n] >= INT64_END
-        if huge.any():
+        if x[n].max() >= INT64_END:
+            huge = x[n] >= INT64_END
             overflow_at[huge] = n
             alive &= ~huge
             x[n, huge] = 0.0
+            all_alive = False
     return x, overflow_at
 
 

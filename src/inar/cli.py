@@ -9,7 +9,6 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -29,7 +28,9 @@ from .montecarlo import component_label, normality_suite, run_experiment
 from .simulate import (
     DEFAULT_LAMBDA_CAP,
     RngStream,
+    _csv_column,
     _csv_rows,
+    _write_csv,
     read_path_csv,
     simulate_path,
     write_path_csv,
@@ -103,15 +104,6 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _write_table(out_path: str, header: list[str], columns) -> None:
-    """CSV of equal-length 1-d arrays, one per column; floats are written
-    as their shortest round-trip text (str is repr for a float)."""
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(col.tolist() for col in columns)))
-
-
 def _cmd_mc(args) -> int:
     with open(args.config) as fh:
         text = fh.read()
@@ -165,14 +157,17 @@ def _cmd_mc(args) -> int:
 
     if not args.no_samples:
         labels = [component_label(j) for j in range(summary.per_component_samples.shape[1])]
-        _write_table(os.path.join(out_dir, "samples.csv"), ["rep"] + labels,
-                     [summary.rep_ids, *summary.per_component_samples.T])
+        _write_csv(os.path.join(out_dir, "samples.csv"), ["rep"] + labels,
+                   [_csv_column(col) for col in (summary.rep_ids, *summary.per_component_samples.T)])
+    # Every component has the same sample size, so the same Q-Q quantiles:
+    # their text is rendered once.
+    qq_z = _csv_column(diagnostics[0].qq_z)
     for diag in diagnostics:
-        _write_table(os.path.join(out_dir, f"qq_{diag.label}.csv"), ["z", "value"],
-                     [diag.qq_z, diag.qq_value])
-        _write_table(os.path.join(out_dir, f"hist_{diag.label}.csv"),
-                     ["bin_left", "bin_right", "count"],
-                     [diag.hist_left, diag.hist_right, diag.hist_count])
+        _write_csv(os.path.join(out_dir, f"qq_{diag.label}.csv"), ["z", "value"],
+                   [qq_z, _csv_column(diag.qq_value)])
+        _write_csv(os.path.join(out_dir, f"hist_{diag.label}.csv"),
+                   ["bin_left", "bin_right", "count"],
+                   [_csv_column(c) for c in (diag.hist_left, diag.hist_right, diag.hist_count)])
     return 0
 
 

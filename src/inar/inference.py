@@ -124,9 +124,13 @@ def confidence_intervals(
 
 def normality_report(sample) -> NormalityReport:
     """Jarque-Bera and Shapiro-Wilk on one sample."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    return _normality_report(np.asarray(sample, dtype=np.float64).ravel())
+
+
+def _normality_report(x, sw_means=None) -> NormalityReport:
+    # normality_report of a 1-d float64 sample; sw_means as in _shapiro_wilk.
     jb_stat, jb_p = jarque_bera(x)
-    sw_stat, sw_p = shapiro_wilk(x)
+    sw_stat, sw_p = _shapiro_wilk(x, sw_means)
     return NormalityReport(
         jb_stat=jb_stat, jb_p=jb_p, sw_stat=sw_stat, sw_p=sw_p, sample_size=x.shape[0]
     )
@@ -178,7 +182,20 @@ def _poly(coefs, x: float) -> float:
 def shapiro_wilk(sample) -> tuple[float, float]:
     """Shapiro-Wilk W and p-value per Royston's AS R94 approximation,
     valid for 3 <= n <= 5000. Ties are handled by a stable sort."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    return _shapiro_wilk(np.asarray(sample, dtype=np.float64).ravel())
+
+
+def _sw_means(n: int) -> np.ndarray:
+    # Expected normal order statistics of the upper half of a sample of n
+    # (Blom's approximation), largest first.
+    return np.array(
+        [normal_quantile((n - i - 0.375) / (n + 0.25)) for i in range(n // 2)]
+    )
+
+
+def _shapiro_wilk(x, m=None) -> tuple[float, float]:
+    # shapiro_wilk of a 1-d float64 sample; m is _sw_means(n), made here
+    # when not given.
     n = x.shape[0]
     if n < 3 or n > 5000:
         raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
@@ -187,10 +204,8 @@ def shapiro_wilk(sample) -> tuple[float, float]:
         raise ZeroVariance("all sample values are equal")
 
     n2 = n // 2
-    # Expected order statistics of the upper half, largest first.
-    m = np.array(
-        [normal_quantile((n - i - 0.375) / (n + 0.25)) for i in range(n2)]
-    )
+    if m is None:
+        m = _sw_means(n)
     summ2 = 2.0 * float(m @ m)
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
@@ -244,11 +259,22 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
 
     Standardization uses the sample standard deviation (ddof=1). The n=1
     edge maps to the single pair (0, 0) by convention."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    return _qq_data(np.asarray(sample, dtype=np.float64).ravel())
+
+
+def _qq_positions(n: int) -> np.ndarray:
+    # Standard normal quantiles at the plotting positions (i - 0.5)/n.
+    return np.array([normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
+
+
+def _qq_data(x, z=None) -> tuple[np.ndarray, np.ndarray]:
+    # qq_data of a 1-d float64 sample; z is _qq_positions(n), made here
+    # when not given, and is returned as it is.
     n = x.shape[0]
     if n < 1:
         raise ValueError("sample must be nonempty")
-    z = np.array([normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
+    if z is None:
+        z = _qq_positions(n)
     if n == 1:
         return z, np.zeros(1)
     sd = float(x.std(ddof=1))

@@ -14,7 +14,14 @@ import numpy as np
 
 from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
 from .estimate import fit_lanes
-from .inference import NormalityReport, histogram_data, normality_report, qq_data
+from .inference import (
+    NormalityReport,
+    _normality_report,
+    _qq_data,
+    _qq_positions,
+    _sw_means,
+    histogram_data,
+)
 from .model import ModelParams
 from .simulate import DEFAULT_LAMBDA_CAP, simulate_lanes
 
@@ -206,7 +213,9 @@ def run_experiment(config: McConfig) -> McSummary:
 def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagnostics, ...]:
     """Jarque-Bera/Shapiro-Wilk plus Q-Q pairs and a 30-bin histogram for
     each requested component (default: the first three), computed on the
-    raw uncapped samples."""
+    raw uncapped samples. The normal quantiles both tests need depend only
+    on the sample size, so one call computes them once for every
+    component; each component's ``qq_z`` is its own copy."""
     samples = summary.per_component_samples
     n, m = samples.shape
     if n < 8:
@@ -215,6 +224,7 @@ def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagn
         )
     if components is None:
         components = [j for j in (0, 1, 2) if j < m]
+    z, sw_means = _qq_positions(n), _sw_means(n)
     out = []
     for j in components:
         j = int(j)
@@ -222,13 +232,13 @@ def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagn
             raise DimensionMismatch(
                 f"component {j} out of range for p = {m - 1}"
             )
-        col = samples[:, j]
-        qq_z, qq_value = qq_data(col)
+        col = np.ascontiguousarray(samples[:, j])
+        qq_z, qq_value = _qq_data(col, z.copy())
         left, right, count = histogram_data(col, bins=30)
         out.append(
             ComponentDiagnostics(
                 label=component_label(j),
-                report=normality_report(col),
+                report=_normality_report(col, sw_means),
                 qq_z=qq_z,
                 qq_value=qq_value,
                 hist_left=left,

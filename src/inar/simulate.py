@@ -185,18 +185,33 @@ def simulate_lanes(
     return _k.sim_lanes(params.nu, params.kernel_array(), T, float(lam_cap), keys)
 
 
+def _csv_column(values) -> list[str]:
+    """The CSV field of each entry of a 1-d numeric array: the repr of its
+    Python value (for a float, the shortest text that round-trips), the
+    text ``csv.writer`` writes for it."""
+    return list(map(repr, values.tolist()))
+
+
+def _write_csv(file, header: list[str], columns) -> None:
+    """Write CSV to a path or an open text file in one write: the header
+    row, then one row per entry of the columns (equal-length lists of
+    field text, from :func:`_csv_column`). The bytes are ``csv.writer``'s:
+    fields joined by commas, each row ended by CRLF, and no field quoted,
+    since neither the header names nor numbers hold a comma, a quote or a
+    line break."""
+    rows = [",".join(header), *map(",".join, zip(*columns))]
+    text = "\r\n".join(rows) + "\r\n"
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        file.write(text)
+
+
 def write_path_csv(path: CountPath, file) -> None:
     """Write a path as CSV with header ``n,x``, one row per step, 1-based n."""
-    own = isinstance(file, (str, os.PathLike))
-    fh = open(file, "w", newline="") if own else file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "x"])
-        for n, xn in enumerate(path.counts, start=1):
-            writer.writerow([n, int(xn)])
-    finally:
-        if own:
-            fh.close()
+    steps = np.arange(1, len(path) + 1)
+    _write_csv(file, ["n", "x"], [_csv_column(steps), _csv_column(path.counts)])
 
 
 def _csv_rows(fh, what: str):

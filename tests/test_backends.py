@@ -83,6 +83,11 @@ def test_some_lanes_overflow():
     assert 0 < np.count_nonzero(overflow_at >= 0) < 20
 
 
+def test_no_lanes():
+    counts, overflow_at = simulate_lanes(ModelParams(nu=100.0, kernel=(0.5,)), 7, 1, [])
+    assert counts.shape == (7, 0) and overflow_at.shape == (0,)
+
+
 def test_first_observation_checked_against_cap():
     counts, overflow_at = simulate_lanes(ModelParams(nu=50.0), 5, 1, range(4), 49.0)
     assert np.all(overflow_at == 0) and not counts.any()

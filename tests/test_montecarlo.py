@@ -202,6 +202,34 @@ class TestNormalitySuite:
         with pytest.raises(DimensionMismatch):
             inar.normality_suite(summary, components=(4,))
 
+    @pytest.mark.parametrize("n", [8, 11, 12, 1000])
+    @pytest.mark.filterwarnings("ignore:Jarque-Bera on n=")
+    def test_shared_quantiles_match_standalone_calls(self, n):
+        # The suite computes the normal quantiles once per call for all its
+        # components; every result must still be the public call's, bit for
+        # bit, and every qq_z its own writable array.
+        rng = np.random.default_rng(n)
+        est = rng.normal(size=(n, 4)) * np.array([3.0, 0.1, 0.05, 0.02])
+        summary = inar.summarize(est, np.zeros(4))
+        diags = inar.normality_suite(summary)
+        again = inar.normality_suite(summary)
+        for j, d in enumerate(diags):
+            col = est[:, j]
+            z, value = inar.qq_data(col)
+            assert d.qq_z.tobytes() == z.tobytes()
+            assert d.qq_value.tobytes() == value.tobytes()
+            assert (d.report.sw_stat, d.report.sw_p) == inar.shapiro_wilk(col)
+            assert (d.report.jb_stat, d.report.jb_p) == inar.jarque_bera(col)
+        first = diags[0].qq_z
+        assert first.flags.writeable
+        for d in diags[1:] + again:
+            assert not np.shares_memory(first, d.qq_z)
+        first[:] = 7.0
+        for d in diags[1:] + again:
+            assert d.qq_z.tobytes() == inar.qq_data(est[:, 0])[0].tobytes()
+        later = inar.normality_suite(summary, components=(0,))[0]
+        assert later.qq_z.tobytes() == again[0].qq_z.tobytes()
+
     def test_small_run_rejected(self, case1_params):
         cfg = small_config(case1_params, n=5)
         summary = inar.run_experiment(cfg)

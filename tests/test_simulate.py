@@ -1,6 +1,8 @@
 """Sampler statistics, path simulation, determinism, and CSV round trips."""
 
+import csv
 import io
+import math
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import inar
 from inar import _kernels as _k
+from inar.simulate import _csv_column, _write_csv
 from inar import (
     CountPath,
     InvalidRate,
@@ -248,6 +251,15 @@ class TestCountPath:
         assert back.counts.dtype == np.int64
         assert back.counts.tolist() == counts
 
+    def test_csv_bytes_on_disk_match_csv_writer(self, tmp_path):
+        path = CountPath(counts=np.array([5, 0, 2 ** 63 - 1, 3]))
+        inar.write_path_csv(path, tmp_path / "new.csv")
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "x"])
+            writer.writerows(enumerate(path.counts.tolist(), start=1))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             inar.read_path_csv(io.StringIO("a,b\n1,2\n"))
@@ -271,3 +283,39 @@ class TestCountPath:
         too_big = "n,x\n1,00009223372036854775808\n"
         with pytest.raises(ValueError, match="^path CSV line 2: count '0+9223372036854775808' does not"):
             inar.read_path_csv(io.StringIO(too_big))
+
+
+# The CSV writer shared by every table the package writes, against
+# csv.writer as the oracle.
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-310, 1.8e308, -1.8e308, 0.1, 1e16]
+_EDGE_INTS = [-(2 ** 63), 2 ** 63 - 1, -1, 0, 1]
+
+
+@st.composite
+def _csv_columns(draw):
+    n_rows = draw(st.integers(0, 50))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            value = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True))
+            dtype = np.float64
+        else:
+            value = st.one_of(st.sampled_from(_EDGE_INTS), st.integers(-(2 ** 63), 2 ** 63 - 1))
+            dtype = np.int64
+        columns.append(np.array(draw(st.lists(value, min_size=n_rows, max_size=n_rows)),
+                                dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_csv_columns())
+def test_csv_writer_bytes_match_csv_module(columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows(zip(*(col.tolist() for col in columns)))
+    got = io.StringIO(newline="")
+    _write_csv(got, header, [_csv_column(col) for col in columns])
+    assert got.getvalue() == want.getvalue()

@@ -3,8 +3,8 @@
 
     python3 tools/ab.py --parent HEAD --out BENCH_11.json
 
-Checks the parent commit out into a temporary ``git worktree`` (local, no
-network) and runs, on each side, the benchmark's own command unchanged on
+Extracts the parent commit into a temporary directory with ``git archive``
+(local, no network; the repository's worktree list is left alone) and runs, on each side, the benchmark's own command unchanged on
 every workload of ``BENCHMARK.json``, for its run length:
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
@@ -15,8 +15,8 @@ first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
 the sides: identical, or the largest absolute and relative difference of
 its numbers. The record (``--out``) is rewritten after every run, so an
-interrupted session keeps what it measured; the worktree is removed at
-exit. Its ``notes`` are left empty for the author to fill in.
+interrupted session keeps what it measured; the temporary directory is
+removed at exit. Its ``notes`` are left empty for the author to fill in.
 """
 
 from __future__ import annotations
@@ -210,12 +210,15 @@ def main(argv=None):
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     parent = _git("rev-parse", "--short", args.parent)
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
+    # SIGTERM unwinds like Ctrl-C, so the copy is removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = Path(tempfile.mkdtemp(prefix="inar-ab-"))
     parent_root = scratch / "parent"
     try:
-        _git("worktree", "add", "--detach", str(parent_root), parent)
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", parent],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
         record = {
             "about": (
                 "perfbench runs of the parent commit (side parent) and of the change "
@@ -272,9 +275,6 @@ def main(argv=None):
                     print(f"ab: pair {pair} {workload} {side}: exit {run['exit']} "
                           f"ops_per_s {ops.get('value')}", file=sys.stderr)
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                        str(parent_root)], capture_output=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
 
