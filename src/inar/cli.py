@@ -158,16 +158,16 @@ def _cmd_mc(args) -> int:
     if not args.no_samples:
         labels = [component_label(j) for j in range(summary.per_component_samples.shape[1])]
         _write_csv(os.path.join(out_dir, "samples.csv"), ["rep"] + labels,
-                   [_csv_column(col) for col in (summary.rep_ids, *summary.per_component_samples.T)])
+                   [summary.rep_ids, *summary.per_component_samples.T])
     # Every component has the same sample size, so the same Q-Q quantiles:
     # their text is rendered once.
     qq_z = _csv_column(diagnostics[0].qq_z)
     for diag in diagnostics:
         _write_csv(os.path.join(out_dir, f"qq_{diag.label}.csv"), ["z", "value"],
-                   [qq_z, _csv_column(diag.qq_value)])
+                   [qq_z, diag.qq_value])
         _write_csv(os.path.join(out_dir, f"hist_{diag.label}.csv"),
                    ["bin_left", "bin_right", "count"],
-                   [_csv_column(c) for c in (diag.hist_left, diag.hist_right, diag.hist_count)])
+                   [diag.hist_left, diag.hist_right, diag.hist_count])
     return 0
 
 

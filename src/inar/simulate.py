@@ -192,26 +192,35 @@ def _csv_column(values) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
+# Rows rendered per write: a long path is written without holding all of
+# its text at once, and every table of a study is one block.
+_CSV_BLOCK_ROWS = 1 << 14
+
+
 def _write_csv(file, header: list[str], columns) -> None:
-    """Write CSV to a path or an open text file in one write: the header
-    row, then one row per entry of the columns (equal-length lists of
-    field text, from :func:`_csv_column`). The bytes are ``csv.writer``'s:
-    fields joined by commas, each row ended by CRLF, and no field quoted,
-    since neither the header names nor numbers hold a comma, a quote or a
-    line break."""
-    rows = [",".join(header), *map(",".join, zip(*columns))]
-    text = "\r\n".join(rows) + "\r\n"
-    if isinstance(file, (str, os.PathLike)):
-        with open(file, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        file.write(text)
+    """Write CSV to a path or an open text file: the header row, then one
+    row per entry of the columns, equal-length 1-d numeric arrays or lists
+    of their field text from :func:`_csv_column` (for a column several
+    files share). Each block of rows is rendered a column at a time and
+    written at once. The bytes are ``csv.writer``'s: fields joined by
+    commas, each row ended by CRLF, and no field quoted, since neither the
+    header names nor numbers hold a comma, a quote or a line break."""
+    own = isinstance(file, (str, os.PathLike))
+    fh = open(file, "w", newline="") if own else file
+    try:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
+            text = [b if isinstance(b, list) else _csv_column(b) for b in block]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+    finally:
+        if own:
+            fh.close()
 
 
 def write_path_csv(path: CountPath, file) -> None:
     """Write a path as CSV with header ``n,x``, one row per step, 1-based n."""
-    steps = np.arange(1, len(path) + 1)
-    _write_csv(file, ["n", "x"], [_csv_column(steps), _csv_column(path.counts)])
+    _write_csv(file, ["n", "x"], [np.arange(1, len(path) + 1), path.counts])
 
 
 def _csv_rows(fh, what: str):

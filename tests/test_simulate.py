@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import inar
 from inar import _kernels as _k
-from inar.simulate import _csv_column, _write_csv
+from inar.simulate import _CSV_BLOCK_ROWS, _csv_column, _write_csv
 from inar import (
     CountPath,
     InvalidRate,
@@ -251,8 +251,12 @@ class TestCountPath:
         assert back.counts.dtype == np.int64
         assert back.counts.tolist() == counts
 
-    def test_csv_bytes_on_disk_match_csv_writer(self, tmp_path):
-        path = CountPath(counts=np.array([5, 0, 2 ** 63 - 1, 3]))
+    @pytest.mark.parametrize("n", [4, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
+    def test_csv_bytes_on_disk_match_csv_writer(self, tmp_path, n):
+        # Paths longer than a block of rows are written block by block.
+        counts = np.arange(n, dtype=np.int64) * 7919 % 1000
+        counts[-2:] = [2 ** 63 - 1, 0]
+        path = CountPath(counts=counts)
         inar.write_path_csv(path, tmp_path / "new.csv")
         with open(tmp_path / "old.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -317,5 +321,9 @@ def test_csv_writer_bytes_match_csv_module(columns):
     writer.writerow(header)
     writer.writerows(zip(*(col.tolist() for col in columns)))
     got = io.StringIO(newline="")
-    _write_csv(got, header, [_csv_column(col) for col in columns])
+    _write_csv(got, header, columns)
     assert got.getvalue() == want.getvalue()
+    # A column given as its rendered text writes the same bytes.
+    again = io.StringIO(newline="")
+    _write_csv(again, header, [_csv_column(columns[0]), *columns[1:]])
+    assert again.getvalue() == want.getvalue()
