@@ -19,6 +19,9 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   floats shared by every cell and finds first acceptances by a running OR.
   ``sim_one`` sends a path whose kernel is zero here and any other path to
   ``sim_path``.
+
+The two vectorised routes take log k! from one module-level table,
+``_LOGFACT``, grown on demand and safe to share between threads.
 """
 
 import math
@@ -198,6 +201,11 @@ class _LogFactorials:
         return table[k.astype(np.intp)]
 
 
+# The one log k! table of the package, read by every PTRS log test (lanes
+# and blocks, on any thread): a large rate grows it once, not once per call.
+_LOGFACT = _LogFactorials()
+
+
 def _inversion_lanes(lam, state):
     # Sequential search; every lane still searching has taken the same
     # number of steps, so k is one counter for all of them.
@@ -219,13 +227,13 @@ def _inversion_lanes(lam, state):
     return out
 
 
-def _log_test(k, lam, us, v, a, b, inv_alpha, logfact):
+def _log_test(k, lam, us, v, a, b, inv_alpha):
     # PTRS acceptance test past the squeeze, at per-cell or shared constants.
     lv = np.log(v)
     li = np.log(inv_alpha)
     lq = np.log(a / (us * us) + b)
     t = k * np.log(lam)
-    lg = logfact(k)
+    lg = _LOGFACT(k)
     lhs = lv + li - lq
     rhs = t - lam - lg
     accept = lhs <= rhs
@@ -265,7 +273,7 @@ def _ptrs_constants(lam):
     return a, b, inv_alpha, v_r
 
 
-def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact):
+def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
     # PTRS rounds on (R, n) grids of uniforms: cell (r, i) is round r of
     # lane i, with u from wu and v from wv. The constants are (n,) arrays,
     # one per lane, or floats shared by every lane. Returns the candidate
@@ -290,33 +298,31 @@ def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r, logfact):
             lam, a, b, inv_alpha = lam[lane], a[lane], b[lane], inv_alpha[lane]
         accept.reshape(-1)[slow] = _log_test(
             k.reshape(-1)[slow], lam, us.reshape(-1)[slow],
-            wv.reshape(-1)[slow], a, b, inv_alpha, logfact,
+            wv.reshape(-1)[slow], a, b, inv_alpha,
         )
     return k, accept
 
 
-def _ptrs_pass(st, lam, a, b, inv_alpha, v_r, logfact):
+def _ptrs_pass(st, lam, a, b, inv_alpha, v_r):
     # One pass of _PTRS_ROUNDS rounds (u, v) on the lanes with states st:
     # each lane's first accepting round (round 0 where none accepts), its
     # k, its state after that round, whether it accepted, and the grid.
     n = st.shape[0]
     grid = st + _PASS_OFFSETS
     w = _uniforms(grid)
-    k, accept = _ptrs_rounds(
-        w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r, logfact,
-    )
+    k, accept = _ptrs_rounds(w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r)
     cell = accept.argmax(axis=0) * n + np.arange(n)
     return (k.reshape(-1)[cell], grid[_PTRS_ROUNDS:].reshape(-1)[cell],
             accept.reshape(-1)[cell], grid)
 
 
-def _ptrs_lanes(lam, state, logfact):
+def _ptrs_lanes(lam, state):
     # Masked PTRS in passes: each pass tries _PTRS_ROUNDS rounds (u, v) of
     # the lanes still rejecting and drops the lanes that accept in any. The
     # first pass covers every lane and writes all of out and state; a lane
     # it leaves rejecting has both overwritten by the pass that accepts it.
     a, b, inv_alpha, v_r = _ptrs_constants(lam)
-    out, st_k, hit, grid = _ptrs_pass(state, lam, a, b, inv_alpha, v_r, logfact)
+    out, st_k, hit, grid = _ptrs_pass(state, lam, a, b, inv_alpha, v_r)
     state[:] = st_k
     if hit.all():
         return out
@@ -325,7 +331,7 @@ def _ptrs_lanes(lam, state, logfact):
     st = grid[-1, miss]
     lam, a, b, inv_alpha, v_r = (c[miss] for c in (lam, a, b, inv_alpha, v_r))
     while True:
-        k, st_k, hit, grid = _ptrs_pass(st, lam, a, b, inv_alpha, v_r, logfact)
+        k, st_k, hit, grid = _ptrs_pass(st, lam, a, b, inv_alpha, v_r)
         if hit.all():
             out[pos] = k
             state[pos] = st_k
@@ -339,12 +345,12 @@ def _ptrs_lanes(lam, state, logfact):
         st = grid[-1, miss]
 
 
-def _poisson_lanes(lam, state, logfact):
+def _poisson_lanes(lam, state):
     # One Poisson(lam[i]) draw on lane i, advancing state[i]; lanes with
     # lam = 0 draw nothing. When every lane runs PTRS (every step of the
     # paper's study), state goes to it whole, with no gather or scatter.
     if lam.min() >= 10.0:
-        return _ptrs_lanes(lam, state, logfact)
+        return _ptrs_lanes(lam, state)
     out = np.zeros(lam.shape[0])
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
     if small.size:
@@ -354,7 +360,7 @@ def _poisson_lanes(lam, state, logfact):
     large = np.flatnonzero(lam >= 10.0)
     if large.size:
         st = state[large]
-        out[large] = _ptrs_lanes(lam[large], st, logfact)
+        out[large] = _ptrs_lanes(lam[large], st)
         state[large] = st
     return out
 
@@ -368,9 +374,6 @@ def _poisson_lanes(lam, state, logfact):
 # constants. 2**13 already spreads a block's dispatch thinly (2**14 draws
 # no faster) and holds half the temporary arrays of 2**14.
 _STREAM_BLOCK = 1 << 13
-# log k! for the block sampler, shared by its calls: a stream at a large
-# rate grows one table, not one per call.
-_STREAM_LOGFACT = _LogFactorials()
 
 
 def _inversion_table(lam):
@@ -437,9 +440,7 @@ def poisson_stream(lam, out, key):
         w = _uniforms(state).reshape(rounds, 2)
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
-        k, accept = _ptrs_rounds(
-            w[None, :, 0], w[None, :, 1], *constants, _STREAM_LOGFACT,
-        )
+        k, accept = _ptrs_rounds(w[None, :, 0], w[None, :, 1], *constants)
         got = k[accept][:need]
         out[done : done + got.size] = got
         base[:] = state[-1]
@@ -476,7 +477,6 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     alive = np.ones(n_lanes, dtype=bool)
     all_alive = True
     klen = kern.shape[0]
-    logfact = _LogFactorials()
     tmp = np.empty(n_lanes)
     for n in range(n_steps):
         # The scalar order: nu first, then lag 1, 2, ... (a matmul would
@@ -493,7 +493,7 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
             alive &= ~over
             lam[~alive] = 0.0
             all_alive = bool(alive.all())
-        x[n] = _poisson_lanes(lam, state, logfact)
+        x[n] = _poisson_lanes(lam, state)
         if x[n].max() >= INT64_END:
             huge = x[n] >= INT64_END
             overflow_at[huge] = n

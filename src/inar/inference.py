@@ -4,11 +4,13 @@ normality diagnostics (Jarque-Bera, Shapiro-Wilk, Q-Q data).
 The estimator's score is a martingale difference sequence
 (2/T) sum z_n (X_n - Phi(n)), which motivates the heteroskedasticity-
 consistent plug-in K_hat below; J_hat is twice the design matrix, and the
-asymptotic covariance is the sandwich J^-1 K J^-1.
+asymptotic covariance is the sandwich J^-1 K J^-1. The diagnostics reject
+a sample with NaN or infinite values (DomainError).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -117,6 +119,8 @@ def confidence_intervals(
         raise ValueError(
             f"covariance dimension {diag.shape[0]} does not match theta {vec.shape[0]}"
         )
+    if not T >= 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.maximum(diag, 0.0) / float(T))
     return [(float(v - h), float(v + h)) for v, h in zip(vec, half)]
@@ -124,23 +128,27 @@ def confidence_intervals(
 
 def normality_report(sample) -> NormalityReport:
     """Jarque-Bera and Shapiro-Wilk on one sample."""
-    return _normality_report(np.asarray(sample, dtype=np.float64).ravel())
-
-
-def _normality_report(x, sw_means=None) -> NormalityReport:
-    # normality_report of a 1-d float64 sample; sw_means as in _shapiro_wilk.
+    x = np.asarray(sample, dtype=np.float64).ravel()
     jb_stat, jb_p = jarque_bera(x)
-    sw_stat, sw_p = _shapiro_wilk(x, sw_means)
+    sw_stat, sw_p = shapiro_wilk(x)
     return NormalityReport(
         jb_stat=jb_stat, jb_p=jb_p, sw_stat=sw_stat, sw_p=sw_p, sample_size=x.shape[0]
     )
+
+
+def _finite_sample(sample) -> np.ndarray:
+    # The sample as a 1-d float64 array; NaN or +-inf raise DomainError.
+    x = np.asarray(sample, dtype=np.float64).ravel()
+    if not np.isfinite(x).all():
+        raise DomainError("sample has NaN or infinite values")
+    return x
 
 
 def jarque_bera(sample) -> tuple[float, float]:
     """Jarque-Bera statistic n/6 (S^2 + (K-3)^2/4) with moment-based
     skewness/kurtosis, and its exact chi-square(2) survival p = exp(-stat/2).
     Requires n >= 8; warns below 20 where the asymptotic null is poor."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    x = _finite_sample(sample)
     n = x.shape[0]
     if n < 8:
         raise SampleSizeOutOfRange(f"Jarque-Bera needs n >= 8, got {n}")
@@ -182,20 +190,7 @@ def _poly(coefs, x: float) -> float:
 def shapiro_wilk(sample) -> tuple[float, float]:
     """Shapiro-Wilk W and p-value per Royston's AS R94 approximation,
     valid for 3 <= n <= 5000. Ties are handled by a stable sort."""
-    return _shapiro_wilk(np.asarray(sample, dtype=np.float64).ravel())
-
-
-def _sw_means(n: int) -> np.ndarray:
-    # Expected normal order statistics of the upper half of a sample of n
-    # (Blom's approximation), largest first.
-    return np.array(
-        [normal_quantile((n - i - 0.375) / (n + 0.25)) for i in range(n // 2)]
-    )
-
-
-def _shapiro_wilk(x, m=None) -> tuple[float, float]:
-    # shapiro_wilk of a 1-d float64 sample; m is _sw_means(n), made here
-    # when not given.
+    x = _finite_sample(sample)
     n = x.shape[0]
     if n < 3 or n > 5000:
         raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
@@ -204,8 +199,7 @@ def _shapiro_wilk(x, m=None) -> tuple[float, float]:
         raise ZeroVariance("all sample values are equal")
 
     n2 = n // 2
-    if m is None:
-        m = _sw_means(n)
+    m = _sw_means(n)
     summ2 = 2.0 * float(m @ m)
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
@@ -259,22 +253,11 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
 
     Standardization uses the sample standard deviation (ddof=1). The n=1
     edge maps to the single pair (0, 0) by convention."""
-    return _qq_data(np.asarray(sample, dtype=np.float64).ravel())
-
-
-def _qq_positions(n: int) -> np.ndarray:
-    # Standard normal quantiles at the plotting positions (i - 0.5)/n.
-    return np.array([normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
-
-
-def _qq_data(x, z=None) -> tuple[np.ndarray, np.ndarray]:
-    # qq_data of a 1-d float64 sample; z is _qq_positions(n), made here
-    # when not given, and is returned as it is.
+    x = _finite_sample(sample)
     n = x.shape[0]
     if n < 1:
         raise ValueError("sample must be nonempty")
-    if z is None:
-        z = _qq_positions(n)
+    z = _qq_positions(n).copy()
     if n == 1:
         return z, np.zeros(1)
     sd = float(x.std(ddof=1))
@@ -286,11 +269,32 @@ def _qq_data(x, z=None) -> tuple[np.ndarray, np.ndarray]:
 
 def histogram_data(sample, bins: int = 30) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equal-width histogram over [min, max]: (bin_left, bin_right, count)."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    x = _finite_sample(sample)
     if x.shape[0] < 1:
         raise ValueError("sample must be nonempty")
     counts, edges = np.histogram(x, bins=bins)
     return edges[:-1], edges[1:], counts
+
+
+# The normal quantiles of the two tests depend only on the sample size n:
+# each is computed once per n and kept, read-only, for the last few sizes.
+
+
+@functools.lru_cache(maxsize=8)
+def _sw_means(n: int) -> np.ndarray:
+    # Expected normal order statistics of the upper half of a sample of n
+    # (Blom's approximation), largest first.
+    m = np.array([normal_quantile((n - i - 0.375) / (n + 0.25)) for i in range(n // 2)])
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=8)
+def _qq_positions(n: int) -> np.ndarray:
+    # Standard normal quantiles at the plotting positions (i - 0.5)/n.
+    z = np.array([normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
+    z.flags.writeable = False
+    return z
 
 
 def normal_quantile(u: float) -> float:

@@ -85,3 +85,15 @@ def test_output_diff_non_finite(tmp_path, parent, change, expected):
     (a / "t.csv").write_text(f"z,value\n1.0,{parent}\n")
     (b / "t.csv").write_text(f"z,value\n1.5,{change}\n")
     assert ab.diff_outputs(a, b)["t.csv"] == expected
+
+
+def test_src_lines(tmp_path):
+    # wc -l of src/inar/*.py only: a last line without a newline is not
+    # counted, and other files and subdirectories are left out.
+    pkg = tmp_path / "src" / "inar"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")
+    (pkg / "notes.txt").write_text("1\n2\n")
+    (pkg / "sub" / "c.py").write_text("1\n")
+    assert ab.src_lines(tmp_path) == 4

@@ -155,10 +155,9 @@ def test_ptrs_passes_match_oracle():
     keys = _k.stream_keys(9, range(n_lanes))
     lam = 10.0 + np.arange(n_lanes) / n_lanes
     state = keys.copy()
-    logfact = _k._LogFactorials()
     got, states = [], []
     for _ in range(n_steps):
-        got.append(_k._poisson_lanes(lam, state, logfact))
+        got.append(_k._poisson_lanes(lam, state))
         states.append(state.copy())
     want, used = zip(*(counted_draws(lam[j], keys[j : j + 1], n_steps) for j in range(n_lanes)))
     assert np.array_equal(np.array(got), np.array(want).T)
@@ -237,24 +236,34 @@ def test_inversion_table_ends_match_scalar_search(lam):
 
 
 def test_shared_log_factorials_across_threads(monkeypatch):
-    # The block sampler shares its log k! table between calls and nothing
-    # else. Threads that grow the table at once, each to a different size,
-    # must each draw the scalar loop's values; their draws span several
-    # blocks, so block state shared between calls would show too.
+    # The block sampler and the lane engine share one log k! table and
+    # nothing else. Threads of both that grow the table at once, each to a
+    # different size, must each draw what they draw alone: the block
+    # sampler the scalar loop's values, the lanes their single-threaded
+    # counts. The block draws span several blocks, so block state shared
+    # between calls would show too.
     rates = [1e3 * 2 ** j for j in range(6)]
     want = [counted_draws(lam, RngStream(4, j).state(), 20000)[0] for j, lam in enumerate(rates)]
+    want_lanes = [simulate_lanes(ModelParams(nu=lam), 30, 5, range(40))[0].tolist()
+                  for lam in rates]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(_k, "_STREAM_LOGFACT", _k._LogFactorials())
-            with ThreadPoolExecutor(max_workers=len(rates)) as pool:
+            monkeypatch.setattr(_k, "_LOGFACT", _k._LogFactorials())
+            with ThreadPoolExecutor(max_workers=2 * len(rates)) as pool:
                 futures = [
                     pool.submit(inar.poisson_sample, lam, RngStream(4, j), 20000)
                     for j, lam in enumerate(rates)
                 ]
+                lanes = [
+                    pool.submit(simulate_lanes, ModelParams(nu=lam), 30, 5, range(40))
+                    for lam in rates
+                ]
                 got = [f.result(timeout=60).tolist() for f in futures]
+                got_lanes = [f.result(timeout=60)[0].tolist() for f in lanes]
             assert got == want
+            assert got_lanes == want_lanes
     finally:
         sys.setswitchinterval(interval)
 

@@ -89,6 +89,12 @@ class TestConfidenceIntervals:
         with pytest.raises(InvalidLevel):
             inar.confidence_intervals(theta, self._unit_cov(1), T=10, level=level)
 
+    @pytest.mark.parametrize("T", [0, -1, 0.5])
+    def test_horizon_below_one(self, T):
+        theta = ThetaVector(mu=1.0, betas=())
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            inar.confidence_intervals(theta, self._unit_cov(1), T=T)
+
 
 class TestJarqueBera:
     def test_hand_case(self):
@@ -233,6 +239,20 @@ class TestHistogramData:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             inar.histogram_data(np.array([]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "test",
+    [inar.jarque_bera, inar.shapiro_wilk, inar.qq_data, inar.histogram_data,
+     inar.inference.normality_report],
+    ids=lambda f: f.__name__,
+)
+def test_non_finite_sample_rejected(test, bad):
+    x = np.random.default_rng(59).normal(size=40)
+    x[17] = bad
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        test(x)
 
 
 class TestSandwich:

@@ -14,7 +14,8 @@ Each of the ten pairs runs both sides on one seed, and the side that runs
 first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
 the sides: identical, or the largest absolute and relative difference of
-its numbers. The record (``--out``) is rewritten after every run, so an
+its numbers, and ``src_lines`` holds each side's ``wc -l`` total of
+``src/inar/*.py``. The record (``--out``) is rewritten after every run, so an
 interrupted session keeps what it measured; the temporary directory is
 removed at exit. Its ``notes`` are left empty for the author to fill in.
 """
@@ -163,6 +164,12 @@ def diff_outputs(parent_dir, change_dir):
     return out
 
 
+def src_lines(root):
+    """The ``wc -l`` total of ``src/inar/*.py`` under ``root``: the number
+    of newline characters in those files."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(root).glob("src/inar/*.py"))
+
+
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -233,6 +240,7 @@ def main(argv=None):
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json."
             ),
             "parent": parent,
+            "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
             "sets": {"final": "the change side's files as they stood when the record was made"},
             "notes": "",
             "machine": {
