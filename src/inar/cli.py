@@ -29,9 +29,10 @@ from .simulate import (
     DEFAULT_LAMBDA_CAP,
     RngStream,
     _csv_column,
-    _csv_rows,
+    _opened,
     _write_csv,
     read_path_csv,
+    read_samples_csv,
     simulate_path,
     write_path_csv,
 )
@@ -55,12 +56,8 @@ def _provenance(config_payload: dict, base_seed: int | None) -> dict:
 
 
 def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    if out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    with _opened(sys.stdout if out is None else out, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -105,9 +102,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    with open(args.config) as fh:
-        text = fh.read()
-    config = parse_config(text)
+    with _opened(args.config, "r") as fh:
+        config = parse_config(fh.read())
     if args.seed is not None:
         config = replace(config, base_seed=require_seed(args.seed))
     summary = run_experiment(config)
@@ -171,38 +167,8 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _read_samples_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as fh:
-        lines = _csv_rows(fh, "samples")
-        header = next(lines, (0, None))[1]
-        if not header or header[0] != "rep":
-            raise InarError("samples CSV must start with header 'rep,mu_hat,...'")
-        rows = []
-        for line, row in lines:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InarError(
-                    f"samples CSV line {line}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for text in row[1:]:
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    values.append(math.nan)
-                if not math.isfinite(values[-1]):
-                    raise InarError(
-                        f"samples CSV line {line}: value {text!r} is not a finite number"
-                    )
-            rows.append(values)
-    if not rows:
-        raise InarError("samples CSV contains no data rows")
-    return header[1:], np.asarray(rows, dtype=np.float64)
-
-
 def _cmd_normality(args) -> int:
-    labels, samples = _read_samples_csv(args.samples)
+    labels, samples = read_samples_csv(args.samples)
     if args.components:
         wanted = [c.strip() for c in args.components.split(",") if c.strip()]
     else:

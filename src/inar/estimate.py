@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
+from .model import _freeze_copies
 from .simulate import CountPath
 
 __all__ = [
@@ -42,17 +43,12 @@ class DesignSystem:
     p: int
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.Y, dtype=np.float64)
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
+        _freeze_copies(self, "Y", "b")
         m = self.p + 1
-        if y.shape != (m, m) or b.shape != (m,):
+        if self.Y.shape != (m, m) or self.b.shape != (m,):
             raise DimensionMismatch(
-                f"expected Y ({m},{m}) and b ({m},), got {y.shape} and {b.shape}"
+                f"expected Y ({m},{m}) and b ({m},), got {self.Y.shape} and {self.b.shape}"
             )
-        y.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "Y", y)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimate import RCOND_THRESHOLD, ThetaVector, _check_lag, _counts_of
+from .model import _freeze_copies
 
 __all__ = [
     "SandwichCovariance",
@@ -55,10 +56,7 @@ class SandwichCovariance:
     Sigma_hat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("J_hat", "K_hat", "Sigma_hat"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_copies(self, "J_hat", "K_hat", "Sigma_hat")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,16 @@ __all__ = [
 ]
 
 
+def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
+    """Replace each named array field of a frozen dataclass ``record`` by a
+    read-only C-contiguous copy as ``dtype``: the caller's array stays
+    writable, and later writes to it never reach the record."""
+    for name in names:
+        arr = np.array(getattr(record, name), dtype=dtype, order="C", ndmin=1)
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immigration rate ``nu`` and reproduction kernel ``alpha_1..alpha_K``.
@@ -93,9 +103,7 @@ class RenewalSequence:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        _freeze_copies(self, "values")
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
 from .estimate import fit_lanes
 from .inference import NormalityReport, histogram_data, normality_report, qq_data
-from .model import ModelParams
+from .model import ModelParams, _freeze_copies
 from .simulate import DEFAULT_LAMBDA_CAP, simulate_lanes
 
 __all__ = [
@@ -71,16 +71,10 @@ class McSummary:
     rep_ids: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("mean_theta", "per_component_samples", "truth"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        ids = self.rep_ids
-        if ids is None:
-            ids = np.arange(1, self.per_component_samples.shape[0] + 1)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        ids.flags.writeable = False
-        object.__setattr__(self, "rep_ids", ids)
+        _freeze_copies(self, "mean_theta", "per_component_samples", "truth")
+        if self.rep_ids is None:
+            object.__setattr__(self, "rep_ids", np.arange(1, self.n_success + 1))
+        _freeze_copies(self, "rep_ids", dtype=np.int64)
 
     @property
     def n_success(self) -> int:

@@ -1,4 +1,5 @@
-"""Reproducible simulation of cumulative INAR sample paths.
+"""Reproducible simulation of cumulative INAR sample paths, and the one
+CSV writer and checked CSV reader of every table the package reads or writes.
 
 Randomness is counter-style: an :class:`RngStream` is an immutable
 (seed, stream_id) pair, and every sampling function reads the stream from
@@ -9,16 +10,18 @@ lockstep with other replications (:func:`simulate_lanes`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels as _k
 from .errors import InvalidRate, NonStationaryKernel, Overflow
-from .model import ModelParams, validate_params
+from .model import ModelParams, _freeze_copies, validate_params
 
 __all__ = [
     "RngStream",
@@ -28,6 +31,7 @@ __all__ = [
     "simulate_lanes",
     "write_path_csv",
     "read_path_csv",
+    "read_samples_csv",
 ]
 
 DEFAULT_LAMBDA_CAP = 1e9
@@ -66,13 +70,11 @@ class CountPath:
     params_digest: str = ""
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if arr.ndim != 1 or arr.shape[0] < 1:
+        _freeze_copies(self, "counts", dtype=np.int64)
+        if self.counts.ndim != 1 or self.counts.shape[0] < 1:
             raise ValueError("counts must be a nonempty 1-d sequence")
-        if np.any(arr < 0):
+        if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -153,7 +155,7 @@ def simulate_path(
             f"intensity exceeded cap {lam_cap:g} at step {overflow_at + 1}"
         )
     return CountPath(
-        counts=x.astype(np.int64),
+        counts=x,
         seed=rng.seed,
         stream_id=rng.stream_id,
         params_digest=params.digest(),
@@ -197,6 +199,14 @@ def _csv_column(values) -> list[str]:
 _CSV_BLOCK_ROWS = 1 << 14
 
 
+def _opened(file, mode: str):
+    """A path opened as text without newline translation, or an open text
+    file as is, for a ``with`` block that closes only what it opened."""
+    if isinstance(file, (str, os.PathLike)):
+        return open(file, mode, newline="")
+    return contextlib.nullcontext(file)
+
+
 def _write_csv(file, header: list[str], columns) -> None:
     """Write CSV to a path or an open text file: the header row, then one
     row per entry of the columns, equal-length 1-d numeric arrays or lists
@@ -205,17 +215,37 @@ def _write_csv(file, header: list[str], columns) -> None:
     written at once. The bytes are ``csv.writer``'s: fields joined by
     commas, each row ended by CRLF, and no field quoted, since neither the
     header names nor numbers hold a comma, a quote or a line break."""
-    own = isinstance(file, (str, os.PathLike))
-    fh = open(file, "w", newline="") if own else file
-    try:
+    with _opened(file, "w") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
             text = [b if isinstance(b, list) else _csv_column(b) for b in block]
             fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
-    finally:
-        if own:
-            fh.close()
+
+
+def _read_csv(file, what: str, header_ok, header_hint: str, parse_row):
+    """Read CSV from a path or an open text file, checked: the header row
+    must pass ``header_ok``, blank rows are skipped, and every other row
+    must have the header's width. Returns the header and the list of
+    ``parse_row(i, row)`` of the i-th data row, i = 1, 2, ... Every error
+    is a ValueError: a wrong header names ``header_hint``; a row of the
+    wrong width, a ValueError of ``parse_row`` and text the csv module
+    cannot split (a field beyond its size limit) name the line."""
+    values = []
+    with _opened(file, "r") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            good = header_ok(header)
+            for row in filter(None, reader) if good else ():
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                values.append(parse_row(len(values) + 1, row))
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{what} CSV line {reader.line_num}: {exc}") from None
+    if not good:
+        raise ValueError(f"{what} CSV must start with header {header_hint!r}")
+    return header, values
 
 
 def write_path_csv(path: CountPath, file) -> None:
@@ -223,19 +253,16 @@ def write_path_csv(path: CountPath, file) -> None:
     _write_csv(file, ["n", "x"], [np.arange(1, len(path) + 1), path.counts])
 
 
-def _csv_rows(fh, what: str):
-    """Yield (line number, row) for each row of CSV text; text the csv
-    module cannot split (a field beyond its size limit) raises ValueError
-    naming the line."""
-    reader = csv.reader(fh)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ValueError(f"{what} CSV line {reader.line_num}: {exc}") from None
-        yield reader.line_num, row
+def _path_row(step: int, row: list[str]) -> int:
+    if row[0].strip() != str(step):
+        raise ValueError(f"step n={row[0]!r}, expected n={step}")
+    # Digits only: int() would also take signs, spaces and "1_0".
+    if not (row[1].isascii() and row[1].isdigit()):
+        raise ValueError(f"count {row[1]!r} is not an integer (digits 0-9 only)")
+    digits = row[1].lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) >= 1 << 63:
+        raise ValueError(f"count {row[1]!r} does not fit in int64")
+    return int(digits)
 
 
 def read_path_csv(file) -> CountPath:
@@ -243,39 +270,30 @@ def read_path_csv(file) -> CountPath:
     exactly (generation provenance is not stored in the CSV). Steps n
     must run 1, 2, 3, ... without gaps or repeats, and counts are written
     in digits 0-9 only."""
-    own = isinstance(file, (str, os.PathLike))
-    fh = open(file, "r", newline="") if own else file
-    try:
-        lines = _csv_rows(fh, "path")
-        header = next(lines, (0, None))[1]
-        if header is None or [h.strip() for h in header] != ["n", "x"]:
-            raise ValueError("path CSV must start with header 'n,x'")
-        counts = []
-        for line, row in lines:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(
-                    f"path CSV line {line}: expected 2 fields 'n,x', got {row!r}"
-                )
-            step = len(counts) + 1
-            if row[0].strip() != str(step):
-                raise ValueError(
-                    f"path CSV line {line}: step n={row[0]!r}, expected n={step}"
-                )
-            # Digits only: int() would also take signs, spaces and "1_0".
-            if not (row[1].isascii() and row[1].isdigit()):
-                raise ValueError(
-                    f"path CSV line {line}: count {row[1]!r} is not an integer "
-                    "(digits 0-9 only)"
-                )
-            digits = row[1].lstrip("0") or "0"
-            if len(digits) > 19 or int(digits) >= 1 << 63:
-                raise ValueError(
-                    f"path CSV line {line}: count {row[1]!r} does not fit in int64"
-                )
-            counts.append(int(digits))
-    finally:
-        if own:
-            fh.close()
-    return CountPath(counts=np.asarray(counts, dtype=np.int64))
+    _, counts = _read_csv(file, "path", lambda h: [x.strip() for x in h] == ["n", "x"],
+                          "n,x", _path_row)
+    return CountPath(counts=counts)
+
+
+# A sample value: the text repr gives a float, optionally signed.
+_SAMPLE_TEXT = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
+
+
+def _sample_row(_: int, row: list[str]) -> list[float]:
+    if not (row[0].isascii() and row[0].isdigit()):
+        raise ValueError(f"rep {row[0]!r} is not an integer (digits 0-9 only)")
+    for text in row[1:]:
+        if not (_SAMPLE_TEXT.fullmatch(text) and math.isfinite(float(text))):
+            raise ValueError(f"value {text!r} is not a finite number")
+    return [float(text) for text in row[1:]]
+
+
+def read_samples_csv(file) -> tuple[list[str], np.ndarray]:
+    """Read the ``samples.csv`` of ``inar mc``: header ``rep,<label>,...``,
+    then one row per replication, its id in digits 0-9 and its finite
+    estimates. Returns the labels and the (rows, labels) float64 samples."""
+    header, rows = _read_csv(file, "samples", lambda h: h[:1] == ["rep"],
+                             "rep,mu_hat,...", _sample_row)
+    if not rows:
+        raise ValueError("samples CSV contains no data rows")
+    return header[1:], np.asarray(rows, dtype=np.float64)

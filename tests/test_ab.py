@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
@@ -97,3 +98,21 @@ def test_src_lines(tmp_path):
     (pkg / "notes.txt").write_text("1\n2\n")
     (pkg / "sub" / "c.py").write_text("1\n")
     assert ab.src_lines(tmp_path) == 4
+
+
+def test_cli_outputs(tmp_path):
+    # The simulate, estimate --ci and normality files of one side, with
+    # this checkout's package; a side compared with itself is identical.
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(30, 2)).tolist()
+    rows = [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(values, start=1)]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("rep,mu_hat,beta_1\n" + "\n".join(rows) + "\n")
+    out = ab.cli_outputs(ab.ROOT, tmp_path / "cli", samples)
+    assert sorted(p.name for p in out.iterdir()) == ["estimate.json", "normality.json", "path.csv"]
+    assert (out / "path.csv").read_text().count("\n") == 1001
+    estimate = json.loads((out / "estimate.json").read_text())
+    assert estimate["p"] == 10 and len(estimate["ci"]) == 11
+    assert list(json.loads((out / "normality.json").read_text())["normality"]) == [
+        "mu_hat", "beta_1"]
+    assert set(ab.diff_outputs(out, out).values()) == {"identical"}

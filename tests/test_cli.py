@@ -199,6 +199,9 @@ def test_estimate_singular_exits_one(tmp_path, run_cli):
     ("1,3\n5,2\n1,7\n", "line 3: step n='5', expected n=2"),
     ("1,99999999999999999999\n2,3\n3,4\n",
      "line 2: count '99999999999999999999' does not fit in int64"),
+    # The message counts the fields; it does not echo a row of any size.
+    pytest.param("1,3\n2,5," + "9" * 100_000 + "\n", "line 3: expected 2 fields, got 3",
+                 id="wide-row"),
 ])
 def test_estimate_malformed_csv_row(tmp_path, run_cli, body, named):
     path_csv = tmp_path / "bad.csv"
@@ -208,7 +211,7 @@ def test_estimate_malformed_csv_row(tmp_path, run_cli, body, named):
     err = proc.stderr.strip()
     assert "\n" not in err
     assert err.startswith("inar: error: ValueError: path CSV ")
-    assert named in err
+    assert named in err and len(err) < 200
 
 
 def test_unknown_config_key(tmp_path, run_cli):
@@ -391,6 +394,9 @@ def test_simulate_largest_stream_id(tmp_path, run_cli):
     ("11,,0.3", "line 3: value '' is not a finite number"),
     ("11,0.1", "line 3: expected 3 fields, got 2"),
     ("11,0.1,0.3,0.5", "line 3: expected 3 fields, got 4"),
+    ("11,1_00.5,0.3", "line 3: value '1_00.5' is not a finite number"),
+    ("11, 0.5,0.3", "line 3: value ' 0.5' is not a finite number"),
+    ("x,0.1,0.3", "line 3: rep 'x' is not an integer (digits 0-9 only)"),
 ])
 def test_normality_bad_sample_row_named(tmp_path, run_cli, row, named):
     samples = tmp_path / "samples.csv"
@@ -585,3 +591,46 @@ def test_malformed_path_csv_one_error_line(tmp_path, run_cli, text):
     path_csv = tmp_path / "path.csv"
     path_csv.write_text(text + "\n")
     assert_one_error_line(run_cli(["estimate", "--path", path_csv, "--p", 1]))
+
+
+def _sample_rows(values):
+    return [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(values, start=1)]
+
+
+# Each is rejected by the samples grammar: int() or float() would take
+# several of them.
+_BAD_VALUES = ["abc", "", "nan", "inf", "-inf", "1e999", "1_0", " 1", "1 ", "0x10", "1e5",
+               "1E+05", ".5", "5.", "++1", "٣"]
+_BAD_REPS = ["x", "", "-1", "+1", " 1", "1_0", "1.0", "٣"]
+_sample_defects = [
+    lambda i, row: st.sampled_from(_BAD_VALUES).map(lambda v: f"{i},{row[0]!r},{v}"),
+    lambda i, row: st.sampled_from(_BAD_REPS).map(lambda r: f"{r},{row[0]!r},{row[1]!r}"),
+    lambda i, row: st.sampled_from([f"{i},{row[0]!r}", f"{i},{row[0]!r},{row[1]!r},0.5"]),
+]
+
+
+def bad_samples():
+    values = st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=8, max_size=20)
+
+    def with_defect(vals):
+        return st.tuples(st.integers(0, len(vals) - 1), st.sampled_from(_sample_defects)).flatmap(
+            lambda kd: kd[1](kd[0] + 1, vals[kd[0]]).map(
+                lambda row: _sample_rows(vals)[: kd[0]] + [row] + _sample_rows(vals)[kd[0] + 1:]))
+
+    return st.one_of(
+        values.flatmap(with_defect).map(lambda rows: "rep,mu_hat,beta_1\n" + "\n".join(rows)),
+        values.flatmap(lambda v: st.sampled_from(["", "mu_hat,beta_1", "Rep,mu_hat,beta_1"]).map(
+            lambda header: header + "\n" + "\n".join(_sample_rows(v)))),
+        st.sampled_from(["", "rep,mu_hat,beta_1\n"]),
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=bad_samples())
+def test_malformed_samples_csv_one_error_line(tmp_path, run_cli, text):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text + "\n")
+    proc = run_cli(["normality", "--samples", samples])
+    assert_one_error_line(proc)
+    assert proc.stderr.startswith("inar: error: ValueError: samples CSV ")

@@ -213,3 +213,28 @@ class TestModelParams:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
         assert len(a.digest()) == 16
+
+
+# Each record stores read-only copies of its arrays: the caller's arrays
+# stay writable, and writing to them later leaves the record as it was.
+@pytest.mark.parametrize("build, arrays", [
+    (lambda a: inar.CountPath(**a), {"counts": np.array([1, 2, 3], dtype=np.int64)}),
+    (lambda a: inar.DesignSystem(**a, T=5, p=1), {"Y": np.eye(2), "b": np.ones(2)}),
+    (lambda a: inar.RenewalSequence(**a), {"values": np.linspace(0.1, 0.3, 3)}),
+    (lambda a: inar.SandwichCovariance(**a),
+     {"J_hat": np.eye(2), "K_hat": 2 * np.eye(2), "Sigma_hat": 3 * np.eye(2)}),
+    (lambda a: inar.McSummary(mse=0.0, rel_err_theta=0.0, rel_err_alpha=0.0, **a),
+     {"mean_theta": np.ones(2), "per_component_samples": np.ones((3, 2)),
+      "truth": np.zeros(2), "rep_ids": np.array([1, 4, 9], dtype=np.int64)}),
+    (lambda a: inar.summarize(a["per_component_samples"], a["truth"]),
+     {"per_component_samples": np.arange(6.0).reshape(3, 2), "truth": np.zeros(2)}),
+], ids=["CountPath", "DesignSystem", "RenewalSequence", "SandwichCovariance",
+        "McSummary", "summarize"])
+def test_records_copy_caller_arrays(build, arrays):
+    record = build(arrays)
+    for name, arr in arrays.items():
+        kept = getattr(record, name)
+        before = kept.copy()
+        assert arr.flags.writeable and not kept.flags.writeable
+        arr[...] = 7
+        assert np.array_equal(kept, before)

@@ -205,9 +205,9 @@ class TestNormalitySuite:
     @pytest.mark.parametrize("n", [8, 11, 12, 1000])
     @pytest.mark.filterwarnings("ignore:Jarque-Bera on n=")
     def test_shared_quantiles_match_standalone_calls(self, n):
-        # The suite computes the normal quantiles once per call for all its
-        # components; every result must still be the public call's, bit for
-        # bit, and every qq_z its own writable array.
+        # The suite calls the public tests, whose normal quantiles come
+        # from inference's per-n cache; every result must be the standalone
+        # call's, bit for bit, and every qq_z its own writable array.
         rng = np.random.default_rng(n)
         est = rng.normal(size=(n, 4)) * np.array([3.0, 0.1, 0.05, 0.02])
         summary = inar.summarize(est, np.zeros(4))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import inar
 from inar import _kernels as _k
-from inar.simulate import _CSV_BLOCK_ROWS, _csv_column, _write_csv
+from inar.simulate import _CSV_BLOCK_ROWS, _csv_column, _write_csv, read_samples_csv
 from inar import (
     CountPath,
     InvalidRate,
@@ -327,3 +327,25 @@ def test_csv_writer_bytes_match_csv_module(columns):
     again = io.StringIO(newline="")
     _write_csv(again, header, [_csv_column(columns[0]), *columns[1:]])
     assert again.getvalue() == want.getvalue()
+
+
+_finite_floats = st.one_of(st.sampled_from([f for f in _EDGE_FLOATS if math.isfinite(f)]),
+                           st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_samples_csv_round_trip(data):
+    # The samples grammar accepts the text the writer makes of any finite
+    # float64, and reads it back bit for bit.
+    n_rows, n_cols = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4))
+    rows = st.lists(_finite_floats, min_size=n_cols, max_size=n_cols)
+    values = np.array(data.draw(st.lists(rows, min_size=n_rows, max_size=n_rows)))
+    reps = np.array(data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n_rows,
+                                       max_size=n_rows)), dtype=np.int64)
+    labels = [f"c{j}" for j in range(n_cols)]
+    buf = io.StringIO(newline="")
+    _write_csv(buf, ["rep"] + labels, [reps, *values.T])
+    got_labels, got = read_samples_csv(io.StringIO(buf.getvalue(), newline=""))
+    assert got_labels == labels
+    assert got.tobytes() == values.tobytes()

@@ -13,11 +13,14 @@ The change side is the checkout this script lives in, as its files stand.
 Each of the ten pairs runs both sides on one seed, and the side that runs
 first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
-the sides: identical, or the largest absolute and relative difference of
-its numbers, and ``src_lines`` holds each side's ``wc -l`` total of
-``src/inar/*.py``. The record (``--out``) is rewritten after every run, so an
-interrupted session keeps what it measured; the temporary directory is
-removed at exit. Its ``notes`` are left empty for the author to fill in.
+the sides (identical, or the largest absolute and relative difference of
+its numbers), and so are, under ``cli``, the files of
+:func:`cli_outputs`: a case-1 ``inar simulate`` path CSV, ``inar estimate
+--ci`` on it and ``inar normality`` on the case-1 ``samples.csv``.
+``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``. The
+record (``--out``) is rewritten after every run, so an interrupted session
+keeps what it measured; the temporary directory is removed at exit. Its
+``notes`` are left empty for the author to fill in.
 """
 
 from __future__ import annotations
@@ -194,14 +197,33 @@ def _bench(side_root, workload, seed, seconds):
     }
 
 
-def _mc_outputs(side_root, out_root):
+def _inar(side_root, *args):
     env = dict(os.environ, PYTHONPATH=str(side_root / "src"))
+    subprocess.run([sys.executable, "-m", "inar", *map(str, args)],
+                   cwd=side_root, env=env, check=True, capture_output=True)
+
+
+def _mc_outputs(side_root, out_root):
     for cfg in sorted((side_root / "configs").glob("*_T1000.json")):
         out = out_root / cfg.stem
-        subprocess.run([sys.executable, "-m", "inar", "mc", "--config", str(cfg),
-                        "--out-dir", str(out), "--seed", str(MC_SEED)],
-                       cwd=side_root, env=env, check=True, capture_output=True)
+        _inar(side_root, "mc", "--config", cfg, "--out-dir", out, "--seed", MC_SEED)
         yield cfg.stem, out
+
+
+def cli_outputs(side_root, out, samples):
+    """Into directory ``out``: the path CSV of ``inar simulate`` on case 1
+    (``configs/case1_T1000.json``'s nu, kernel and T, seed 11), ``inar
+    estimate --ci --p 10`` JSON on that path, and ``inar normality`` JSON
+    on the ``samples`` CSV, all run with ``side_root``'s package."""
+    side_root, out = Path(side_root), Path(out)
+    out.mkdir(parents=True)
+    case1 = json.loads((side_root / "configs" / "case1_T1000.json").read_text())
+    _inar(side_root, "simulate", "--nu", case1["nu"], "--kernel", case1["kernel"],
+          "--T", case1["T"], "--seed", MC_SEED, "--out", out / "path.csv")
+    _inar(side_root, "estimate", "--path", out / "path.csv", "--p", 10, "--ci",
+          "--out", out / "estimate.json")
+    _inar(side_root, "normality", "--samples", samples, "--out", out / "normality.json")
+    return out
 
 
 def main(argv=None):
@@ -237,7 +259,10 @@ def main(argv=None):
                 "Summary quartiles are inclusive quartiles over one side's runs; "
                 "`checks` lists the check lines each run printed; `chunks` is the "
                 "number of chunks the run completed. `outputs` compares every file of "
-                f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json."
+                f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and, under "
+                "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
+                "estimate --ci --p 10` on it and `inar normality` on the case-1 "
+                "samples.csv."
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
@@ -260,9 +285,14 @@ def main(argv=None):
             stem: diff_outputs(parent_mc[stem], out) if stem in parent_mc else "missing"
             for stem, out in change_mc.items()
         }
+        parent_cli = cli_outputs(parent_root, scratch / "parent_cli",
+                                 parent_mc["case1_T1000"] / "samples.csv")
+        change_cli = cli_outputs(ROOT, scratch / "change_cli",
+                                 change_mc["case1_T1000"] / "samples.csv")
+        record["outputs"]["cli"] = diff_outputs(parent_cli, change_cli)
         same = all(files != "missing" and all(v == "identical" for v in files.values())
                    for files in record["outputs"].values())
-        print(f"ab: inar mc --seed {MC_SEED} outputs "
+        print(f"ab: inar mc --seed {MC_SEED} and CLI outputs "
               f"{'identical' if same else 'differ'}", file=sys.stderr)
         order = 0
         for pair in range(1, PAIRS + 1):
