@@ -28,6 +28,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "stream_keys",
@@ -544,14 +545,31 @@ def design_build(x, p):
     return y, b
 
 
+def _lag_matrix(x, m):
+    # The (T, m) matrix whose row n is z_n = (1, x[n-1], ..., x[n-m+1]),
+    # 0 before the path starts. Columns 1..m-1 are one copy of a view of
+    # the path padded with m-1 zeros: row n reads the m-1 values before
+    # x[n] backwards. The matrix is C-contiguous: the sandwich's residual
+    # is not an integer sum, and BLAS rounds it by the operand layout.
+    n_steps, p = x.shape[0], m - 1
+    lags = np.empty((n_steps, m), dtype=np.float64)
+    lags[:, 0] = 1.0
+    if p:
+        padded = np.concatenate((np.zeros(p), x))
+        # Entry (n, j) of the view is padded[p - 1 + n - j] = x[n - 1 - j],
+        # inside padded for every n < T and j < p.
+        step = padded.strides[0]
+        lags[:, 1:] = as_strided(padded[p - 1 :], (n_steps, p), (step, -step),
+                                 writeable=False)
+    return lags
+
+
 def sandwich_build(x, theta):
     """Curvature J_hat = 2Y and score-variance plug-in
     K_hat = (4/T) sum z_n z_n' (x_n - phi_n)^2 of a (T,) count path at
     theta = (mu, beta_1..beta_p), both from one lag matrix."""
     n_steps = x.shape[0]
-    # The (T, p+1) lag matrix is made C-contiguous: the residual below is
-    # not an integer sum, and BLAS rounds it by the operand layout.
-    lags = np.ascontiguousarray(_regressors(x[None], theta.shape[0])[0].T)
+    lags = _lag_matrix(x, theta.shape[0])
     # Integer sums again, so J_hat is 2Y of design_build bit for bit.
     y = lags.T @ lags / n_steps
     y[0, 0] = 1.0
@@ -584,6 +602,8 @@ class LaneFits(NamedTuple):
     status: np.ndarray  # (N,) int8 FIT_* code
     rcond: np.ndarray  # (N,); NaN where not computed
     resid: np.ndarray  # (N,) l2 norm of Y theta - b; NaN where not computed
+    w: np.ndarray  # (N, m) eigenvalues of Y; NaN where not computed
+    v: np.ndarray  # (N, m, m) eigenvectors of Y; NaN where not computed
 
 
 def eigh_rcond(y):
@@ -615,33 +635,51 @@ def eigh_solve(y, w, v, r):
     return x
 
 
-def _keep(a, mask):
-    # Rows of ``a`` where ``mask`` is set, without a copy when it is all set.
-    return a if mask.all() else a[mask]
+def _lanes(mask):
+    # None when every lane of ``mask`` is set (no gather or scatter is
+    # needed), else the indices of the set lanes.
+    return None if mask.all() else np.flatnonzero(mask)
+
+
+def _rows(a, lanes):
+    # The rows of ``a`` at ``lanes`` (from ``_lanes``).
+    return a if lanes is None else a[lanes]
+
+
+def _spread(a, lanes, n_lanes):
+    # Inverse of ``_rows``: an (n_lanes, ...) array with the rows of ``a``
+    # at ``lanes`` and NaN elsewhere.
+    if lanes is None:
+        return a
+    out = np.full((n_lanes,) + a.shape[1:], np.nan)
+    out[lanes] = a
+    return out
 
 
 def cls_solve(y, b):
     """Solve Y theta = b for each lane of a (N, m, m), (N, m) stack from
     one eigendecomposition of each lane's Y: it screens the reciprocal
-    condition, gives the solution and one iterative-refinement step."""
-    n_lanes, m = b.shape
+    condition, gives the solution and one iterative-refinement step.
+    While every lane passes a check, the check gathers and scatters
+    nothing, and the returned (w, v) are ``eigh``'s own arrays."""
+    n_lanes = b.shape[0]
     status = np.zeros(n_lanes, dtype=np.int8)
-    rc = np.full(n_lanes, np.nan)
     finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    status[~finite] = FIT_NONFINITE
-    live = np.flatnonzero(finite)
-    yl, bl = _keep(y, finite), _keep(b, finite)[:, :, None]
-    w, v, rc[live] = eigh_rcond(yl)
-    conditioned = rc[live] >= RCOND_THRESHOLD
-    status[live[~conditioned]] = FIT_RCOND
-    live = live[conditioned]
-    yl, bl, w, v = (_keep(c, conditioned) for c in (yl, bl, w, v))
-    tl = eigh_solve(yl, w, v, bl)
-    resid = np.full(n_lanes, np.nan)
-    resid[live] = np.linalg.norm(yl @ tl - bl, axis=(1, 2))
+    lanes = _lanes(finite)
+    if lanes is not None:
+        status[~finite] = FIT_NONFINITE
+    w, v, rc = (_spread(c, lanes, n_lanes) for c in eigh_rcond(_rows(y, lanes)))
+    conditioned = rc >= RCOND_THRESHOLD  # False where rc is NaN
+    lanes = _lanes(conditioned)
+    if lanes is not None:
+        status[finite & ~conditioned] = FIT_RCOND
+    yl, bl, wl, vl = (_rows(c, lanes) for c in (y, b[:, :, None], w, v))
+    tl = eigh_solve(yl, wl, vl, bl)
+    resid = np.linalg.norm(yl @ tl - bl, axis=(1, 2))
     bound = 1e-8 * np.maximum(1.0, np.linalg.norm(bl, axis=(1, 2)))
-    good = np.isfinite(tl).all(axis=(1, 2)) & (resid[live] <= bound)
-    status[live[~good]] = FIT_RESIDUAL
-    theta = np.full((n_lanes, m), np.nan)
-    theta[live[good]] = tl[good, :, 0]
-    return LaneFits(theta, status, rc, resid)
+    good = np.isfinite(tl).all(axis=(1, 2)) & (resid <= bound)
+    if not good.all():
+        status[_rows(np.arange(n_lanes), lanes)[~good]] = FIT_RESIDUAL
+        tl[~good] = np.nan
+    theta = _spread(tl[:, :, 0], lanes, n_lanes)
+    return LaneFits(theta, status, rc, _spread(resid, lanes, n_lanes), w, v)

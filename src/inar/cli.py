@@ -35,6 +35,7 @@ from .simulate import (
     read_samples_csv,
     simulate_path,
     write_path_csv,
+    write_samples_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -153,8 +154,8 @@ def _cmd_mc(args) -> int:
 
     if not args.no_samples:
         labels = [component_label(j) for j in range(summary.per_component_samples.shape[1])]
-        _write_csv(os.path.join(out_dir, "samples.csv"), ["rep"] + labels,
-                   [summary.rep_ids, *summary.per_component_samples.T])
+        write_samples_csv(os.path.join(out_dir, "samples.csv"), labels, summary.rep_ids,
+                          summary.per_component_samples)
     # Every component has the same sample size, so the same Q-Q quantiles:
     # their text is rendered once.
     qq_z = _csv_column(diagnostics[0].qq_z)

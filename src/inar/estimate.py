@@ -57,6 +57,10 @@ class ThetaVector:
 
     mu: float
     betas: tuple[float, ...] = ()
+    # An estimate from solve_cls also holds the (Y, w, v, rcond) of the
+    # system it solved, Y = V diag(w) V', for sandwich_covariance to reuse.
+    # Not a field: ==, hash, repr, asdict and replace see (mu, betas) only.
+    _fit = None
 
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
@@ -128,16 +132,21 @@ def _failure(fits, i: int) -> SingularDesign:
 
 
 def _solve_with_rcond(system: DesignSystem) -> tuple[ThetaVector, float]:
-    # solve_cls plus the rcond() of Y, both from the one decomposition.
+    # solve_cls plus the rcond() of Y, both from the one decomposition,
+    # which the estimate keeps.
     fits = _k.cls_solve(system.Y[None], system.b[None])
     if fits.status[0] != _k.FIT_OK:
         raise _failure(fits, 0)
-    return ThetaVector.from_array(fits.theta[0]), float(fits.rcond[0])
+    theta = ThetaVector.from_array(fits.theta[0])
+    rc = float(fits.rcond[0])
+    object.__setattr__(theta, "_fit", (system.Y, fits.w[0], fits.v[0], rc))
+    return theta, rc
 
 
 def solve_cls(system: DesignSystem) -> ThetaVector:
     """Solve Y theta = b through the eigendecomposition of Y, plus one
-    iterative-refinement step with the same decomposition.
+    iterative-refinement step with the same decomposition. The estimate
+    carries that decomposition to :func:`inar.sandwich_covariance`.
 
     Raises :class:`SingularDesign` when the reciprocal condition estimate
     falls below 1e-12 or the residual check fails (collinear lags,

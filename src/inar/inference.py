@@ -75,8 +75,11 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
 
     J_hat = 2Y; K_hat = (4/T) sum z_n z_n' (X_n - Phi(n))^2 with regressors
     z_n = (1, X_{n-1}, ..., X_{n-p}) zero-padded at the start; Sigma_hat is
-    computed via two refined solves with the one eigendecomposition of
-    J_hat that also screens its condition, never forming an inverse."""
+    computed via two refined solves with one eigendecomposition of J_hat
+    that also screens its condition, never forming an inverse. When
+    theta_hat came from :func:`inar.solve_cls` on this path's design at
+    this p, that is the solve's decomposition of Y, reused; otherwise
+    J_hat is decomposed here."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
@@ -90,7 +93,16 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
         raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
 
-    w, v, rc = _k.eigh_rcond(j_hat)
+    fit = theta_hat._fit  # (Y, w, v, rcond) of the solve, or None
+    # J_hat equal to 2Y bit for bit (never at another p: the shapes differ)
+    # means the fit's own design. Doubling is exact in every step of the
+    # decomposition: eigh(2Y) gives (2w, v), and min|2w| / max|2w| is the
+    # rcond of Y.
+    if fit is not None and np.array_equal(j_hat, 2.0 * fit[0]):
+        _, w, v, rc = fit
+        w = 2.0 * w
+    else:
+        w, v, rc = _k.eigh_rcond(j_hat)
     if rc < RCOND_THRESHOLD:
         raise SingularDesign(
             f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"

@@ -8,7 +8,7 @@ reproduced alone with :func:`inar.simulate.simulate_path`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,13 +116,16 @@ def _rel_err(num: float, denom: float) -> float:
     return num / denom
 
 
-def summarize(estimates, truth, cap_negatives: bool = True) -> McSummary:
+def summarize(
+    estimates, truth, cap_negatives: bool = True, *, failures: int = 0, rep_ids=None
+) -> McSummary:
     """Aggregate raw estimates against the truth vector.
 
     MSE averages the squared l2 distance per replication, with negative
     reproduction coefficients clamped to zero first when ``cap_negatives``
     (they estimate nonnegative quantities); the raw samples and their mean
-    are preserved unchanged."""
+    are preserved unchanged. ``failures`` and ``rep_ids`` go into the
+    record as its fields of those names."""
     est = np.ascontiguousarray(estimates, dtype=np.float64)
     if est.ndim != 2 or est.shape[0] < 1:
         raise DimensionMismatch("estimates must be a nonempty (N, p+1) matrix")
@@ -152,7 +155,8 @@ def summarize(estimates, truth, cap_negatives: bool = True) -> McSummary:
         per_component_samples=est,
         truth=s,
         cap_negatives=bool(cap_negatives),
-        failures=0,
+        failures=failures,
+        rep_ids=rep_ids,
     )
 
 
@@ -189,12 +193,8 @@ def run_experiment(config: McConfig) -> McSummary:
             f"{overflowed} intensity overflows"
         )
     truth = truth_vector(config.params, config.p)
-    summary = summarize(results[ok], truth, config.cap_negatives)
-    return replace(
-        summary,
-        failures=int(n - ok.sum()),
-        rep_ids=np.nonzero(ok)[0] + 1,
-    )
+    return summarize(results[ok], truth, config.cap_negatives,
+                     failures=int(n - ok.sum()), rep_ids=np.nonzero(ok)[0] + 1)
 
 
 def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagnostics, ...]:

@@ -31,6 +31,7 @@ __all__ = [
     "simulate_lanes",
     "write_path_csv",
     "read_path_csv",
+    "write_samples_csv",
     "read_samples_csv",
 ]
 
@@ -288,10 +289,18 @@ def _sample_row(_: int, row: list[str]) -> list[float]:
     return [float(text) for text in row[1:]]
 
 
+def write_samples_csv(file, labels: list[str], rep_ids, samples) -> None:
+    """Write the ``samples.csv`` of ``inar mc``: header ``rep,<label>,...``,
+    then one row per replication, its id from ``rep_ids`` and its row of
+    the (rows, labels) ``samples``."""
+    _write_csv(file, ["rep", *labels], [rep_ids, *samples.T])
+
+
 def read_samples_csv(file) -> tuple[list[str], np.ndarray]:
-    """Read the ``samples.csv`` of ``inar mc``: header ``rep,<label>,...``,
-    then one row per replication, its id in digits 0-9 and its finite
-    estimates. Returns the labels and the (rows, labels) float64 samples."""
+    """Read the samples CSV of :func:`write_samples_csv`: header
+    ``rep,<label>,...``, then one row per replication, its id in digits 0-9
+    and its finite estimates. Returns the labels and the (rows, labels)
+    float64 samples."""
     header, rows = _read_csv(file, "samples", lambda h: h[:1] == ["rep"],
                              "rep,mu_hat,...", _sample_row)
     if not rows:

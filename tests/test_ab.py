@@ -101,18 +101,22 @@ def test_src_lines(tmp_path):
 
 
 def test_cli_outputs(tmp_path):
-    # The simulate, estimate --ci and normality files of one side, with
-    # this checkout's package; a side compared with itself is identical.
+    # The simulate, estimate --ci (p = 1, 10, 20) and normality files of
+    # one side, with this checkout's package; a side compared with itself
+    # is identical.
     rng = np.random.default_rng(5)
     values = rng.normal(size=(30, 2)).tolist()
     rows = [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(values, start=1)]
     samples = tmp_path / "samples.csv"
     samples.write_text("rep,mu_hat,beta_1\n" + "\n".join(rows) + "\n")
     out = ab.cli_outputs(ab.ROOT, tmp_path / "cli", samples)
-    assert sorted(p.name for p in out.iterdir()) == ["estimate.json", "normality.json", "path.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "estimate_p1.json", "estimate_p10.json", "estimate_p20.json", "normality.json",
+        "path.csv"]
     assert (out / "path.csv").read_text().count("\n") == 1001
-    estimate = json.loads((out / "estimate.json").read_text())
-    assert estimate["p"] == 10 and len(estimate["ci"]) == 11
+    for p in (1, 10, 20):
+        estimate = json.loads((out / f"estimate_p{p}.json").read_text())
+        assert estimate["p"] == p and len(estimate["ci"]) == p + 1
     assert list(json.loads((out / "normality.json").read_text())["normality"]) == [
         "mu_hat", "beta_1"]
     assert set(ab.diff_outputs(out, out).values()) == {"identical"}

@@ -381,6 +381,29 @@ def test_stacked_fit_matches_one_lane(data):
         assert fitted[j] and theta[j].tobytes() == want.tobytes()
 
 
+def test_lane_fits_every_status_in_one_stack():
+    # One stack holding every status between ordinary lanes: each lane's
+    # estimate, status, rcond, residual and (w, v) are those of its
+    # one-lane solve, and (w, v) are eigh's where Y is finite.
+    eye = np.eye(3)
+    y = np.stack([eye * 2.0, eye, np.diag([1.0, 1.0, 0.0]), eye * 0.5, eye * 4.0])
+    b = np.array([[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], [1e308] * 3,
+                  [4.0, 0.0, 1.0]])
+    # Lane 3's solution overflows to inf, its residual check fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = _k.cls_solve(y, b)
+        ones = [_k.cls_solve(y[j : j + 1], b[j : j + 1]) for j in range(5)]
+    assert fits.status.tolist() == [
+        _k.FIT_OK, _k.FIT_NONFINITE, _k.FIT_RCOND, _k.FIT_RESIDUAL, _k.FIT_OK]
+    for j, one in enumerate(ones):
+        for got, want in zip(fits, one):
+            assert got[j].tobytes() == want[0].tobytes()
+    assert np.isnan(fits.w[1]).all() and np.isnan(fits.v[1]).all()
+    for j in (0, 2, 3, 4):
+        w, v = np.linalg.eigh(y[j])
+        assert fits.w[j].tobytes() == w.tobytes() and fits.v[j].tobytes() == v.tobytes()
+
+
 def test_failed_lanes_keep_other_lanes(case1_params):
     # One stack with a non-finite lane and an all-zero lane among ordinary
     # ones: each failed lane gets its own status, and every ordinary lane

@@ -1,10 +1,14 @@
 """Sandwich covariance, confidence intervals, normality tests, and the
 normal quantile. scipy serves as the oracle for the special functions."""
 
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inar
 from inar import (
@@ -316,3 +320,116 @@ class TestSandwich:
         theta = inar.solve_cls(inar.build_design(path, 0))
         pred = float(inar.sandwich_covariance(path, theta).Sigma_hat[0, 0]) / T
         assert abs(pred - emp) / emp <= 0.5
+
+
+def count_paths(T):
+    """One count path of length T: all zero, constant, sparse or busy."""
+    return st.one_of(
+        st.just([0] * T),
+        st.integers(0, 400).map(lambda c: [c] * T),
+        st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=T, max_size=T),
+        st.lists(st.integers(0, 10 ** 6), min_size=T, max_size=T),
+    )
+
+
+def sandwich_bytes(path, theta, p):
+    """The bytes of J_hat, K_hat and Sigma_hat, or the exception raised."""
+    try:
+        cov = inar.sandwich_covariance(path, theta, p)
+    except (SingularDesign, ValueError) as exc:
+        return type(exc), str(exc)
+    return cov.J_hat.tobytes(), cov.K_hat.tobytes(), cov.Sigma_hat.tobytes()
+
+
+def fitted(path, p):
+    """solve_cls of the path's design at p, or None where it is singular."""
+    try:
+        return inar.solve_cls(inar.build_design(path, p))
+    except SingularDesign:
+        return None
+
+
+class TestSandwichReusesTheFit:
+    # sandwich_covariance takes J_hat's decomposition from the solve of the
+    # same design; a bare ThetaVector carries none, so J_hat is decomposed
+    # afresh. Both routes must give the same bytes.
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_design_bit_for_bit(self, data):
+        T = data.draw(st.integers(2, 80), label="T")
+        p = data.draw(st.integers(0, min(T - 1, 25)), label="p")
+        path = np.array(data.draw(count_paths(T), label="path"), dtype=np.int64)
+        theta = fitted(path, p)
+        if theta is None:
+            return
+        bare = ThetaVector.from_array(theta.to_array())
+        assert sandwich_bytes(path, theta, p) == sandwich_bytes(path, bare, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_other_path_or_p_bit_for_bit(self, data):
+        T = data.draw(st.integers(3, 60), label="T")
+        p = data.draw(st.integers(0, min(T - 1, 15)), label="p")
+        q = data.draw(st.integers(0, min(T - 1, 15)), label="q")
+        path = np.array(data.draw(count_paths(T), label="path"), dtype=np.int64)
+        other = np.array(data.draw(count_paths(T), label="other"), dtype=np.int64)
+        theta = fitted(path, p)
+        if theta is None:
+            return
+        bare = ThetaVector.from_array(theta.to_array())
+        assert sandwich_bytes(other, theta, p) == sandwich_bytes(other, bare, p)
+        assert sandwich_bytes(path, theta, q) == sandwich_bytes(path, bare, q)
+
+    def test_simulated_paths_bit_for_bit(self, case1_params, case2_params):
+        # The study's paths, and p = 30: LAPACK decomposes a matrix wider
+        # than 25 by divide and conquer, which the property above reaches
+        # only at its largest p.
+        for params in (case1_params, case2_params):
+            for stream_id in (1, 2):
+                path = inar.simulate_path(params, 500, RngStream(41, stream_id))
+                for p in (0, 1, 3, 10, 20, 30):
+                    theta = inar.solve_cls(inar.build_design(path, p))
+                    bare = ThetaVector.from_array(theta.to_array())
+                    assert sandwich_bytes(path, theta, p) == sandwich_bytes(path, bare, p)
+
+    def test_one_eigh_per_fit(self, monkeypatch, case1_params, tmp_path, run_cli):
+        path = inar.simulate_path(case1_params, 300, RngStream(3))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        theta = inar.solve_cls(inar.build_design(path, 5))
+        inar.sandwich_covariance(path, theta, 5)
+        assert shapes == [(1, 6, 6)]
+        # A hand-built estimate carries no decomposition: the sandwich
+        # makes a second one.
+        shapes.clear()
+        theta = inar.solve_cls(inar.build_design(path, 5))
+        inar.sandwich_covariance(path, ThetaVector.from_array(theta.to_array()), 5)
+        assert shapes == [(1, 6, 6), (6, 6)]
+        # So does a sandwich at another p than the fit's.
+        shapes.clear()
+        inar.sandwich_covariance(path, theta, 4)
+        assert shapes == [(5, 5)]
+        # `inar estimate --ci` is one fit.
+        inar.write_path_csv(path, tmp_path / "path.csv")
+        shapes.clear()
+        proc = run_cli(["estimate", "--path", tmp_path / "path.csv", "--p", 5, "--ci"])
+        assert proc.returncode == 0, proc.stderr
+        assert shapes == [(1, 6, 6)]
+
+    def test_estimate_is_its_values(self, case1_params):
+        # The decomposition an estimate keeps is not one of its fields.
+        path = inar.simulate_path(case1_params, 300, RngStream(3))
+        theta = inar.solve_cls(inar.build_design(path, 4))
+        bare = ThetaVector.from_array(theta.to_array())
+        assert [f.name for f in fields(theta)] == ["mu", "betas"]
+        assert theta == bare and hash(theta) == hash(bare)
+        assert repr(theta) == repr(bare)
+        assert asdict(theta) == asdict(bare)
+        assert replace(theta) == bare

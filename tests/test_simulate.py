@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import inar
 from inar import _kernels as _k
-from inar.simulate import _CSV_BLOCK_ROWS, _csv_column, _write_csv, read_samples_csv
+from inar.simulate import (
+    _CSV_BLOCK_ROWS,
+    _csv_column,
+    _write_csv,
+    read_samples_csv,
+    write_samples_csv,
+)
 from inar import (
     CountPath,
     InvalidRate,
@@ -336,8 +342,8 @@ _finite_floats = st.one_of(st.sampled_from([f for f in _EDGE_FLOATS if math.isfi
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_samples_csv_round_trip(data):
-    # The samples grammar accepts the text the writer makes of any finite
-    # float64, and reads it back bit for bit.
+    # The samples grammar accepts the text write_samples_csv makes of any
+    # finite float64, and reads it back bit for bit.
     n_rows, n_cols = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4))
     rows = st.lists(_finite_floats, min_size=n_cols, max_size=n_cols)
     values = np.array(data.draw(st.lists(rows, min_size=n_rows, max_size=n_rows)))
@@ -345,7 +351,7 @@ def test_samples_csv_round_trip(data):
                                        max_size=n_rows)), dtype=np.int64)
     labels = [f"c{j}" for j in range(n_cols)]
     buf = io.StringIO(newline="")
-    _write_csv(buf, ["rep"] + labels, [reps, *values.T])
+    write_samples_csv(buf, labels, reps, values)
     got_labels, got = read_samples_csv(io.StringIO(buf.getvalue(), newline=""))
     assert got_labels == labels
     assert got.tobytes() == values.tobytes()

@@ -16,7 +16,8 @@ first alternates from pair to pair. In the same run, every output file of
 the sides (identical, or the largest absolute and relative difference of
 its numbers), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV, ``inar estimate
---ci`` on it and ``inar normality`` on the case-1 ``samples.csv``.
+--ci`` on it at p = 1, 10 and 20, and ``inar normality`` on the case-1
+``samples.csv``.
 ``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``. The
 record (``--out``) is rewritten after every run, so an interrupted session
 keeps what it measured; the temporary directory is removed at exit. Its
@@ -44,6 +45,7 @@ import numpy
 ROOT = Path(__file__).resolve().parents[1]
 MC_SEED = 11
 PAIRS = 10
+ESTIMATE_LAGS = (1, 10, 20)
 
 
 def quartiles(values):
@@ -213,15 +215,18 @@ def _mc_outputs(side_root, out_root):
 def cli_outputs(side_root, out, samples):
     """Into directory ``out``: the path CSV of ``inar simulate`` on case 1
     (``configs/case1_T1000.json``'s nu, kernel and T, seed 11), ``inar
-    estimate --ci --p 10`` JSON on that path, and ``inar normality`` JSON
-    on the ``samples`` CSV, all run with ``side_root``'s package."""
+    estimate --ci`` JSON on that path at each p of ``ESTIMATE_LAGS`` (the
+    ends and the middle of perfbench's ``fit_sweep`` range), and ``inar
+    normality`` JSON on the ``samples`` CSV, all run with ``side_root``'s
+    package."""
     side_root, out = Path(side_root), Path(out)
     out.mkdir(parents=True)
     case1 = json.loads((side_root / "configs" / "case1_T1000.json").read_text())
     _inar(side_root, "simulate", "--nu", case1["nu"], "--kernel", case1["kernel"],
           "--T", case1["T"], "--seed", MC_SEED, "--out", out / "path.csv")
-    _inar(side_root, "estimate", "--path", out / "path.csv", "--p", 10, "--ci",
-          "--out", out / "estimate.json")
+    for p in ESTIMATE_LAGS:
+        _inar(side_root, "estimate", "--path", out / "path.csv", "--p", p, "--ci",
+              "--out", out / f"estimate_p{p}.json")
     _inar(side_root, "normality", "--samples", samples, "--out", out / "normality.json")
     return out
 
@@ -261,8 +266,8 @@ def main(argv=None):
                 "number of chunks the run completed. `outputs` compares every file of "
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
-                "estimate --ci --p 10` on it and `inar normality` on the case-1 "
-                "samples.csv."
+                "estimate --ci` on it at p = 1, 10 and 20 and `inar normality` on "
+                "the case-1 samples.csv."
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
