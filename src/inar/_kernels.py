@@ -39,7 +39,8 @@ __all__ = [
     "design_build",
     "sandwich_build",
     "eigh_rcond",
-    "eigh_solve",
+    "inverse_rcond",
+    "inverse_solve",
     "cls_solve",
 ]
 
@@ -589,6 +590,11 @@ def sandwich_build(x, theta):
 # own, so a lane's estimate and status do not depend on the other lanes.
 
 RCOND_THRESHOLD = 1e-12
+# Factor by which the Frobenius bound must clear RCOND_THRESHOLD to decide
+# a lane without eigh. The bound is taken from the rounded inverse, whose
+# relative error near the threshold is about 1e12 * 2**-52 < 1e-3, far
+# inside this factor; a lane that does not clear it is decided by eigh.
+_BOUND_MARGIN = 2.0
 
 # Per-lane outcome of cls_solve.
 FIT_OK = 0
@@ -600,38 +606,65 @@ FIT_RESIDUAL = 3  # non-finite estimate or residual above its bound
 class LaneFits(NamedTuple):
     theta: np.ndarray  # (N, m); NaN rows where status != FIT_OK
     status: np.ndarray  # (N,) int8 FIT_* code
-    rcond: np.ndarray  # (N,); NaN where not computed
+    rcond: np.ndarray  # (N,) of inverse_rcond; NaN where not computed
     resid: np.ndarray  # (N,) l2 norm of Y theta - b; NaN where not computed
-    w: np.ndarray  # (N, m) eigenvalues of Y; NaN where not computed
-    v: np.ndarray  # (N, m, m) eigenvectors of Y; NaN where not computed
+    inv: np.ndarray  # (N, m, m) Y^-1; NaN where not computed
 
 
 def eigh_rcond(y):
-    """Eigenvalues w, eigenvectors v and reciprocal condition
-    min|w| / max|w| (0 for a zero matrix) of each symmetric matrix of a
-    (..., m, m) stack."""
-    w, v = np.linalg.eigh(y)
-    size = np.abs(w)
+    """Reciprocal condition min|w| / max|w| (0 for a zero matrix) of each
+    symmetric matrix of a (..., m, m) stack, from its eigenvalues w."""
+    size = np.abs(np.linalg.eigh(y)[0])
     top = size.max(axis=-1)
     rc = np.zeros_like(top)
     np.divide(size.min(axis=-1), top, out=rc, where=top != 0.0)
-    return w, v, rc
+    return rc
 
 
-def _inverse_apply(w, v, r):
-    # Y^-1 r = V diag(1/w) V' r, lane by lane over any leading axes.
-    return v @ ((np.swapaxes(v, -1, -2) @ r) / w[..., None])
+def _inverses(y):
+    # Y^-1 of each lane of a (N, m, m) stack from one batched LU. That call
+    # raises for the whole stack when LAPACK finds any lane exactly
+    # singular; the lanes are then inverted one at a time, and a singular
+    # lane's inverse is NaN.
+    try:
+        return np.linalg.inv(y)
+    except np.linalg.LinAlgError:
+        g = np.full_like(y, np.nan)
+        for j in range(y.shape[0]):
+            try:
+                g[j] = np.linalg.inv(y[j])
+            except np.linalg.LinAlgError:
+                pass
+        return g
 
 
-def eigh_solve(y, w, v, r):
-    """Y^-1 r for symmetric Y = V diag(w) V' and (..., m, k) right-hand
-    sides r: one solve plus one iterative-refinement step, both from the
-    eigendecomposition (w, v) of ``eigh_rcond``."""
-    x = _inverse_apply(w, v, r)
+def inverse_rcond(y):
+    """Inverse G = Y^-1 (NaN where LAPACK finds Y exactly singular) and
+    reciprocal condition of each symmetric matrix of a (N, m, m) stack.
+
+    The condition is 1 / (|Y|_F |G|_F), a lower bound on ``eigh_rcond``'s
+    min|w| / max|w| = 1 / (|Y|_2 |G|_2), on every lane where that bound
+    clears RCOND_THRESHOLD by _BOUND_MARGIN. Every other lane gets
+    ``eigh_rcond``'s ratio, so a lane falls below the threshold exactly
+    when that ratio does. Scaling Y by 2 scales G by 1/2 and leaves the
+    condition as it is, bit for bit."""
+    g = _inverses(y)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rc = 1.0 / np.sqrt(np.einsum("nij,nij->n", y, y) * np.einsum("nij,nij->n", g, g))
+    rest = np.flatnonzero(~(rc >= RCOND_THRESHOLD * _BOUND_MARGIN))  # and NaN
+    if rest.size:
+        rc[rest] = eigh_rcond(y[rest])
+    return g, rc
+
+
+def inverse_solve(y, g, r):
+    """Y^-1 r for (..., m, k) right-hand sides r, given G = Y^-1 from
+    ``inverse_rcond``: G r plus one iterative-refinement step with G."""
+    x = g @ r
     # The residual is formed in extended precision where the platform has
     # it (x86 long double): the step then lands within about one rounding
     # of the exact solution, not within 1/rcond roundings.
-    x += _inverse_apply(w, v, (r - y.astype(np.longdouble) @ x).astype(np.float64))
+    x += g @ (r - y.astype(np.longdouble) @ x).astype(np.float64)
     return x
 
 
@@ -658,23 +691,24 @@ def _spread(a, lanes, n_lanes):
 
 def cls_solve(y, b):
     """Solve Y theta = b for each lane of a (N, m, m), (N, m) stack from
-    one eigendecomposition of each lane's Y: it screens the reciprocal
-    condition, gives the solution and one iterative-refinement step.
-    While every lane passes a check, the check gathers and scatters
-    nothing, and the returned (w, v) are ``eigh``'s own arrays."""
+    one inverse of each lane's Y (one batched LU factorisation): it
+    screens the reciprocal condition (``inverse_rcond``), gives the
+    solution and one iterative-refinement step. While every lane passes a
+    check, the check gathers and scatters nothing, and the returned
+    inverses are ``inv``'s own array."""
     n_lanes = b.shape[0]
     status = np.zeros(n_lanes, dtype=np.int8)
     finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     lanes = _lanes(finite)
     if lanes is not None:
         status[~finite] = FIT_NONFINITE
-    w, v, rc = (_spread(c, lanes, n_lanes) for c in eigh_rcond(_rows(y, lanes)))
+    g, rc = (_spread(c, lanes, n_lanes) for c in inverse_rcond(_rows(y, lanes)))
     conditioned = rc >= RCOND_THRESHOLD  # False where rc is NaN
     lanes = _lanes(conditioned)
     if lanes is not None:
         status[finite & ~conditioned] = FIT_RCOND
-    yl, bl, wl, vl = (_rows(c, lanes) for c in (y, b[:, :, None], w, v))
-    tl = eigh_solve(yl, wl, vl, bl)
+    yl, bl, gl = (_rows(c, lanes) for c in (y, b[:, :, None], g))
+    tl = inverse_solve(yl, gl, bl)
     resid = np.linalg.norm(yl @ tl - bl, axis=(1, 2))
     bound = 1e-8 * np.maximum(1.0, np.linalg.norm(bl, axis=(1, 2)))
     good = np.isfinite(tl).all(axis=(1, 2)) & (resid <= bound)
@@ -682,4 +716,4 @@ def cls_solve(y, b):
         status[_rows(np.arange(n_lanes), lanes)[~good]] = FIT_RESIDUAL
         tl[~good] = np.nan
     theta = _spread(tl[:, :, 0], lanes, n_lanes)
-    return LaneFits(theta, status, rc, _spread(resid, lanes, n_lanes), w, v)
+    return LaneFits(theta, status, rc, _spread(resid, lanes, n_lanes), g)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import parse_config, parse_kernel_spec, require_seed, require_stream_id
 from .errors import InarError
-from .estimate import _solve_with_rcond, build_design, residual_norm
+from .estimate import build_design, rcond, residual_norm, solve_cls
 from .inference import confidence_intervals, normality_report, sandwich_covariance
 from .model import ModelParams
 from .montecarlo import component_label, normality_suite, run_experiment
@@ -77,14 +77,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     path = read_path_csv(args.path)
     system = build_design(path, args.p)
-    theta, rc = _solve_with_rcond(system)
+    theta = solve_cls(system)
     doc = {
         "mu_hat": theta.mu,
         "beta_hat": list(theta.betas),
         "p": system.p,
         "T": system.T,
         "residual_norm": residual_norm(system, theta),
-        "rcond": rc,
+        "rcond": rcond(system),
     }
     if args.ci:
         cov = sandwich_covariance(path, theta, args.p)

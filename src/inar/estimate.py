@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
-from .model import _freeze_copies
+from .model import _adopt, _freeze_copies
 from .simulate import CountPath
 
 __all__ = [
@@ -57,8 +57,8 @@ class ThetaVector:
 
     mu: float
     betas: tuple[float, ...] = ()
-    # An estimate from solve_cls also holds the (Y, w, v, rcond) of the
-    # system it solved, Y = V diag(w) V', for sandwich_covariance to reuse.
+    # An estimate from solve_cls also holds the (Y, Y^-1, rcond) of the
+    # system it solved, for sandwich_covariance to reuse.
     # Not a field: ==, hash, repr, asdict and replace see (mu, betas) only.
     _fit = None
 
@@ -105,12 +105,13 @@ def build_design(path, p: int) -> DesignSystem:
     t = x.shape[0]
     p = _check_lag(t, p)
     y, b = _k.design_build(x[:, None], p)
-    return DesignSystem(Y=y[0], b=b[0], T=t, p=p)
+    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p)
 
 
 def rcond(system: DesignSystem) -> float:
-    """Reciprocal condition estimate of Y: min|eig| / max|eig|."""
-    return float(_k.eigh_rcond(system.Y)[2])
+    """Reciprocal condition of Y: min|eig| / max|eig|, from its
+    eigendecomposition."""
+    return float(_k.eigh_rcond(system.Y))
 
 
 def residual_norm(system: DesignSystem, theta: ThetaVector) -> float:
@@ -131,32 +132,28 @@ def _failure(fits, i: int) -> SingularDesign:
     )
 
 
-def _solve_with_rcond(system: DesignSystem) -> tuple[ThetaVector, float]:
-    # solve_cls plus the rcond() of Y, both from the one decomposition,
-    # which the estimate keeps.
+def solve_cls(system: DesignSystem) -> ThetaVector:
+    """Solve Y theta = b through the inverse of Y (one LU factorisation),
+    plus one iterative-refinement step with the same inverse. The
+    estimate carries that inverse to :func:`inar.sandwich_covariance`.
+
+    Raises :class:`SingularDesign` when the reciprocal condition falls
+    below 1e-12 or the residual check fails (collinear lags, degenerate
+    paths). The condition is screened by a Frobenius-norm lower bound,
+    and a lane the bound cannot clear is decided by :func:`rcond`'s
+    eigenvalue ratio, which the message then quotes."""
     fits = _k.cls_solve(system.Y[None], system.b[None])
     if fits.status[0] != _k.FIT_OK:
         raise _failure(fits, 0)
     theta = ThetaVector.from_array(fits.theta[0])
-    rc = float(fits.rcond[0])
-    object.__setattr__(theta, "_fit", (system.Y, fits.w[0], fits.v[0], rc))
-    return theta, rc
-
-
-def solve_cls(system: DesignSystem) -> ThetaVector:
-    """Solve Y theta = b through the eigendecomposition of Y, plus one
-    iterative-refinement step with the same decomposition. The estimate
-    carries that decomposition to :func:`inar.sandwich_covariance`.
-
-    Raises :class:`SingularDesign` when the reciprocal condition estimate
-    falls below 1e-12 or the residual check fails (collinear lags,
-    degenerate paths)."""
-    return _solve_with_rcond(system)[0]
+    object.__setattr__(theta, "_fit", (system.Y, fits.inv[0], float(fits.rcond[0])))
+    return theta
 
 
 def fit_lanes(counts, p: int) -> tuple[np.ndarray, np.ndarray]:
     """CLS fit of every column of a (T, N) count array at lag order p,
-    all columns built and solved together.
+    all columns built together and solved from one batched inverse of
+    their designs.
 
     Returns the (N, p+1) estimates and an (N,) bool mask of the columns
     that were fitted. Row j equals

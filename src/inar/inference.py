@@ -27,7 +27,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimate import RCOND_THRESHOLD, ThetaVector, _check_lag, _counts_of
-from .model import _freeze_copies
+from .model import _adopt, _freeze_copies
 
 __all__ = [
     "SandwichCovariance",
@@ -75,11 +75,12 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
 
     J_hat = 2Y; K_hat = (4/T) sum z_n z_n' (X_n - Phi(n))^2 with regressors
     z_n = (1, X_{n-1}, ..., X_{n-p}) zero-padded at the start; Sigma_hat is
-    computed via two refined solves with one eigendecomposition of J_hat
-    that also screens its condition, never forming an inverse. When
-    theta_hat came from :func:`inar.solve_cls` on this path's design at
-    this p, that is the solve's decomposition of Y, reused; otherwise
-    J_hat is decomposed here."""
+    computed via two refined solves with one inverse of J_hat (an LU
+    factorisation), whose condition is screened as :func:`inar.solve_cls`
+    screens Y's. When theta_hat came from :func:`inar.solve_cls` on this
+    path's design at this p, that inverse is half the solve's Y^-1, reused
+    exactly; otherwise J_hat is inverted here, with the same result bit
+    for bit."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
@@ -93,24 +94,22 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
         raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
 
-    fit = theta_hat._fit  # (Y, w, v, rcond) of the solve, or None
+    fit = theta_hat._fit  # (Y, Y^-1, rcond) of the solve, or None
     # J_hat equal to 2Y bit for bit (never at another p: the shapes differ)
-    # means the fit's own design. Doubling is exact in every step of the
-    # decomposition: eigh(2Y) gives (2w, v), and min|2w| / max|2w| is the
-    # rcond of Y.
+    # means the fit's own design. Doubling is exact in every step: the LU
+    # of 2Y gives inv(2Y) = Y^-1 / 2, and the condition of 2Y is that of Y.
     if fit is not None and np.array_equal(j_hat, 2.0 * fit[0]):
-        _, w, v, rc = fit
-        w = 2.0 * w
+        g, rc = 0.5 * fit[1], fit[2]
     else:
-        w, v, rc = _k.eigh_rcond(j_hat)
+        g, rc = (c[0] for c in _k.inverse_rcond(j_hat[None]))
     if rc < RCOND_THRESHOLD:
         raise SingularDesign(
             f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"
         )
-    half = _k.eigh_solve(j_hat, w, v, k_hat)
-    sigma = _k.eigh_solve(j_hat, w, v, half.T)
+    half = _k.inverse_solve(j_hat, g, k_hat)
+    sigma = _k.inverse_solve(j_hat, g, half.T)
     sigma = (sigma + sigma.T) * 0.5
-    return SandwichCovariance(J_hat=j_hat, K_hat=k_hat, Sigma_hat=sigma)
+    return _adopt(SandwichCovariance, J_hat=j_hat, K_hat=k_hat, Sigma_hat=sigma)
 
 
 def confidence_intervals(

@@ -40,6 +40,21 @@ def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
         object.__setattr__(record, name, arr)
 
 
+def _adopt(cls, **fields):
+    """A ``cls`` record (a frozen dataclass) of arrays the package has just
+    made and nothing else holds: each array, and every array it is a view
+    of, is made read-only in place instead of copied. ``__post_init__``
+    does not run; the maker has shaped the fields already."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        arr = value
+        while isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+            arr = arr.base
+        object.__setattr__(record, name, value)
+    return record
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immigration rate ``nu`` and reproduction kernel ``alpha_1..alpha_K``.

@@ -383,8 +383,9 @@ def test_stacked_fit_matches_one_lane(data):
 
 def test_lane_fits_every_status_in_one_stack():
     # One stack holding every status between ordinary lanes: each lane's
-    # estimate, status, rcond, residual and (w, v) are those of its
-    # one-lane solve, and (w, v) are eigh's where Y is finite.
+    # estimate, status, rcond, residual and inverse are those of its
+    # one-lane solve, and the inverse is inv's where Y is finite and
+    # invertible.
     eye = np.eye(3)
     y = np.stack([eye * 2.0, eye, np.diag([1.0, 1.0, 0.0]), eye * 0.5, eye * 4.0])
     b = np.array([[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], [1e308] * 3,
@@ -398,25 +399,53 @@ def test_lane_fits_every_status_in_one_stack():
     for j, one in enumerate(ones):
         for got, want in zip(fits, one):
             assert got[j].tobytes() == want[0].tobytes()
-    assert np.isnan(fits.w[1]).all() and np.isnan(fits.v[1]).all()
-    for j in (0, 2, 3, 4):
-        w, v = np.linalg.eigh(y[j])
-        assert fits.w[j].tobytes() == w.tobytes() and fits.v[j].tobytes() == v.tobytes()
+    assert np.isnan(fits.inv[1]).all() and np.isnan(fits.inv[2]).all()
+    for j in (0, 3, 4):
+        assert fits.inv[j].tobytes() == np.linalg.inv(y[j]).tobytes()
+
+
+@pytest.mark.parametrize("eps, status", [(1.01e-12, _k.FIT_OK), (0.99e-12, _k.FIT_RCOND)])
+def test_screen_edge_goes_to_eigh(eps, status):
+    # Y = diag(1, ..., 1, eps) with m = 21: the Frobenius bound, about
+    # eps / 4.5, cannot clear the threshold, so the eigenvalue ratio eps
+    # decides the lane, in a stack between ordinary lanes as alone.
+    m = 21
+    y = np.diag(np.r_[np.ones(m - 1), eps])
+    b = np.ones(m)
+    fits = _k.cls_solve(np.stack([np.eye(m), y, 2.0 * np.eye(m)]), np.stack([b, b, b]))
+    one = _k.cls_solve(y[None], b[None])
+    system = inar.DesignSystem(Y=y, b=b, T=m, p=m - 1)
+    assert fits.status.tolist() == [_k.FIT_OK, status, _k.FIT_OK]
+    assert fits.rcond[1] == one.rcond[0] == inar.rcond(system) == eps
+    assert fits.theta[1].tobytes() == one.theta[0].tobytes()
+    if status == _k.FIT_OK:
+        assert inar.solve_cls(system).to_array().tobytes() == one.theta[0].tobytes()
+    else:
+        with pytest.raises(SingularDesign, match=f"reciprocal condition {eps:.3e} below"):
+            inar.solve_cls(system)
 
 
 def test_failed_lanes_keep_other_lanes(case1_params):
     # One stack with a non-finite lane and an all-zero lane among ordinary
-    # ones: each failed lane gets its own status, and every ordinary lane
-    # gets exactly its one-lane estimate and rcond.
+    # ones: each failed lane gets its own status, and every lane gets
+    # exactly its one-lane fit. The all-zero lane's Y = diag(1, 0, ..., 0)
+    # is exactly singular, so the batched inverse of the finite lanes
+    # raises. An ordinary lane's rcond is the Frobenius bound, at most the
+    # eigenvalue ratio of inar.rcond.
     counts, _ = simulate_lanes(case1_params, 200, 5, range(1, 21))
     counts[50, 3] = np.nan
     counts[:, 11] = 0.0
     y, b = _k.design_build(counts, 4)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.delete(y, 3, axis=0))
     fits = _k.cls_solve(y, b)
     failed = {3: _k.FIT_NONFINITE, 11: _k.FIT_RCOND}
     assert fits.status.tolist() == [failed.get(j, _k.FIT_OK) for j in range(20)]
     assert np.isnan(fits.rcond[3]) and fits.rcond[11] == 0.0
     for j in range(20):
+        one = _k.cls_solve(y[j : j + 1], b[j : j + 1])
+        for got, want in zip(fits, one):
+            assert got[j].tobytes() == want[0].tobytes()
         system = inar.build_design(counts[:, j], 4)
         if j in failed:
             assert np.isnan(fits.theta[j]).all()
@@ -424,4 +453,4 @@ def test_failed_lanes_keep_other_lanes(case1_params):
                 inar.solve_cls(system)
             continue
         assert fits.theta[j].tobytes() == inar.solve_cls(system).to_array().tobytes()
-        assert fits.rcond[j] == inar.rcond(system)
+        assert _k.RCOND_THRESHOLD <= fits.rcond[j] <= inar.rcond(system)

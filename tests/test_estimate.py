@@ -5,8 +5,12 @@ algebra is checked against naive double-loop implementations of the defining
 sums on simulated paths.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inar
 from inar import (
@@ -18,6 +22,7 @@ from inar import (
     SingularDesign,
     ThetaVector,
 )
+from inar.simulate import simulate_lanes
 
 
 def naive_design(x, p):
@@ -247,3 +252,97 @@ def test_consistency_trend(case1_params):
             dist.append(np.linalg.norm(theta.to_array() - truth))
         err[T] = np.mean(dist)
     assert err[1000] < err[200]
+
+
+# The exact oracle: the rational solution of the same float system, by
+# Gauss-Jordan elimination in Fractions, rounded once to float64. It does
+# not depend on how the package solves. The tolerances were fixed before
+# the tests first ran on either solve route (eigenvalues, or the LU
+# inverse): ULPS from the largest errors measured on case-1 lanes at
+# T=1000 (249 and 1,364 ulps for the inverse, 953 and 2,710 for the
+# eigenvalues, at p = 10 and 20), SIGMA_REL as a normwise bound far above
+# rounding and far below what an unrefined solve leaves at rcond ~ 1e-8.
+ULPS = 4096
+SIGMA_REL = 1e-10
+EPS = np.finfo(np.float64).eps
+
+
+def exact_solve(a, rhs):
+    """The exact X of A X = rhs for an (m, m) A and (m, k) rhs whose
+    entries are floats or Fractions, as an (m, k) list of Fractions."""
+    m = len(a)
+    rows = [[Fraction(v) for v in a[i]] + [Fraction(v) for v in rhs[i]] for i in range(m)]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(m):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[m:] for row in rows]
+
+
+def exact_theta(system):
+    """The exact solution of Y theta = b, rounded to float64."""
+    return np.array([float(v[0]) for v in exact_solve(system.Y, system.b[:, None])])
+
+
+def ulps(got, exact, scale):
+    """|got - exact| in units of the float spacing at |scale|."""
+    return np.abs(got - exact) / np.spacing(np.abs(scale))
+
+
+def count_paths(T):
+    """One count path of length T: sparse or busy (an all-zero or constant
+    path is singular and has no exact solution to compare with)."""
+    return st.one_of(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=T, max_size=T),
+        st.lists(st.integers(0, 300), min_size=T, max_size=T),
+        st.lists(st.integers(0, 10 ** 6), min_size=T, max_size=T),
+    )
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("p", [10, 20])
+    def test_study_paths_every_component(self, case1_params, case2_params, p):
+        for params in (case1_params, case2_params):
+            counts, _ = simulate_lanes(params, 1000, 2024, range(1, 5))
+            for j in range(counts.shape[1]):
+                system = inar.build_design(counts[:, j], p)
+                exact = exact_theta(system)
+                got = inar.solve_cls(system).to_array()
+                assert ulps(got, exact, exact).max() <= ULPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_path(self, data):
+        T = data.draw(st.integers(2, 60), label="T")
+        p = data.draw(st.integers(0, min(T - 1, 15)), label="p")
+        path = np.array(data.draw(count_paths(T), label="path"), dtype=np.int64)
+        system = inar.build_design(path, p)
+        try:
+            got = inar.solve_cls(system).to_array()
+        except SingularDesign:
+            return
+        exact = exact_theta(system)
+        # One refinement step leaves a normwise error of about
+        # eps (1 + eps kappa^2) |theta| (Higham 2002, sec. 12.1); a
+        # component far below the largest is measured at that scale.
+        kappa = 1.0 / inar.rcond(system)
+        floor = (1.0 + EPS * kappa * kappa) * np.abs(exact).max()
+        assert ulps(got, exact, np.maximum(np.abs(exact), floor)).max() <= ULPS
+
+    def test_sandwich(self, case1_params, case2_params):
+        # Sigma = J^-1 K J^-1 exactly from the record's own J_hat and K_hat.
+        for params in (case1_params, case2_params):
+            for stream_id in (1, 2):
+                path = inar.simulate_path(params, 1000, RngStream(2024, stream_id))
+                for p in (3, 10):
+                    theta = inar.solve_cls(inar.build_design(path, p))
+                    cov = inar.sandwich_covariance(path, theta, p)
+                    half = exact_solve(cov.J_hat, cov.K_hat)
+                    sigma = exact_solve(cov.J_hat, [list(col) for col in zip(*half)])
+                    exact = np.array([[float(v) for v in row] for row in sigma])
+                    err = np.abs(cov.Sigma_hat - exact).max()
+                    assert err <= SIGMA_REL * np.abs(exact).max()

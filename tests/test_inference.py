@@ -350,9 +350,9 @@ def fitted(path, p):
 
 
 class TestSandwichReusesTheFit:
-    # sandwich_covariance takes J_hat's decomposition from the solve of the
-    # same design; a bare ThetaVector carries none, so J_hat is decomposed
-    # afresh. Both routes must give the same bytes.
+    # sandwich_covariance takes J_hat's inverse from the solve of the same
+    # design; a bare ThetaVector carries none, so J_hat is inverted afresh.
+    # Both routes must give the same bytes.
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -382,9 +382,8 @@ class TestSandwichReusesTheFit:
         assert sandwich_bytes(path, theta, q) == sandwich_bytes(path, bare, q)
 
     def test_simulated_paths_bit_for_bit(self, case1_params, case2_params):
-        # The study's paths, and p = 30: LAPACK decomposes a matrix wider
-        # than 25 by divide and conquer, which the property above reaches
-        # only at its largest p.
+        # The study's paths, and p = 30, a size the property above never
+        # reaches.
         for params in (case1_params, case2_params):
             for stream_id in (1, 2):
                 path = inar.simulate_path(params, 500, RngStream(41, stream_id))
@@ -393,38 +392,46 @@ class TestSandwichReusesTheFit:
                     bare = ThetaVector.from_array(theta.to_array())
                     assert sandwich_bytes(path, theta, p) == sandwich_bytes(path, bare, p)
 
-    def test_one_eigh_per_fit(self, monkeypatch, case1_params, tmp_path, run_cli):
+    def test_one_factorisation_per_fit(self, monkeypatch, case1_params, tmp_path, run_cli):
         path = inar.simulate_path(case1_params, 300, RngStream(3))
-        shapes = []
-        eigh = np.linalg.eigh
+        calls = []
 
-        def counted(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return eigh(a, *args, **kwargs)
+        def counted(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            def call(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, call)
+
+        counted("inv")
+        counted("eigh")
         theta = inar.solve_cls(inar.build_design(path, 5))
         inar.sandwich_covariance(path, theta, 5)
-        assert shapes == [(1, 6, 6)]
-        # A hand-built estimate carries no decomposition: the sandwich
-        # makes a second one.
-        shapes.clear()
+        assert calls == [("inv", (1, 6, 6))]
+        # A hand-built estimate carries no inverse: the sandwich makes a
+        # second one.
+        calls.clear()
         theta = inar.solve_cls(inar.build_design(path, 5))
         inar.sandwich_covariance(path, ThetaVector.from_array(theta.to_array()), 5)
-        assert shapes == [(1, 6, 6), (6, 6)]
+        assert calls == [("inv", (1, 6, 6)), ("inv", (1, 6, 6))]
         # So does a sandwich at another p than the fit's.
-        shapes.clear()
+        calls.clear()
         inar.sandwich_covariance(path, theta, 4)
-        assert shapes == [(5, 5)]
-        # `inar estimate --ci` is one fit.
+        assert calls == [("inv", (1, 5, 5))]
+        # A stacked fit of conditioned lanes makes one batched inverse.
+        calls.clear()
+        inar.fit_lanes(np.column_stack([path.counts, path.counts[::-1]]), 5)
+        assert calls == [("inv", (2, 6, 6))]
+        # `inar estimate --ci` is one fit, plus the eigh of its rcond field.
         inar.write_path_csv(path, tmp_path / "path.csv")
-        shapes.clear()
+        calls.clear()
         proc = run_cli(["estimate", "--path", tmp_path / "path.csv", "--p", 5, "--ci"])
         assert proc.returncode == 0, proc.stderr
-        assert shapes == [(1, 6, 6)]
+        assert calls == [("inv", (1, 6, 6)), ("eigh", (6, 6))]
 
     def test_estimate_is_its_values(self, case1_params):
-        # The decomposition an estimate keeps is not one of its fields.
+        # The inverse an estimate keeps is not one of its fields.
         path = inar.simulate_path(case1_params, 300, RngStream(3))
         theta = inar.solve_cls(inar.build_design(path, 4))
         bare = ThetaVector.from_array(theta.to_array())

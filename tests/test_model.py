@@ -238,3 +238,19 @@ def test_records_copy_caller_arrays(build, arrays):
         assert arr.flags.writeable and not kept.flags.writeable
         arr[...] = 7
         assert np.array_equal(kept, before)
+
+
+def test_package_records_frozen_in_place(case1_params):
+    # The records build_design and sandwich_covariance return hold arrays
+    # the package has just made: read-only, and so is every array they are
+    # views of; no two of them share memory.
+    path = inar.simulate_path(case1_params, 200, inar.RngStream(3))
+    system = inar.build_design(path, 4)
+    cov = inar.sandwich_covariance(path, inar.solve_cls(system), 4)
+    arrays = [system.Y, system.b, cov.J_hat, cov.K_hat, cov.Sigma_hat]
+    for i, arr in enumerate(arrays):
+        base = arr
+        while isinstance(base, np.ndarray):
+            assert not base.flags.writeable
+            base = base.base
+        assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])

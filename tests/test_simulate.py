@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,32 @@ class TestPoissonSample:
         x = inar.poisson_sample(10.0, base.substream(4), size=8)
         y = inar.poisson_sample(10.0, RngStream(55, 4), size=8)
         assert np.array_equal(x, y)
+
+
+# Goodness of fit of poisson_sample against the Poisson pmf, on both sides
+# of each route switch (inversion below 10, PTRS above). The moment tests
+# above cannot catch a wrong PTRS constant; a chi-square test of the whole
+# law can. The rates, the stream and the threshold (Bonferroni over the
+# rates at 1e-3 overall) were fixed before the first run.
+GOF_RATES = (0.05, 0.5, 3.0, 9.99, 10.0, 10.5, 30.0, 150.0, 1e4)
+GOF_DRAWS = 1_000_000
+
+
+@pytest.mark.parametrize("lam", GOF_RATES)
+def test_poisson_sample_matches_pmf(lam):
+    x = inar.poisson_sample(lam, RngStream(7, 3), size=GOF_DRAWS)
+    law = scipy.stats.poisson(lam)
+    # Cells k with an expected count of at least 5 (a contiguous run, the
+    # pmf being unimodal), the two tails pooled into the end cells.
+    k = np.arange(int(lam + 20.0 * math.sqrt(lam) + 20.0))
+    kept = k[GOF_DRAWS * law.pmf(k) >= 5.0]
+    lo, hi = int(kept[0]), int(kept[-1])
+    expected = GOF_DRAWS * law.pmf(np.arange(lo, hi + 1))
+    expected[0] = GOF_DRAWS * law.cdf(lo)
+    expected[-1] = GOF_DRAWS * law.sf(hi - 1)
+    got = np.bincount(np.clip(x, lo, hi) - lo, minlength=hi - lo + 1)
+    stat = float(((got - expected) ** 2 / expected).sum())
+    assert scipy.stats.chi2.sf(stat, got.shape[0] - 1) >= 1e-3 / len(GOF_RATES)
 
 
 class TestPinnedDraws:
