@@ -22,8 +22,14 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
 
 The two vectorised routes take log k! from one module-level table,
 ``_LOGFACT``, grown on demand and safe to share between threads.
+
+``design_build`` makes each lane's CLS design (Y, b) from partial sums of
+the lagged products x_t x_{t+d} of its counts, in O(T p) per lane. Counts
+are integers, so the sums are exact, and equal bit for bit in any order,
+while every product and partial sum stays below 2**53 in magnitude.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -505,44 +511,89 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     return x, overflow_at
 
 
-# Design systems. Counts are integers, so every entry of the Gram sums
-# below is an exact float64 integer whatever the summation order: a lane's
-# (Y, b) is the same bit for bit however the lanes are grouped.
+# Design systems. Every entry of a lane's (Y, b) is a partial sum of one
+# lagged product of its counts x_0..x_{T-1}. With P_d(L) = sum_{t<L} x_t
+# x_{t+d} and C(L) = sum_{t<L} x_t:
+#   b[k] = P_k(T - k), b[0] = C(T)
+#   Y[j, k] = P_|k-j|(T - max(j, k)) for j, k >= 1, Y[0, k] = C(T - k)
+# so every sum needed runs to some L = h + r, h = T - p, r = 0..p, and the
+# p + 1 products x_t x_{t+d} with their partial sums give (Y, b) in O(T p).
+# Counts are integers: while every product and partial sum stays below
+# 2**53 in magnitude, each sum is exact in any order, so a lane's (Y, b)
+# is the same bit for bit however it is summed or grouped with other lanes.
 
-# Lanes per design-build chunk; bounds the regressor tensor at
-# _DESIGN_CHUNK * (p + 1) * T values instead of one per lane of the block.
-_DESIGN_CHUNK = 16
+# Lanes per chunk of design_build: bounds the lanes-first copy and the
+# partial sums at _PRODUCT_CHUNK * (T + (p + 2) * (p + 1)) values.
+_PRODUCT_CHUNK = 128
 
 
-def _regressors(x, m):
-    # Regressor rows of each row of an (N, T) array: out[i, j, n] is
-    # x[i, n - j] for lag j = 1..m-1 (0 before the path starts), and 1 for
-    # j = 0. Rows of this layout fill by contiguous copies.
-    n_lanes, n_steps = x.shape
-    z = np.zeros((n_lanes, m, n_steps), dtype=np.float64)
-    z[:, 0] = 1.0
-    for j in range(1, m):
-        z[:, j, j:] = x[:, : n_steps - j]
-    return z
+@functools.lru_cache(maxsize=None)
+def _design_index(p):
+    # Positions of Y's (m, m) and b's (m,) entries in a lane's row of
+    # partial sums [P (m * m) | C (m)], where P[r, d] = P_d(h + r) and
+    # C[r] = C(h + r). Y[0, 0] reads C(T) and is then set to 1.
+    m = p + 1
+    j, k = np.indices((m, m))
+    top = np.maximum(j, k)
+    y = np.where((j == 0) | (k == 0), m * m + p - top, (p - top) * m + np.abs(k - j))
+    d = np.arange(1, m)
+    b = np.concatenate(([m * m + p], (p - d) * m + d))
+    y.flags.writeable = b.flags.writeable = False
+    return y, b
+
+
+def _lagged_design(x, p, y=None, b=None):
+    # (Y, b) of each row of an (n, T) array of C-contiguous rows, written
+    # into y (n, m, m) and b (n, m) when they are given. One lane's call is
+    # a few microseconds of dispatch, so it calls ufunc methods (add.reduce,
+    # add.accumulate) rather than their wrappers (sum, cumsum).
+    n, n_steps = x.shape
+    m = p + 1
+    h = n_steps - p
+    sums = np.zeros((n, m * m + m))
+    prods = sums[:, : m * m].reshape(n, m, m)
+    # Row 0 of P: P_d(h) for d = 0..p, from the lag view of x whose (t, d)
+    # entry is x_{t+d}, t < h (built on x's buffer directly: as_strided
+    # adds about 5 us, a sixth of a short lane's build).
+    step = x.strides[1]
+    lags = np.ndarray((n, h, m), x.dtype, x, 0, (x.strides[0], step, step))
+    np.einsum("nt,ntd->nd", x[:, :h], lags, out=prods[:, 0])
+    # Rows 1..p of P: the products of the tail u = x[h:], as its (p, p)
+    # outer product written right after row 0. Read in rows of p + 1,
+    # row 1 + r holds u_r u_{r+d} at column d wherever r + d < p; its other
+    # entries are other tail products (and P[p, p] stays 0). The running
+    # sum down the rows carries those only into sums with r + d > p, which
+    # no entry of (Y, b) reads.
+    tail = x[:, h:]
+    np.multiply(tail[:, :, None], tail[:, None, :],
+                out=sums[:, m : m + p * p].reshape(n, p, p))
+    np.add.accumulate(prods, axis=1, out=prods)
+    pre = sums[:, m * m :]
+    np.add.reduce(x[:, :h], axis=1, out=pre[:, 0])
+    pre[:, 1:] = tail
+    np.add.accumulate(pre, axis=1, out=pre)
+    sums /= n_steps
+    # Every index is in range: mode "clip" only spares take the buffered
+    # copy it makes of a given out in its default mode.
+    iy, ib = _design_index(p)
+    y = np.take(sums, iy, axis=1, out=y, mode="clip")
+    y[:, 0, 0] = 1.0
+    return y, np.take(sums, ib, axis=1, out=b, mode="clip")
 
 
 def design_build(x, p):
-    """Design matrices Y (N, p+1, p+1) and moment vectors b (N, p+1) of
-    the columns of a (T, N) count array."""
+    """Design matrices Y (N, p+1, p+1) and moment vectors b (N, p+1),
+    both C-contiguous, of the columns of a (T, N) count array, p < T."""
     n_steps, n_lanes = x.shape
+    # One chunk fills no output buffers; one lane's x.T is its path, as is.
+    if n_lanes <= _PRODUCT_CHUNK:
+        return _lagged_design(np.ascontiguousarray(x.T), p)
     m = p + 1
     y = np.empty((n_lanes, m, m), dtype=np.float64)
     b = np.empty((n_lanes, m), dtype=np.float64)
-    for start in range(0, n_lanes, _DESIGN_CHUNK):
-        lanes = slice(start, start + _DESIGN_CHUNK)
-        xc = np.ascontiguousarray(x[:, lanes].T)
-        z = _regressors(xc, m)
-        g = z @ z.transpose(0, 2, 1)
-        y[lanes] = (g + g.transpose(0, 2, 1)) * 0.5
-        b[lanes] = (z @ xc[:, :, None])[:, :, 0]
-    y /= n_steps
-    y[:, 0, 0] = 1.0
-    b /= n_steps
+    for start in range(0, n_lanes, _PRODUCT_CHUNK):
+        lanes = slice(start, start + _PRODUCT_CHUNK)
+        _lagged_design(np.ascontiguousarray(x[:, lanes].T), p, y[lanes], b[lanes])
     return y, b
 
 
@@ -695,7 +746,10 @@ def cls_solve(y, b):
     screens the reciprocal condition (``inverse_rcond``), gives the
     solution and one iterative-refinement step. While every lane passes a
     check, the check gathers and scatters nothing, and the returned
-    inverses are ``inv``'s own array."""
+    inverses are ``inv``'s own array. The results do not depend on the
+    layout of y and b: BLAS rounds by operand layout, so both are taken
+    C-contiguous (``design_build``'s already are)."""
+    y, b = np.ascontiguousarray(y), np.ascontiguousarray(b)
     n_lanes = b.shape[0]
     status = np.zeros(n_lanes, dtype=np.int8)
     finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)

@@ -66,9 +66,37 @@ def test_output_diff(tmp_path):
     (b / "u.csv").write_text("z\n")
     got = ab.diff_outputs(a, b)
     assert got["t.csv"] == "identical" and got["u.csv"] == "missing"
-    assert got["s.json"] == {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3)}
+    assert got["s.json"] == {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3), "fields": {
+        "/mean": {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3)}}}
     (b / "t.csv").write_text("z,value\n0.5,abc\n")
     assert ab.diff_outputs(a, b)["t.csv"] == "differs"
+
+
+def test_output_diff_per_field(tmp_path):
+    # A rounding-level field with a large relative change is reported on
+    # its own, next to the file maxima: list indices are dropped from JSON
+    # key paths, and CSV cells are grouped by their column's header.
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    for d, est, resid, nested in ((a, [10.0, 20.0], 1e-11, 4.0), (b, [10.0, 20.000001], 2e-11, 4.5)):
+        (d / "e.json").write_text(json.dumps({
+            "theta": est, "residual_norm": resid, "ci": [[1.0, nested], [2.0, 3.0]],
+            "nest": {"se": [{"v": nested}]}}))
+        (d / "s.csv").write_text(f"rep,mu_hat,beta_1\n1,{est[0]!r},{resid!r}\n2,{est[1]!r},0.5\n")
+    got = ab.diff_outputs(a, b)
+    e, s = got["e.json"], got["s.csv"]
+    assert e["fields"] == {
+        "/ci": {"max_abs": 0.5, "max_rel": pytest.approx(1 / 9)},
+        "/nest/se/v": {"max_abs": 0.5, "max_rel": pytest.approx(1 / 9)},
+        "/residual_norm": {"max_abs": pytest.approx(1e-11), "max_rel": pytest.approx(0.5)},
+        "/theta": {"max_abs": pytest.approx(1e-6), "max_rel": pytest.approx(5e-8)},
+    }
+    assert e["max_abs"] == 0.5 and e["max_rel"] == pytest.approx(0.5)
+    assert s["fields"] == {
+        "beta_1": {"max_abs": pytest.approx(1e-11), "max_rel": pytest.approx(0.5)},
+        "mu_hat": {"max_abs": pytest.approx(1e-6), "max_rel": pytest.approx(5e-8)},
+    }
+    assert s["max_abs"] == pytest.approx(1e-6) and s["max_rel"] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("parent, change, expected", [
@@ -76,7 +104,8 @@ def test_output_diff(tmp_path):
     ("nan", "1.0", "differs"),
     ("inf", "1.0", "differs"),
     ("inf", "-inf", "differs"),
-    ("nan", "nan", {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3)}),
+    ("nan", "nan", {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3),
+                    "fields": {"z": {"max_abs": 0.5, "max_rel": pytest.approx(1 / 3)}}}),
 ])
 def test_output_diff_non_finite(tmp_path, parent, change, expected):
     # NaN in the same place on both sides is equal; a number that turns

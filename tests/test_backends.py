@@ -335,12 +335,14 @@ def test_mc_summary_identical(case1_params, case2_params):
 
 
 def lane_counts(T):
-    """One count path of length T: all zero, constant, sparse or busy."""
+    """One count path of length T: all zero, constant, sparse or busy, with
+    busy counts up to 10**6, whose lagged products reach 10**12."""
     return st.one_of(
         st.just([0] * T),
         st.integers(0, 400).map(lambda c: [c] * T),
         st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=T, max_size=T),
         st.lists(st.integers(0, 300), min_size=T, max_size=T),
+        st.lists(st.integers(0, 10**6), min_size=T, max_size=T),
     )
 
 
@@ -354,18 +356,13 @@ def integer_design(x, p):
     return (z.T @ z) / T, (z.T @ x) / T
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_stacked_fit_matches_one_lane(data):
-    T = data.draw(st.integers(1, 30), label="T")
-    p = data.draw(st.integers(0, T - 1), label="p")
-    # More lanes than one design-build chunk, so chunk edges are crossed.
-    lanes = data.draw(st.lists(lane_counts(T), min_size=1, max_size=40), label="lanes")
-    counts = np.array(lanes, dtype=np.int64).T
-    y, b = _k.design_build(counts.astype(np.float64), p)
-    theta, fitted = inar.fit_lanes(counts, p)
-    assert theta.shape == (len(lanes), p + 1) and fitted.shape == (len(lanes),)
-    for j in range(len(lanes)):
+def assert_designs_exact(counts, p, y, b):
+    """Each lane of a stacked design is C-contiguous and equals the exact
+    integer design and build_design's, bit for bit."""
+    n = counts.shape[1]
+    assert y.shape == (n, p + 1, p + 1) and b.shape == (n, p + 1)
+    assert y.flags.c_contiguous and b.flags.c_contiguous
+    for j in range(n):
         system = inar.build_design(counts[:, j], p)
         assert y[j].tobytes() == system.Y.tobytes()
         assert b[j].tobytes() == system.b.tobytes()
@@ -373,12 +370,58 @@ def test_stacked_fit_matches_one_lane(data):
         y_int[0, 0] = 1.0
         assert y_int.tobytes() == system.Y.tobytes()
         assert b_int.tobytes() == system.b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_fit_matches_one_lane(data):
+    T = data.draw(st.integers(1, 30), label="T")
+    p = data.draw(st.integers(0, T - 1), label="p")
+    lanes = data.draw(st.lists(lane_counts(T), min_size=1, max_size=12), label="lanes")
+    # Chunks of a few lanes, so that a stack crosses chunk edges.
+    chunk = data.draw(st.integers(1, 5), label="chunk")
+    counts = np.array(lanes, dtype=np.int64).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "_PRODUCT_CHUNK", chunk)
+        y, b = _k.design_build(counts.astype(np.float64), p)
+        theta, fitted = inar.fit_lanes(counts, p)
+    assert theta.shape == (len(lanes), p + 1) and fitted.shape == (len(lanes),)
+    assert_designs_exact(counts, p, y, b)
+    for j in range(len(lanes)):
+        system = inar.build_design(counts[:, j], p)
         try:
             want = inar.solve_cls(system).to_array()
         except SingularDesign:
             assert not fitted[j] and np.isnan(theta[j]).all()
             continue
         assert fitted[j] and theta[j].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("T", [1, 2, 9, 40])
+@pytest.mark.parametrize("n_lanes", [0, 1, 7])
+def test_design_build_edges(monkeypatch, T, n_lanes):
+    # p = T - 1 (one head row, every other row in the tail) and p = 0, on
+    # no lanes, one lane and lanes in chunks of 3.
+    monkeypatch.setattr(_k, "_PRODUCT_CHUNK", 3)
+    counts = np.random.default_rng(T).integers(0, 10**6, size=(T, n_lanes))
+    for p in {0, T - 1}:
+        y, b = _k.design_build(counts.astype(np.float64), p)
+        assert_designs_exact(counts, p, y, b)
+
+
+def test_fits_independent_of_layout(case1_params):
+    # The same stack in lanes-fastest order gives every LaneFits field
+    # byte for byte.
+    counts, _ = simulate_lanes(case1_params, 200, 5, range(1, 41))
+    for p in (4, 10):
+        y, b = _k.design_build(counts, p)
+        strided_y = np.moveaxis(np.ascontiguousarray(np.moveaxis(y, 0, -1)), -1, 0)
+        strided_b = np.asfortranarray(b)
+        assert not strided_y.flags.c_contiguous and not strided_b.flags.c_contiguous
+        want = _k.cls_solve(y, b)
+        got = _k.cls_solve(strided_y, strided_b)
+        for name, g, w in zip(want._fields, got, want):
+            assert g.tobytes() == w.tobytes(), name
 
 
 def test_lane_fits_every_status_in_one_stack():

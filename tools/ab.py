@@ -14,7 +14,7 @@ Each of the ten pairs runs both sides on one seed, and the side that runs
 first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
 the sides (identical, or the largest absolute and relative difference of
-its numbers), and so are, under ``cli``, the files of
+its numbers, overall and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV, ``inar estimate
 --ci`` on it at p = 1, 10 and 20, and ``inar normality`` on the case-1
 ``samples.csv``.
@@ -102,35 +102,47 @@ def summarize(runs, metrics):
 
 
 def _numbers(path):
-    # The numeric leaves of a JSON or CSV output, keyed by position; the
-    # other leaves as text.
+    # The leaves of a JSON or CSV output, keyed by position: each maps to
+    # its field and its value (numbers as numbers, other leaves as text).
+    # A JSON leaf's field is its key path with list indices dropped; a CSV
+    # cell's field is its column's header.
     if path.suffix == ".json":
-        def walk(node, key):
+        def walk(node, key, field):
             if isinstance(node, dict):
                 for k, v in node.items():
-                    yield from walk(v, f"{key}/{k}")
+                    yield from walk(v, f"{key}/{k}", f"{field}/{k}")
             elif isinstance(node, list):
                 for i, v in enumerate(node):
-                    yield from walk(v, f"{key}/{i}")
+                    yield from walk(v, f"{key}/{i}", field)
             else:
-                yield key, node
-        return dict(walk(json.loads(path.read_text()), ""))
+                yield key, (field, node)
+        return dict(walk(json.loads(path.read_text()), "", ""))
     with open(path, newline="") as fh:
         cells = {}
         for i, row in enumerate(csv.reader(fh)):
+            if i == 0:
+                header = row
             for j, text in enumerate(row):
+                field = header[j] if j < len(header) else str(j)
                 try:
-                    cells[i, j] = float(text)
+                    cells[i, j] = field, float(text)
                 except ValueError:
-                    cells[i, j] = text
+                    cells[i, j] = field, text
         return cells
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def diff_outputs(parent_dir, change_dir):
     """Each file of either directory: "identical", or the largest absolute
-    and relative difference of its numbers, or "missing" on one side, or
-    "differs" where its text or shape differs or where two numbers differ
-    and one of them is not finite (NaN on both sides counts as equal)."""
+    and relative difference of its numbers (``max_abs``, ``max_rel``) with
+    the same two maxima per field (``fields``: each JSON key path with list
+    indices dropped, or CSV column, where a number differs), or "missing"
+    on one side, or "differs" where its text or shape differs or where two
+    numbers differ and one of them is not finite (NaN on both sides counts
+    as equal)."""
     parent_dir, change_dir = Path(parent_dir), Path(change_dir)
     names = sorted({p.name for d in (parent_dir, change_dir) for p in d.iterdir()})
     out = {}
@@ -146,26 +158,31 @@ def diff_outputs(parent_dir, change_dir):
         if na.keys() != nb.keys():
             out[name] = "differs"
             continue
-        max_abs = max_rel = 0.0
-        for k, va in na.items():
-            vb = nb[k]
+        fields = {}
+        for k, (field, va) in na.items():
+            vb = nb[k][1]
             if va == vb:
                 continue
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb)):
-                max_abs = None
+            if not (_is_number(va) and _is_number(vb)):
+                fields = None
                 break
             if not (math.isfinite(va) and math.isfinite(vb)):
                 if math.isnan(va) and math.isnan(vb):
                     continue
-                max_abs = None
+                fields = None
                 break
             d = abs(vb - va)
-            max_abs = max(max_abs, d)
-            max_rel = max(max_rel, d / max(abs(va), abs(vb)))
-        if max_abs is None:
+            worst = fields.setdefault(field, {"max_abs": 0.0, "max_rel": 0.0})
+            worst["max_abs"] = max(worst["max_abs"], d)
+            worst["max_rel"] = max(worst["max_rel"], d / max(abs(va), abs(vb)))
+        if fields is None:
             out[name] = "differs"
             continue
-        out[name] = {"max_abs": max_abs, "max_rel": max_rel}
+        out[name] = {
+            "max_abs": max((f["max_abs"] for f in fields.values()), default=0.0),
+            "max_rel": max((f["max_rel"] for f in fields.values()), default=0.0),
+            "fields": dict(sorted(fields.items())),
+        }
     return out
 
 
