@@ -1,5 +1,5 @@
 """Numerical kernels: counter-based RNG, Poisson sampling, path simulation,
-and the design build and solve of conditional least squares.
+and the design build, solve and score variance of conditional least squares.
 
 Every sampler reads counter-based splitmix64 streams (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11) from ``_uniforms``:
@@ -34,7 +34,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "stream_keys",
@@ -43,7 +42,7 @@ __all__ = [
     "sim_one",
     "sim_lanes",
     "design_build",
-    "sandwich_build",
+    "score_variance",
     "eigh_rcond",
     "inverse_rcond",
     "inverse_solve",
@@ -608,23 +607,19 @@ def _lag_matrix(x, m):
     lags[:, 0] = 1.0
     if p:
         padded = np.concatenate((np.zeros(p), x))
-        # Entry (n, j) of the view is padded[p - 1 + n - j] = x[n - 1 - j],
-        # inside padded for every n < T and j < p.
+        # Entry (n, j) of the view on padded's buffer (no as_strided, as in
+        # _lagged_design) is padded[p - 1 + n - j] = x[n - 1 - j], inside
+        # padded for every n < T and j < p.
         step = padded.strides[0]
-        lags[:, 1:] = as_strided(padded[p - 1 :], (n_steps, p), (step, -step),
-                                 writeable=False)
+        lags[:, 1:] = np.ndarray((n_steps, p), padded.dtype, padded, (p - 1) * step, (step, -step))
     return lags
 
 
-def sandwich_build(x, theta):
-    """Curvature J_hat = 2Y and score-variance plug-in
-    K_hat = (4/T) sum z_n z_n' (x_n - phi_n)^2 of a (T,) count path at
-    theta = (mu, beta_1..beta_p), both from one lag matrix."""
+def score_variance(x, theta):
+    """Score-variance plug-in K_hat = (4/T) sum z_n z_n' (x_n - phi_n)^2 of a
+    (T,) count path at theta = (mu, beta_1..beta_p), from its lag matrix."""
     n_steps = x.shape[0]
     lags = _lag_matrix(x, theta.shape[0])
-    # Integer sums again, so J_hat is 2Y of design_build bit for bit.
-    y = lags.T @ lags / n_steps
-    y[0, 0] = 1.0
     # The squared residual in place: at T = 1e5 each (T,) temporary is
     # 0.8 MB at the peak of a sandwich.
     resid = lags @ theta
@@ -633,7 +628,7 @@ def sandwich_build(x, theta):
     k_hat = (lags * resid[:, None]).T @ lags
     k_hat = (k_hat + k_hat.T) * 0.5
     k_hat *= 4.0 / n_steps
-    return 2.0 * y, k_hat
+    return k_hat
 
 
 # Stacked CLS solve. Each lane goes through the same checks in the same

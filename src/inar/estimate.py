@@ -57,8 +57,8 @@ class ThetaVector:
 
     mu: float
     betas: tuple[float, ...] = ()
-    # An estimate from solve_cls also holds the (Y, Y^-1, rcond) of the
-    # system it solved, for sandwich_covariance to reuse.
+    # An estimate from solve_cls also holds the (Y, Y^-1) of the system it
+    # solved, for sandwich_covariance to reuse.
     # Not a field: ==, hash, repr, asdict and replace see (mu, betas) only.
     _fit = None
 
@@ -84,7 +84,10 @@ class ThetaVector:
 def _counts_of(path) -> np.ndarray:
     if isinstance(path, CountPath):
         return path.counts_float()
-    return np.ascontiguousarray(path, dtype=np.float64)
+    x = np.ascontiguousarray(path, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"path must be a (T,) array, got shape {x.shape}")
+    return x
 
 
 def _check_lag(t: int, p: int) -> int:
@@ -146,7 +149,7 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
     if fits.status[0] != _k.FIT_OK:
         raise _failure(fits, 0)
     theta = ThetaVector.from_array(fits.theta[0])
-    object.__setattr__(theta, "_fit", (system.Y, fits.inv[0], float(fits.rcond[0])))
+    object.__setattr__(theta, "_fit", (system.Y, fits.inv[0]))
     return theta
 
 

@@ -73,39 +73,39 @@ class NormalityReport:
 def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> SandwichCovariance:
     """Plug-in sandwich covariance at theta_hat.
 
-    J_hat = 2Y; K_hat = (4/T) sum z_n z_n' (X_n - Phi(n))^2 with regressors
-    z_n = (1, X_{n-1}, ..., X_{n-p}) zero-padded at the start; Sigma_hat is
-    computed via two refined solves with one inverse of J_hat (an LU
-    factorisation), whose condition is screened as :func:`inar.solve_cls`
-    screens Y's. When theta_hat came from :func:`inar.solve_cls` on this
-    path's design at this p, that inverse is half the solve's Y^-1, reused
-    exactly; otherwise J_hat is inverted here, with the same result bit
-    for bit."""
+    J_hat = 2Y with Y as :func:`inar.build_design` builds it; K_hat = (4/T)
+    sum z_n z_n' (X_n - Phi(n))^2 with regressors z_n = (1, X_{n-1}, ...,
+    X_{n-p}) zero-padded at the start; Sigma_hat is computed via two refined
+    solves with one inverse of J_hat (an LU factorisation), whose condition
+    is screened as :func:`inar.solve_cls` screens Y's. When theta_hat came
+    from :func:`inar.solve_cls` on this path's design at this p, that inverse
+    is half the solve's Y^-1, reused exactly; otherwise J_hat is inverted
+    here, with the same result bit for bit."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
     p = _check_lag(x.shape[0], p)
-    theta = np.zeros(p + 1, dtype=np.float64)
-    theta[0] = theta_hat.mu
-    use = min(p, theta_hat.p)
-    theta[1 : use + 1] = theta_hat.betas[:use]
-    with np.errstate(over="ignore"):
-        j_hat, k_hat = _k.sandwich_build(x, theta)
+    theta = np.zeros(p + 1, dtype=np.float64)  # betas beyond p dropped, missing ones 0
+    theta[: theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
+    # A non-finite or overflowing path gives inf and NaN, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _k.design_build(x[:, None], p)[0][0]
+        j_hat = 2.0 * y
+        k_hat = _k.score_variance(x, theta)
     if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
         raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
 
-    fit = theta_hat._fit  # (Y, Y^-1, rcond) of the solve, or None
-    # J_hat equal to 2Y bit for bit (never at another p: the shapes differ)
-    # means the fit's own design. Doubling is exact in every step: the LU
-    # of 2Y gives inv(2Y) = Y^-1 / 2, and the condition of 2Y is that of Y.
-    if fit is not None and np.array_equal(j_hat, 2.0 * fit[0]):
-        g, rc = 0.5 * fit[1], fit[2]
+    fit = theta_hat._fit  # (Y, Y^-1) of the solve, or None
+    # Y equal to the fit's (never at another p: the shapes differ) is the
+    # design the solve screened; the LU of 2Y doubles Y's, so inv(2Y) = Y^-1 / 2.
+    if fit is not None and np.array_equal(y, fit[0]):
+        g = 0.5 * fit[1]
     else:
         g, rc = (c[0] for c in _k.inverse_rcond(j_hat[None]))
-    if rc < RCOND_THRESHOLD:
-        raise SingularDesign(
-            f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"
-        )
+        if rc < RCOND_THRESHOLD:
+            raise SingularDesign(
+                f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"
+            )
     half = _k.inverse_solve(j_hat, g, k_hat)
     sigma = _k.inverse_solve(j_hat, g, half.T)
     sigma = (sigma + sigma.T) * 0.5
@@ -128,8 +128,8 @@ def confidence_intervals(
         raise ValueError(
             f"covariance dimension {diag.shape[0]} does not match theta {vec.shape[0]}"
         )
-    if not T >= 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    if not 1 <= T < math.inf:
+        raise ValueError(f"T must be >= 1 and finite, got {T}")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.maximum(diag, 0.0) / float(T))
     return [(float(v - h), float(v + h)) for v, h in zip(vec, half)]

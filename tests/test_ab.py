@@ -130,7 +130,7 @@ def test_src_lines(tmp_path):
 
 
 def test_cli_outputs(tmp_path):
-    # The simulate, estimate --ci (p = 1, 10, 20) and normality files of
+    # The simulate, estimate --ci (p = 0, 1, 10, 20) and normality files of
     # one side, with this checkout's package; a side compared with itself
     # is identical.
     rng = np.random.default_rng(5)
@@ -140,10 +140,10 @@ def test_cli_outputs(tmp_path):
     samples.write_text("rep,mu_hat,beta_1\n" + "\n".join(rows) + "\n")
     out = ab.cli_outputs(ab.ROOT, tmp_path / "cli", samples)
     assert sorted(p.name for p in out.iterdir()) == [
-        "estimate_p1.json", "estimate_p10.json", "estimate_p20.json", "normality.json",
-        "path.csv"]
+        "estimate_p0.json", "estimate_p1.json", "estimate_p10.json", "estimate_p20.json",
+        "normality.json", "path.csv"]
     assert (out / "path.csv").read_text().count("\n") == 1001
-    for p in (1, 10, 20):
+    for p in ab.ESTIMATE_LAGS:
         estimate = json.loads((out / f"estimate_p{p}.json").read_text())
         assert estimate["p"] == p and len(estimate["ci"]) == p + 1
     assert list(json.loads((out / "normality.json").read_text())["normality"]) == [

@@ -104,6 +104,18 @@ class TestBuildDesign:
             DesignSystem(Y=np.eye(3), b=np.zeros(2), T=10, p=2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, theta: inar.build_design(x, 1),
+    lambda x, theta: inar.sandwich_covariance(x, theta),
+    lambda x, theta: inar.intensity_series(x, theta),
+    lambda x, theta: inar.contrast(x, theta),
+], ids=["build_design", "sandwich_covariance", "intensity_series", "contrast"])
+def test_path_must_be_one_dimensional(call):
+    theta = ThetaVector(mu=1.0, betas=(0.5,))
+    with pytest.raises(DimensionMismatch, match=r"path must be a \(T,\) array, got shape \(5, 2\)"):
+        call(np.ones((5, 2)), theta)
+
+
 class TestSolveCls:
     def test_identity_design(self):
         b = np.array([2.0, -0.5, 0.25])

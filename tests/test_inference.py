@@ -1,6 +1,7 @@
 """Sandwich covariance, confidence intervals, normality tests, and the
 normal quantile. scipy serves as the oracle for the special functions."""
 
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -93,7 +94,7 @@ class TestConfidenceIntervals:
         with pytest.raises(InvalidLevel):
             inar.confidence_intervals(theta, self._unit_cov(1), T=10, level=level)
 
-    @pytest.mark.parametrize("T", [0, -1, 0.5])
+    @pytest.mark.parametrize("T", [0, -1, 0.5, math.inf])
     def test_horizon_below_one(self, T):
         theta = ThetaVector(mu=1.0, betas=())
         with pytest.raises(ValueError, match="T must be >= 1"):
@@ -278,11 +279,15 @@ class TestSandwich:
         assert np.max(np.abs(cov.Sigma_hat)) <= 1e-20
 
     def test_j_is_twice_design(self, case1_params):
-        path = inar.simulate_path(case1_params, 2000, RngStream(29))
-        sys = inar.build_design(path, 5)
-        theta = inar.solve_cls(sys)
-        cov = inar.sandwich_covariance(path, theta)
-        assert np.array_equal(cov.J_hat, 2.0 * sys.Y)
+        # Counts, and a non-integer path, whose sums depend on their order:
+        # J_hat comes from the fit's own design build either way.
+        counts = inar.simulate_path(case1_params, 2000, RngStream(29))
+        gamma = np.random.default_rng(29).gamma(2.0, 3.0, size=500)
+        for path in (counts, gamma):
+            sys = inar.build_design(path, 5)
+            theta = inar.solve_cls(sys)
+            cov = inar.sandwich_covariance(path, theta)
+            assert np.array_equal(cov.J_hat, 2.0 * sys.Y)
 
     def test_symmetry_and_psd(self, case1_params):
         path = inar.simulate_path(case1_params, 2000, RngStream(37))
@@ -302,6 +307,8 @@ class TestSandwich:
     @pytest.mark.parametrize("path, theta", [
         (np.array([1.0, np.nan, 3.0, 4.0, 5.0]), ThetaVector(mu=1.0, betas=(0.1,))),
         (np.array([1.0, 2.0, 3.0, 4.0, 5.0]), ThetaVector(mu=np.nan, betas=(0.1,))),
+        (np.array([1.0, np.inf, 3.0, 4.0, 5.0]), ThetaVector(mu=1.0, betas=(0.1,))),
+        (np.full(5, 1e200), ThetaVector(mu=1.0, betas=(0.1,))),
     ])
     def test_non_finite_rejected(self, path, theta):
         with pytest.raises(ValueError, match="non-finite"):
@@ -419,6 +426,11 @@ class TestSandwichReusesTheFit:
         calls.clear()
         inar.sandwich_covariance(path, theta, 4)
         assert calls == [("inv", (1, 5, 5))]
+        # A non-integer path's fit makes one, as its J_hat is 2Y bit for bit.
+        calls.clear()
+        gamma = np.random.default_rng(29).gamma(2.0, 3.0, size=500)
+        inar.sandwich_covariance(gamma, inar.solve_cls(inar.build_design(gamma, 5)), 5)
+        assert calls == [("inv", (1, 6, 6))]
         # A stacked fit of conditioned lanes makes one batched inverse.
         calls.clear()
         inar.fit_lanes(np.column_stack([path.counts, path.counts[::-1]]), 5)

@@ -16,7 +16,7 @@ first alternates from pair to pair. In the same run, every output file of
 the sides (identical, or the largest absolute and relative difference of
 its numbers, overall and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV, ``inar estimate
---ci`` on it at p = 1, 10 and 20, and ``inar normality`` on the case-1
+--ci`` on it at p = 0, 1, 10 and 20, and ``inar normality`` on the case-1
 ``samples.csv``.
 ``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``. The
 record (``--out``) is rewritten after every run, so an interrupted session
@@ -45,7 +45,7 @@ import numpy
 ROOT = Path(__file__).resolve().parents[1]
 MC_SEED = 11
 PAIRS = 10
-ESTIMATE_LAGS = (1, 10, 20)
+ESTIMATE_LAGS = (0, 1, 10, 20)
 
 
 def quartiles(values):
@@ -233,9 +233,10 @@ def cli_outputs(side_root, out, samples):
     """Into directory ``out``: the path CSV of ``inar simulate`` on case 1
     (``configs/case1_T1000.json``'s nu, kernel and T, seed 11), ``inar
     estimate --ci`` JSON on that path at each p of ``ESTIMATE_LAGS`` (the
-    ends and the middle of perfbench's ``fit_sweep`` range), and ``inar
-    normality`` JSON on the ``samples`` CSV, all run with ``side_root``'s
-    package."""
+    ends and the middle of perfbench's ``fit_sweep`` range, and p = 0, the
+    order that ``sampler_stream`` fits and the design build's empty-tail
+    edge), and ``inar normality`` JSON on the ``samples`` CSV, all run with
+    ``side_root``'s package."""
     side_root, out = Path(side_root), Path(out)
     out.mkdir(parents=True)
     case1 = json.loads((side_root / "configs" / "case1_T1000.json").read_text())
@@ -283,8 +284,8 @@ def main(argv=None):
                 "number of chunks the run completed. `outputs` compares every file of "
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
-                "estimate --ci` on it at p = 1, 10 and 20 and `inar normality` on "
-                "the case-1 samples.csv."
+                f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))} and "
+                "`inar normality` on the case-1 samples.csv."
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
