@@ -652,9 +652,9 @@ FIT_RESIDUAL = 3  # non-finite estimate or residual above its bound
 class LaneFits(NamedTuple):
     theta: np.ndarray  # (N, m); NaN rows where status != FIT_OK
     status: np.ndarray  # (N,) int8 FIT_* code
-    rcond: np.ndarray  # (N,) of inverse_rcond; NaN where not computed
-    resid: np.ndarray  # (N,) l2 norm of Y theta - b; NaN where not computed
-    inv: np.ndarray  # (N, m, m) Y^-1; NaN where not computed
+    rcond: np.ndarray  # (N,) of inverse_rcond; NaN where FIT_NONFINITE
+    resid: np.ndarray  # (N,) l2 norm of Y theta - b; NaN where FIT_NONFINITE or FIT_RCOND
+    inv: np.ndarray  # (N, m, m) Y^-1; NaN where FIT_NONFINITE or Y is exactly singular
 
 
 def eigh_rcond(y):
@@ -714,55 +714,37 @@ def inverse_solve(y, g, r):
     return x
 
 
-def _lanes(mask):
-    # None when every lane of ``mask`` is set (no gather or scatter is
-    # needed), else the indices of the set lanes.
-    return None if mask.all() else np.flatnonzero(mask)
-
-
-def _rows(a, lanes):
-    # The rows of ``a`` at ``lanes`` (from ``_lanes``).
-    return a if lanes is None else a[lanes]
-
-
-def _spread(a, lanes, n_lanes):
-    # Inverse of ``_rows``: an (n_lanes, ...) array with the rows of ``a``
-    # at ``lanes`` and NaN elsewhere.
-    if lanes is None:
-        return a
-    out = np.full((n_lanes,) + a.shape[1:], np.nan)
-    out[lanes] = a
-    return out
-
-
 def cls_solve(y, b):
     """Solve Y theta = b for each lane of a (N, m, m), (N, m) stack from
     one inverse of each lane's Y (one batched LU factorisation): it
     screens the reciprocal condition (``inverse_rcond``), gives the
-    solution and one iterative-refinement step. While every lane passes a
-    check, the check gathers and scatters nothing, and the returned
+    solution and one iterative-refinement step. Every lane takes the same
+    pass, and the lanes that fail a check are masked at the end: theta is
+    NaN on each of them, resid on FIT_RCOND and FIT_NONFINITE lanes, rcond
+    and inv on FIT_NONFINITE lanes. While every lane passes, the returned
     inverses are ``inv``'s own array. The results do not depend on the
     layout of y and b: BLAS rounds by operand layout, so both are taken
     C-contiguous (``design_build``'s already are)."""
-    y, b = np.ascontiguousarray(y), np.ascontiguousarray(b)
-    n_lanes = b.shape[0]
-    status = np.zeros(n_lanes, dtype=np.int8)
-    finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    lanes = _lanes(finite)
-    if lanes is not None:
-        status[~finite] = FIT_NONFINITE
-    g, rc = (_spread(c, lanes, n_lanes) for c in inverse_rcond(_rows(y, lanes)))
-    conditioned = rc >= RCOND_THRESHOLD  # False where rc is NaN
-    lanes = _lanes(conditioned)
-    if lanes is not None:
-        status[finite & ~conditioned] = FIT_RCOND
-    yl, bl, gl = (_rows(c, lanes) for c in (y, b[:, :, None], g))
-    tl = inverse_solve(yl, gl, bl)
-    resid = np.linalg.norm(yl @ tl - bl, axis=(1, 2))
-    bound = 1e-8 * np.maximum(1.0, np.linalg.norm(bl, axis=(1, 2)))
-    good = np.isfinite(tl).all(axis=(1, 2)) & (resid <= bound)
+    y, b = np.ascontiguousarray(y), np.ascontiguousarray(b)[:, :, None]
+    finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        # Such a lane solves the identity system instead, so that no NaN
+        # or inf reaches LAPACK; its results are masked below.
+        y = np.where(finite[:, None, None], y, np.eye(y.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, rc = inverse_rcond(y)
+        theta = inverse_solve(y, g, b)
+        resid = np.linalg.norm(y @ theta - b, axis=(1, 2))
+        bound = 1e-8 * np.maximum(1.0, np.linalg.norm(b, axis=(1, 2)))
+    conditioned = finite & (rc >= RCOND_THRESHOLD)
+    good = conditioned & np.isfinite(theta).all(axis=(1, 2)) & (resid <= bound)
+    status = np.zeros(good.shape, dtype=np.int8)
     if not good.all():
-        status[_rows(np.arange(n_lanes), lanes)[~good]] = FIT_RESIDUAL
-        tl[~good] = np.nan
-    theta = _spread(tl[:, :, 0], lanes, n_lanes)
-    return LaneFits(theta, status, rc, _spread(resid, lanes, n_lanes), g)
+        status[~good] = FIT_RESIDUAL
+        status[~conditioned] = FIT_RCOND
+        status[~finite] = FIT_NONFINITE
+        theta[~good] = np.nan
+        resid[~conditioned] = np.nan
+        rc[~finite] = np.nan
+        g[~finite] = np.nan
+    return LaneFits(theta[:, :, 0], status, rc, resid, g)

@@ -107,7 +107,8 @@ def build_design(path, p: int) -> DesignSystem:
     x = _counts_of(path)
     t = x.shape[0]
     p = _check_lag(t, p)
-    y, b = _k.design_build(x[:, None], p)
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_cls rejects non-finite
+        y, b = _k.design_build(x[:, None], p)
     return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p)
 
 
@@ -167,7 +168,8 @@ def fit_lanes(counts, p: int) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 2:
         raise DimensionMismatch(f"counts must be a (T, N) array, got shape {x.shape}")
     p = _check_lag(x.shape[0], p)
-    fits = _k.cls_solve(*_k.design_build(x, p))
+    with np.errstate(over="ignore", invalid="ignore"):  # cls_solve masks non-finite
+        fits = _k.cls_solve(*_k.design_build(x, p))
     return fits.theta, fits.status == _k.FIT_OK
 
 

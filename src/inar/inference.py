@@ -128,10 +128,14 @@ def confidence_intervals(
         raise ValueError(
             f"covariance dimension {diag.shape[0]} does not match theta {vec.shape[0]}"
         )
-    if not 1 <= T < math.inf:
+    try:
+        t = float(T)
+    except OverflowError:  # an int beyond float range
+        t = math.inf
+    if not 1.0 <= t < math.inf:
         raise ValueError(f"T must be >= 1 and finite, got {T}")
     z = normal_quantile(0.5 * (1.0 + level))
-    half = z * np.sqrt(np.maximum(diag, 0.0) / float(T))
+    half = z * np.sqrt(np.maximum(diag, 0.0) / t)
     return [(float(v - h), float(v + h)) for v, h in zip(vec, half)]
 
 

@@ -433,10 +433,10 @@ def test_lane_fits_every_status_in_one_stack():
     y = np.stack([eye * 2.0, eye, np.diag([1.0, 1.0, 0.0]), eye * 0.5, eye * 4.0])
     b = np.array([[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], [1e308] * 3,
                   [4.0, 0.0, 1.0]])
-    # Lane 3's solution overflows to inf, its residual check fails.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fits = _k.cls_solve(y, b)
-        ones = [_k.cls_solve(y[j : j + 1], b[j : j + 1]) for j in range(5)]
+    # Lane 3's solution overflows to inf, its residual check fails, and
+    # no lane raises a floating-point warning.
+    fits = _k.cls_solve(y, b)
+    ones = [_k.cls_solve(y[j : j + 1], b[j : j + 1]) for j in range(5)]
     assert fits.status.tolist() == [
         _k.FIT_OK, _k.FIT_NONFINITE, _k.FIT_RCOND, _k.FIT_RESIDUAL, _k.FIT_OK]
     for j, one in enumerate(ones):
@@ -445,6 +445,35 @@ def test_lane_fits_every_status_in_one_stack():
     assert np.isnan(fits.inv[1]).all() and np.isnan(fits.inv[2]).all()
     for j in (0, 3, 4):
         assert fits.inv[j].tobytes() == np.linalg.inv(y[j]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_non_finite_lanes_anywhere(data):
+    # NaN, +inf or -inf written into some lanes' Y or b: those lanes are
+    # FIT_NONFINITE, and every lane's LaneFits fields are its one-lane
+    # solve's bytes. lane_counts draws all-zero lanes too, whose exactly
+    # singular Y (p >= 1) sends the stack to _inverses' one-lane fallback.
+    T = data.draw(st.integers(1, 30), label="T")
+    p = data.draw(st.integers(0, T - 1), label="p")
+    lanes = data.draw(st.lists(lane_counts(T), min_size=1, max_size=12), label="lanes")
+    y, b = _k.design_build(np.array(lanes, dtype=np.float64).T, p)
+    spots = st.tuples(
+        st.integers(0, len(lanes) - 1), st.booleans(), st.integers(0, (p + 1) ** 2 - 1),
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    bad = set()
+    for j, in_y, k, value in data.draw(st.lists(spots, min_size=1, max_size=6), label="spots"):
+        if in_y:
+            y[j].flat[k] = value
+        else:
+            b[j, k % (p + 1)] = value
+        bad.add(j)
+    fits = _k.cls_solve(y, b)
+    for j in range(len(lanes)):
+        one = _k.cls_solve(y[j : j + 1], b[j : j + 1])
+        for name, got, want in zip(fits._fields, fits, one):
+            assert got[j].tobytes() == want[0].tobytes(), name
+        assert (fits.status[j] == _k.FIT_NONFINITE) == (j in bad)
 
 
 @pytest.mark.parametrize("eps, status", [(1.01e-12, _k.FIT_OK), (0.99e-12, _k.FIT_RCOND)])

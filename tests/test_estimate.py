@@ -143,6 +143,21 @@ class TestSolveCls:
         zeros = inar.build_design(CountPath(counts=np.zeros(50, dtype=np.int64)), 2)
         assert inar.rcond(zeros) == 0.0
 
+    @pytest.mark.parametrize("x", [
+        [1.0, np.nan, 3.0, 4.0, 5.0],
+        [1.0, np.inf, 3.0, 4.0, 5.0],
+        [1e200] * 5,
+    ], ids=["nan", "inf", "1e200"])
+    def test_non_finite_path(self, x):
+        # A NaN, inf or overflowing path ends in the documented error and a
+        # NaN row, with no floating-point warning on the way.
+        x = np.array(x)
+        with pytest.raises(SingularDesign, match="non-finite"):
+            inar.solve_cls(inar.build_design(x, 1))
+        theta, fitted = inar.fit_lanes(np.stack([x, [3.0, 1.0, 4.0, 1.0, 5.0]], axis=1), 1)
+        assert fitted.tolist() == [False, True]
+        assert np.isnan(theta[0]).all() and np.isfinite(theta[1]).all()
+
 
 class TestContrast:
     def test_quadratic_identity(self, case1_params):

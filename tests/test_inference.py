@@ -94,7 +94,7 @@ class TestConfidenceIntervals:
         with pytest.raises(InvalidLevel):
             inar.confidence_intervals(theta, self._unit_cov(1), T=10, level=level)
 
-    @pytest.mark.parametrize("T", [0, -1, 0.5, math.inf])
+    @pytest.mark.parametrize("T", [0, -1, 0.5, math.inf, pytest.param(10**400, id="10**400")])
     def test_horizon_below_one(self, T):
         theta = ThetaVector(mu=1.0, betas=())
         with pytest.raises(ValueError, match="T must be >= 1"):
