@@ -13,10 +13,10 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   lane i reproduces the scalar loop on key i bit for bit.
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
-  the draws before it. Inversion is one binary search of the rate's CDF
-  table, whose entries are the sums the sequential search adds up; PTRS
-  runs the lane engine's round kernel, which takes per-lane constants or
-  floats shared by every cell and finds first acceptances by a running OR.
+  the draws before it. It runs the lane engine's kernels on a float rate
+  shared by every cell: inversion counts the sums of the sequential search
+  that each uniform passes; the PTRS round kernel takes per-lane constants
+  or floats and finds first acceptances by a running OR.
   ``sim_one`` sends a path whose kernel is zero here and any other path to
   ``sim_path``.
 
@@ -213,25 +213,27 @@ class _LogFactorials:
 _LOGFACT = _LogFactorials()
 
 
-def _inversion_lanes(lam, state):
-    # Sequential search; every lane still searching has taken the same
-    # number of steps, so k is one counter for all of them.
-    u = _uniforms(state)
-    p = np.array([math.exp(-v) for v in lam.tolist()])
-    f = p.copy()
-    out = np.zeros(lam.shape[0])
-    pos = np.arange(lam.shape[0])
-    k = 0
-    while k < 200:
-        more = u > f
-        pos, u, lam, p, f = pos[more], u[more], lam[more], p[more], f[more]
-        if not pos.size:
+def _inversion(lam, u):
+    # The sequential search's draw for each uniform of u at 0 < lam < 10
+    # (a float, or one rate per uniform): the number of k < 200 with
+    # u > F_k. F_k = F_{k-1} + p_k is summed by the scalar loop's operations
+    # in its order, so F only grows and that count is where the search
+    # stops; the sum ends once no uniform is past F. Counts fit in uint8,
+    # whose adds cost a quarter of int64's on a block.
+    if isinstance(lam, np.ndarray):
+        p = np.fromiter(map(math.exp, (-lam).tolist()), np.float64, lam.shape[0])
+        f = p.copy()
+    else:
+        p = f = math.exp(-lam)
+    count = np.zeros(u.shape[0], dtype=np.uint8)
+    for k in range(1, 201):
+        past = u > f
+        if not past.any():
             break
-        k += 1
-        p = p * (lam / k)
-        f = f + p
-        out[pos] = k
-    return out
+        count += past
+        p *= lam / k
+        f += p
+    return count
 
 
 def _log_test(k, lam, us, v, a, b, inv_alpha):
@@ -362,7 +364,7 @@ def _poisson_lanes(lam, state):
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
     if small.size:
         st = state[small]
-        out[small] = _inversion_lanes(lam[small], st)
+        out[small] = _inversion(lam[small], _uniforms(st))
         state[small] = st
     large = np.flatnonzero(lam >= 10.0)
     if large.size:
@@ -376,36 +378,11 @@ def _poisson_lanes(lam, state):
 # of its uniforms: inversion reads one uniform per draw, so draw j reads
 # counter j + 1; PTRS round r reads counters 2r + 1 (u) and 2r + 2 (v), so
 # the draws are the k of the accepting rounds, in order. A block evaluates
-# up to _STREAM_BLOCK draws or rounds at once: inversion by one search of
-# the rate's CDF table, PTRS with the lane engine's round kernel on float
-# constants. 2**13 already spreads a block's dispatch thinly (2**14 draws
-# no faster) and holds half the temporary arrays of 2**14.
+# up to _STREAM_BLOCK draws or rounds at once with the lane engine's
+# kernels, on a float rate (inversion) or float constants (PTRS). 2**13
+# already spreads a block's dispatch thinly (2**14 draws no faster) and
+# holds half the temporary arrays of 2**14.
 _STREAM_BLOCK = 1 << 13
-
-
-def _inversion_table(lam):
-    # F_0, F_1, ... at 0 < lam < 10: the floats the sequential search
-    # compares u with, made by its operations in its order. Past the mode
-    # (k > lam) p only shrinks, so once a term leaves F as it is, F stays
-    # there; the search stops at F_199.
-    p = math.exp(-lam)
-    f = p
-    table = [f]
-    for k in range(1, 200):
-        p *= lam / k
-        if k > lam and f + p == f:
-            break
-        f += p
-        table.append(f)
-    return np.array(table)
-
-
-def _inversion_search(table, u, out):
-    # The sequential search's draws for the uniforms u: F is nondecreasing,
-    # so the first k with u <= F_k is a binary search; past the table, the
-    # search ran to its cap of 200.
-    out[:] = np.searchsorted(table, u)
-    out[out == table.shape[0]] = 200
 
 
 def poisson_stream(lam, out, key):
@@ -423,13 +400,12 @@ def poisson_stream(lam, out, key):
     base = key.copy()
     done = 0
     if lam < 10.0:
-        table = _inversion_table(lam)
         offsets = np.arange(min(_STREAM_BLOCK, n_draws), dtype=np.uint64) * _GOLDEN
         buf = np.empty_like(offsets)
         while done < n_draws:
             size = min(_STREAM_BLOCK, n_draws - done)
             state = np.add(base, offsets[:size], out=buf[:size])
-            _inversion_search(table, _uniforms(state), out[done : done + size])
+            out[done : done + size] = _inversion(lam, _uniforms(state))
             base[:] = state[-1]
             done += size
         return

@@ -57,8 +57,9 @@ def _provenance(config_payload: dict, base_seed: int | None) -> dict:
 
 
 def _write_json(doc: dict, out: str | None) -> None:
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"  # before any file opens
     with _opened(sys.stdout if out is None else out, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -5,7 +5,7 @@ The estimator's score is a martingale difference sequence
 (2/T) sum z_n (X_n - Phi(n)), which motivates the heteroskedasticity-
 consistent plug-in K_hat below; J_hat is twice the design matrix, and the
 asymptotic covariance is the sandwich J^-1 K J^-1. The diagnostics reject
-a sample with NaN or infinite values (DomainError).
+a sample with NaN or inf values or moments beyond float64 (DomainError).
 """
 
 from __future__ import annotations
@@ -157,6 +157,13 @@ def _finite_sample(sample) -> np.ndarray:
     return x
 
 
+def _finite_moment(value: float) -> float:
+    # A moment computed with overflow ignored; one that overflowed raises.
+    if not math.isfinite(value):
+        raise DomainError("sample moments overflow float64; rescale the sample")
+    return value
+
+
 def jarque_bera(sample) -> tuple[float, float]:
     """Jarque-Bera statistic n/6 (S^2 + (K-3)^2/4) with moment-based
     skewness/kurtosis, and its exact chi-square(2) survival p = exp(-stat/2).
@@ -170,12 +177,13 @@ def jarque_bera(sample) -> tuple[float, float]:
             f"Jarque-Bera on n={n} < 20: asymptotic p-value is unreliable",
             stacklevel=2,
         )
-    xc = x - x.mean()
-    m2 = float(xc @ xc) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        m2 = _finite_moment(float(xc @ xc) / n)
+        m3 = _finite_moment(float((xc ** 3).sum()) / n)
+        m4 = _finite_moment(float((xc ** 4).sum()) / n)
     if m2 == 0.0:
         raise ZeroVariance("all sample values are equal")
-    m3 = float((xc ** 3).sum()) / n
-    m4 = float((xc ** 4).sum()) / n
     skew = m3 / m2 ** 1.5
     kurt = m4 / (m2 * m2)
     stat = n / 6.0 * (skew * skew + 0.25 * (kurt - 3.0) ** 2)
@@ -208,7 +216,7 @@ def shapiro_wilk(sample) -> tuple[float, float]:
     if n < 3 or n > 5000:
         raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
     x = np.sort(x, kind="stable")
-    if x[-1] - x[0] == 0.0:
+    if x[-1] == x[0]:
         raise ZeroVariance("all sample values are equal")
 
     n2 = n // 2
@@ -234,12 +242,13 @@ def shapiro_wilk(sample) -> tuple[float, float]:
             a[0] = a1
             a[1:] = m[1:] / fac
 
-    xbar = x.mean()
-    ssd = float((x - xbar) @ (x - xbar))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = x.mean()
+        ssd = _finite_moment(float((x - xbar) @ (x - xbar)))
+        sax = float(a @ (x[::-1][:n2] - x[:n2]))
     if ssd == 0.0:
         raise ZeroVariance("all sample values are equal")
-    sax = float(a @ (x[::-1][:n2] - x[:n2]))
-    w = min(sax * sax / ssd, 1.0)
+    w = min(_finite_moment(sax * sax) / ssd, 1.0)
 
     if n == 3:
         pw = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
@@ -273,7 +282,8 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     z = _qq_positions(n).copy()
     if n == 1:
         return z, np.zeros(1)
-    sd = float(x.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = _finite_moment(float(x.std(ddof=1)))
     if sd == 0.0:
         raise ZeroVariance("all sample values are equal")
     ordered = np.sort(x, kind="stable")

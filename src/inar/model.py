@@ -143,17 +143,18 @@ class BoundsReport:
     horizon_T: int
 
 
-def geometric_kernel(ratio: float, tol: float = 1e-12) -> tuple[float, ...]:
-    """Kernel alpha_n = ratio**n truncated at the first term below ``tol``.
+def geometric_kernel(ratio: float) -> tuple[float, ...]:
+    """Kernel alpha_n = ratio**n truncated before its first term below 1e-12.
 
-    The dropped tail has l1 mass below tol/(1-ratio), negligible against
-    double-precision accumulation in every downstream sum.
+    The dropped tail has l1 mass below 1e-12/(1-ratio), negligible against
+    double-precision accumulation in every downstream sum. A kernel whose
+    sum reaches 1 ends there: it is non-stationary whatever follows.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"geometric ratio must be in (0, 1), got {ratio}")
     terms = []
     term = ratio
-    while term >= tol:
+    while term >= 1e-12 and sum(terms) < 1.0:
         terms.append(term)
         term *= ratio
     return tuple(terms)

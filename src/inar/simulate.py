@@ -89,8 +89,8 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
 
     With ``size=None`` returns the stream's first variate as an int;
     otherwise the first ``size`` variates as an int64 array. Inversion
-    below lam=10, by a binary search of the rate's CDF table that gives the
-    sequential search's result; transformed rejection above. The draws are
+    below lam=10 (the sequential search's draw: the count of its CDF sums
+    that each uniform exceeds); transformed rejection above. The draws are
     made in numpy blocks of up to 2**13 draws or rejection rounds, bit for
     bit those of the one-at-a-time scalar loop. Rates at or above 2**62
     raise :class:`InvalidRate`: their draws may not fit in int64.

@@ -4,7 +4,7 @@ The lane engine (``simulate_lanes``, used by ``run_experiment``) steps many
 streams together; the scalar loop (``_k.sim_path``, behind ``simulate_path``
 for paths with a kernel) runs one. The block sampler (``poisson_sample``
 and kernel-free ``simulate_path``) draws one constant-rate stream with the
-lanes' rejection kernel or a search of the rate's CDF table. The scalar
+lanes' inversion and rejection kernels at a float rate. The scalar
 loop is the oracle: every lane and every block must reproduce it bit for
 bit, including the step at which a lane's intensity overflows.
 
@@ -13,6 +13,7 @@ count paths together; ``build_design`` and ``solve_cls`` fit one. Every
 lane's design, estimate and failure must equal the one-lane call's.
 """
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -218,21 +219,64 @@ def test_stream_prefixes_match_scalar_loop():
             assert inar.poisson_sample(10.0, rng, size=n).tolist() == want[:n]
 
 
+def scalar_cdf(lam):
+    """F_0..F_199, the sums the scalar sequential search compares its uniform
+    with, by its recursion."""
+    p = f = math.exp(-lam)
+    cdf = [f]
+    for k in range(1, 200):
+        p *= lam / k
+        f += p
+        cdf.append(f)
+    return cdf
+
+
+def edge_uniforms(lam):
+    """The uniforms where the search's draw changes: each F_k and the float
+    just past it (F_0 and the last F that moves among them), between the
+    smallest and the largest uniform."""
+    cdf = scalar_cdf(lam)
+    return [2.0 ** -53, *cdf, *np.nextafter(cdf, 1.0).tolist(), 1.0 - 2.0 ** -53]
+
+
+def scalar_search(lam, uniforms):
+    return [_k._poisson_draw(lam, lambda u=u: u) for u in uniforms]
+
+
 @pytest.mark.parametrize("lam", [1e-300, 0.4, 3.0, 9.99, 9.999999])
 def test_inversion_table_ends_match_scalar_search(lam):
-    # The block sampler searches F_0..F_m, stopped once F cannot move; the
+    # The inversion kernel ends its sum once no uniform is past F; the
     # scalar loop searches on to its cap of 200. Both must draw alike at
-    # the smallest uniform, at both ends of the table, just past its end
-    # and at the largest uniform. At 9.99 the table ends below 1 - 2**-53,
-    # so the uniforms past it draw the cap; at the other rates it ends at 1.
-    table = _k._inversion_table(lam)
-    edges = [2.0 ** -53, table[0], table[-1], np.nextafter(table[-1], 1.0), 1.0 - 2.0 ** -53]
-    got = np.empty(len(edges), dtype=np.int64)
-    _k._inversion_search(table, np.array(edges), got)
-    want = [_k._poisson_draw(lam, lambda u=float(u): u) for u in edges]
-    assert got.tolist() == want
-    assert [k == 200 for k in want] == [u > table[-1] for u in edges]
+    # the smallest uniform, at every F_k (both ends of the CDF among them)
+    # and just past it, and at the largest uniform, at a float rate and at
+    # one rate per uniform. At 9.99 the CDF ends below 1 - 2**-53, so the
+    # uniforms past it draw the cap; at the other rates it ends at 1.
+    edges = edge_uniforms(lam)
+    want = scalar_search(lam, edges)
+    assert _k._inversion(lam, np.array(edges)).tolist() == want
+    assert _k._inversion(np.full(len(edges), lam), np.array(edges)).tolist() == want
+    assert [k == 200 for k in want] == [u > scalar_cdf(lam)[-1] for u in edges]
     assert (want[-1] == 200) == (lam == 9.99)
+
+
+_RATES = st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(_RATES, st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                st.integers(0, 401))),
+    min_size=1, max_size=16,
+))
+def test_inversion_matches_scalar_search(cells):
+    # Each cell is a rate and a uniform in (0, 1), or the index of one of
+    # that rate's edge uniforms. One rate per uniform is the lane engine's
+    # call; the first rate as a float over every uniform is a block's.
+    lam = [r for r, _ in cells]
+    u = [edge_uniforms(r)[w] if isinstance(w, int) else w for r, w in cells]
+    want = [scalar_search(r, [v])[0] for r, v in zip(lam, u)]
+    assert _k._inversion(np.array(lam), np.array(u)).tolist() == want
+    assert _k._inversion(lam[0], np.array(u)).tolist() == scalar_search(lam[0], u)
 
 
 def test_shared_log_factorials_across_threads(monkeypatch):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ def test_kernel_grammar_rejected(tmp_path, run_cli, spec, err):
     assert err in proc.stderr
 
 
+def test_geometric_kernel_near_one_rejected_at_once(tmp_path, run_cli):
+    # Built out to its 1e-12 truncation, this kernel would hold about
+    # 2.8e10 terms; it ends once its sum reaches 1 and is rejected.
+    start = time.perf_counter()
+    proc = run_cli(["simulate", "--nu", 10, "--kernel", "geometric:0.999999999", "--T", 20,
+                    "--seed", 2, "--out", tmp_path / "p.csv"])
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(proc)
+    assert "NonStationaryKernel" in proc.stderr
+
+
 def test_malformed_config_json(tmp_path, run_cli):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -404,6 +416,19 @@ def test_normality_bad_sample_row_named(tmp_path, run_cli, row, named):
     proc = run_cli(["normality", "--samples", samples])
     assert_one_error_line(proc)
     assert f"samples CSV {named}" in proc.stderr
+
+
+def test_normality_overflowing_sample_one_error_line(tmp_path, run_cli):
+    # Finite values near 1e200: the moments overflow float64. One error
+    # line, and no (empty) output file.
+    values = np.random.default_rng(3).normal(size=40) * 1e200
+    samples = tmp_path / "samples.csv"
+    samples.write_text("rep,mu_hat\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+    out = tmp_path / "n.json"
+    proc = run_cli(["normality", "--samples", samples, "--out", out])
+    assert_one_error_line(proc)
+    assert proc.stderr.startswith("inar: error: DomainError: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [2 ** 64 + 5, -(2 ** 64) - 5])

@@ -260,6 +260,23 @@ def test_non_finite_sample_rejected(test, bad):
         test(x)
 
 
+@pytest.mark.parametrize("scale, tests", [
+    # The fourth moment overflows first, then the second.
+    (1e80, [inar.jarque_bera]),
+    (1e200, [inar.jarque_bera, inar.shapiro_wilk, inar.qq_data]),
+    (1.7e308, [inar.jarque_bera, inar.shapiro_wilk, inar.qq_data]),
+])
+def test_overflowing_moments_rejected(scale, tests):
+    # Finite values whose moments exceed float64 raise, with no overflow
+    # warning (an error under the suite's filter) and no statistic built
+    # from an inf.
+    x = np.random.default_rng(61).normal(size=40)
+    x *= scale / np.abs(x).max()
+    for test in tests:
+        with pytest.raises(DomainError, match="overflow"):
+            test(x)
+
+
 class TestSandwich:
     def test_iid_poisson_scalar(self):
         # p=0: Sigma reduces to the residual variance, which is nu for Poisson

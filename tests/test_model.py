@@ -192,6 +192,14 @@ class TestGeometricKernel:
         assert np.allclose(ratios, 0.25, rtol=1e-12)
         assert kern[-1] >= 1e-12 > kern[-1] * 0.25
 
+    def test_ends_once_sum_reaches_one(self):
+        # 0.6 + 0.36 + 0.216 >= 1: the kernel is non-stationary from there
+        # on, and is not built out to its 1e-12 truncation.
+        kern = inar.geometric_kernel(0.6)
+        assert len(kern) == 3 and sum(kern) >= 1.0
+        assert not inar.validate_params(ModelParams(nu=1.0, kernel=kern)).stationary
+        assert len(inar.geometric_kernel(0.5)) == 39
+
     def test_ratio_domain(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
