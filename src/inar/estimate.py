@@ -41,6 +41,11 @@ class DesignSystem:
     b: np.ndarray = field(repr=False)
     T: int
     p: int
+    # A system from build_design also holds a read-only float copy of the
+    # counts it was built from, never the caller's own array: the path of
+    # its estimate's sandwich is compared with it. Not a field, as
+    # ThetaVector._fit is not.
+    _counts = None
 
     def __post_init__(self):
         _freeze_copies(self, "Y", "b")
@@ -57,8 +62,8 @@ class ThetaVector:
 
     mu: float
     betas: tuple[float, ...] = ()
-    # An estimate from solve_cls also holds the (Y, Y^-1) of the system it
-    # solved, for sandwich_covariance to reuse.
+    # An estimate from solve_cls on a build_design system also holds that
+    # system's (counts, Y, Y^-1), for sandwich_covariance to reuse.
     # Not a field: ==, hash, repr, asdict and replace see (mu, betas) only.
     _fit = None
 
@@ -78,13 +83,16 @@ class ThetaVector:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise DimensionMismatch("theta must be a 1-d vector of length >= 1")
-        return cls(mu=float(arr[0]), betas=tuple(float(v) for v in arr[1:]))
+        values = arr.tolist()
+        return cls(mu=values[0], betas=tuple(values[1:]))
 
 
-def _counts_of(path) -> np.ndarray:
+def _counts_of(path, copy: bool = False) -> np.ndarray:
+    # The path as a C-contiguous (T,) float64 array: a new one for a
+    # CountPath or with ``copy``, else the caller's own where it is one.
     if isinstance(path, CountPath):
         return path.counts_float()
-    x = np.ascontiguousarray(path, dtype=np.float64)
+    x = np.array(path, dtype=np.float64, order="C", ndmin=1, copy=copy or None)
     if x.ndim != 1:
         raise DimensionMismatch(f"path must be a (T,) array, got shape {x.shape}")
     return x
@@ -104,12 +112,12 @@ def build_design(path, p: int) -> DesignSystem:
     moment; Y is the 1/T-scaled Gram matrix of the regressors
     z_n = (1, X_{n-1}, ..., X_{n-p}) with entries at nonpositive time
     indices zeroed. Y[0,0] is exactly 1."""
-    x = _counts_of(path)
+    x = _counts_of(path, copy=True)
     t = x.shape[0]
     p = _check_lag(t, p)
     with np.errstate(over="ignore", invalid="ignore"):  # solve_cls rejects non-finite
         y, b = _k.design_build(x[:, None], p)
-    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p)
+    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p, _counts=x)
 
 
 def rcond(system: DesignSystem) -> float:
@@ -138,8 +146,9 @@ def _failure(fits, i: int) -> SingularDesign:
 
 def solve_cls(system: DesignSystem) -> ThetaVector:
     """Solve Y theta = b through the inverse of Y (one LU factorisation),
-    plus one iterative-refinement step with the same inverse. The
-    estimate carries that inverse to :func:`inar.sandwich_covariance`.
+    plus one iterative-refinement step with the same inverse. An estimate
+    from a :func:`build_design` system carries that inverse, with the
+    system's counts and Y, to :func:`inar.sandwich_covariance`.
 
     Raises :class:`SingularDesign` when the reciprocal condition falls
     below 1e-12 or the residual check fails (collinear lags, degenerate
@@ -150,7 +159,8 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
     if fits.status[0] != _k.FIT_OK:
         raise _failure(fits, 0)
     theta = ThetaVector.from_array(fits.theta[0])
-    object.__setattr__(theta, "_fit", (system.Y, fits.inv[0]))
+    if system._counts is not None:
+        object.__setattr__(theta, "_fit", (system._counts, system.Y, fits.inv[0]))
     return theta
 
 

@@ -5,7 +5,9 @@ The estimator's score is a martingale difference sequence
 (2/T) sum z_n (X_n - Phi(n)), which motivates the heteroskedasticity-
 consistent plug-in K_hat below; J_hat is twice the design matrix, and the
 asymptotic covariance is the sandwich J^-1 K J^-1. The diagnostics reject
-a sample with NaN or inf values or moments beyond float64 (DomainError).
+a sample with NaN or inf values (DomainError). They work on the sample
+scaled by a power of two into (-1, 1), so no moment of a finite sample
+overflows or underflows for its scale alone.
 """
 
 from __future__ import annotations
@@ -78,38 +80,43 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     X_{n-p}) zero-padded at the start; Sigma_hat is computed via two refined
     solves with one inverse of J_hat (an LU factorisation), whose condition
     is screened as :func:`inar.solve_cls` screens Y's. When theta_hat came
-    from :func:`inar.solve_cls` on this path's design at this p, that inverse
-    is half the solve's Y^-1, reused exactly; otherwise J_hat is inverted
-    here, with the same result bit for bit."""
+    from :func:`inar.solve_cls` on :func:`inar.build_design`'s system of a
+    path with these counts, at this p, that system's Y and half the solve's
+    Y^-1 are reused exactly; otherwise Y is built and J_hat inverted here,
+    with the same result bit for bit."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
     p = _check_lag(x.shape[0], p)
-    theta = np.zeros(p + 1, dtype=np.float64)  # betas beyond p dropped, missing ones 0
-    theta[: theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
+    theta = np.zeros((1, p + 1), dtype=np.float64)  # betas beyond p dropped, missing ones 0
+    theta[0, : theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
+    fit = theta_hat._fit  # (counts, Y, Y^-1) of the solve, or None
+    # The fit's counts at the fit's p: its Y is this path's design, and its
+    # copy of the counts stands in for the one just made.
+    reuse = fit is not None and fit[1].shape[0] == p + 1 and np.array_equal(x, fit[0])
     # A non-finite or overflowing path gives inf and NaN, rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _k.design_build(x[:, None], p)[0][0]
+        if reuse:
+            x, y = fit[0], fit[1][None]
+        else:
+            y = _k.design_build(x[:, None], p)[0]
         j_hat = 2.0 * y
-        k_hat = _k.score_variance(x, theta)
+        k_hat = _k.score_variance(x[:, None], theta)
     if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
         raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
 
-    fit = theta_hat._fit  # (Y, Y^-1) of the solve, or None
-    # Y equal to the fit's (never at another p: the shapes differ) is the
-    # design the solve screened; the LU of 2Y doubles Y's, so inv(2Y) = Y^-1 / 2.
-    if fit is not None and np.array_equal(y, fit[0]):
-        g = 0.5 * fit[1]
+    if reuse:
+        # Y is the design the solve screened; the LU of 2Y doubles Y's, so
+        # inv(2Y) = Y^-1 / 2.
+        g = 0.5 * fit[2][None]
     else:
-        g, rc = (c[0] for c in _k.inverse_rcond(j_hat[None]))
-        if rc < RCOND_THRESHOLD:
+        g, rc = _k.inverse_rcond(j_hat)
+        if rc[0] < RCOND_THRESHOLD:
             raise SingularDesign(
-                f"J_hat reciprocal condition {rc:.3e} below {RCOND_THRESHOLD:g}"
+                f"J_hat reciprocal condition {rc[0]:.3e} below {RCOND_THRESHOLD:g}"
             )
-    half = _k.inverse_solve(j_hat, g, k_hat)
-    sigma = _k.inverse_solve(j_hat, g, half.T)
-    sigma = (sigma + sigma.T) * 0.5
-    return _adopt(SandwichCovariance, J_hat=j_hat, K_hat=k_hat, Sigma_hat=sigma)
+    sigma = _k.sandwich_solve(j_hat, g, k_hat)
+    return _adopt(SandwichCovariance, J_hat=j_hat[0], K_hat=k_hat[0], Sigma_hat=sigma[0])
 
 
 def confidence_intervals(
@@ -136,7 +143,7 @@ def confidence_intervals(
         raise ValueError(f"T must be >= 1 and finite, got {T}")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.maximum(diag, 0.0) / t)
-    return [(float(v - h), float(v + h)) for v, h in zip(vec, half)]
+    return [(v - h, v + h) for v, h in zip(vec.tolist(), half.tolist())]
 
 
 def normality_report(sample) -> NormalityReport:
@@ -157,11 +164,12 @@ def _finite_sample(sample) -> np.ndarray:
     return x
 
 
-def _finite_moment(value: float) -> float:
-    # A moment computed with overflow ignored; one that overflowed raises.
-    if not math.isfinite(value):
-        raise DomainError("sample moments overflow float64; rescale the sample")
-    return value
+def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    # x * 2**-e and e, the binary exponent of max|x| (math.frexp): every
+    # value is then below 1 in magnitude. A power of two scales exactly in
+    # the normal range, so every scale-free statistic keeps its bits.
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
 
 
 def jarque_bera(sample) -> tuple[float, float]:
@@ -177,11 +185,11 @@ def jarque_bera(sample) -> tuple[float, float]:
             f"Jarque-Bera on n={n} < 20: asymptotic p-value is unreliable",
             stacklevel=2,
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        xc = x - x.mean()
-        m2 = _finite_moment(float(xc @ xc) / n)
-        m3 = _finite_moment(float((xc ** 3).sum()) / n)
-        m4 = _finite_moment(float((xc ** 4).sum()) / n)
+    x = _unit_scale(x)[0]
+    xc = x - x.mean()
+    m2 = float(xc @ xc) / n
+    m3 = float((xc ** 3).sum()) / n
+    m4 = float((xc ** 4).sum()) / n
     if m2 == 0.0:
         raise ZeroVariance("all sample values are equal")
     skew = m3 / m2 ** 1.5
@@ -215,7 +223,7 @@ def shapiro_wilk(sample) -> tuple[float, float]:
     n = x.shape[0]
     if n < 3 or n > 5000:
         raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
-    x = np.sort(x, kind="stable")
+    x = np.sort(_unit_scale(x)[0], kind="stable")
     if x[-1] == x[0]:
         raise ZeroVariance("all sample values are equal")
 
@@ -242,13 +250,12 @@ def shapiro_wilk(sample) -> tuple[float, float]:
             a[0] = a1
             a[1:] = m[1:] / fac
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        xbar = x.mean()
-        ssd = _finite_moment(float((x - xbar) @ (x - xbar)))
-        sax = float(a @ (x[::-1][:n2] - x[:n2]))
+    xbar = x.mean()
+    ssd = float((x - xbar) @ (x - xbar))
+    sax = float(a @ (x[::-1][:n2] - x[:n2]))
     if ssd == 0.0:
         raise ZeroVariance("all sample values are equal")
-    w = min(_finite_moment(sax * sax) / ssd, 1.0)
+    w = min(sax * sax / ssd, 1.0)
 
     if n == 3:
         pw = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
@@ -282,8 +289,8 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     z = _qq_positions(n).copy()
     if n == 1:
         return z, np.zeros(1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = _finite_moment(float(x.std(ddof=1)))
+    x = _unit_scale(x)[0]
+    sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise ZeroVariance("all sample values are equal")
     ordered = np.sort(x, kind="stable")
@@ -295,7 +302,14 @@ def histogram_data(sample, bins: int = 30) -> tuple[np.ndarray, np.ndarray, np.n
     x = _finite_sample(sample)
     if x.shape[0] < 1:
         raise ValueError("sample must be nonempty")
+    # Binned in (-1, 1), the edges scaled back exactly. A constant sample
+    # stays as it is: numpy widens its one-point range by 0.5 either way,
+    # which does not scale.
+    e = 0
+    if x.min() != x.max():
+        x, e = _unit_scale(x)
     counts, edges = np.histogram(x, bins=bins)
+    edges = np.ldexp(edges, e)
     return edges[:-1], edges[1:], counts
 
 

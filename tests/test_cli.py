@@ -419,16 +419,23 @@ def test_normality_bad_sample_row_named(tmp_path, run_cli, row, named):
 
 
 def test_normality_overflowing_sample_one_error_line(tmp_path, run_cli):
-    # Finite values near 1e200: the moments overflow float64. One error
-    # line, and no (empty) output file.
-    values = np.random.default_rng(3).normal(size=40) * 1e200
-    samples = tmp_path / "samples.csv"
-    samples.write_text("rep,mu_hat\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
-    out = tmp_path / "n.json"
-    proc = run_cli(["normality", "--samples", samples, "--out", out])
-    assert_one_error_line(proc)
-    assert proc.stderr.startswith("inar: error: DomainError: ")
-    assert not out.exists()
+    # Finite values near 1e200, whose moments overflow float64 unscaled.
+    # Such a sample was one DomainError line until the diagnostics scaled
+    # each sample by a power of two into (-1, 1). Now the run succeeds, and
+    # its statistics are those of the same sample at unit scale (2**-664
+    # scales exactly), bit for bit.
+    values = np.random.default_rng(3).normal(size=40)
+    docs = []
+    for exp in (664, 0):
+        samples = tmp_path / f"samples_{exp}.csv"
+        rows = np.ldexp(values, exp).tolist()
+        samples.write_text("rep,mu_hat\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(rows)))
+        out = tmp_path / f"n_{exp}.json"
+        proc = run_cli(["normality", "--samples", samples, "--out", out])
+        assert proc.returncode == 0 and proc.stderr == ""
+        docs.append(json.loads(out.read_text())["normality"])
+    assert docs[0] == docs[1]
+    assert all(math.isfinite(v) for v in docs[0]["mu_hat"].values())
 
 
 @pytest.mark.parametrize("seed", [2 ** 64 + 5, -(2 ** 64) - 5])

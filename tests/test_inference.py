@@ -267,14 +267,54 @@ def test_non_finite_sample_rejected(test, bad):
     (1.7e308, [inar.jarque_bera, inar.shapiro_wilk, inar.qq_data]),
 ])
 def test_overflowing_moments_rejected(scale, tests):
-    # Finite values whose moments exceed float64 raise, with no overflow
-    # warning (an error under the suite's filter) and no statistic built
-    # from an inf.
+    # Finite values whose moments overflow float64 unscaled. They raised
+    # DomainError until the diagnostics scaled each sample by a power of two
+    # into (-1, 1). Now, with no overflow warning (an error under the
+    # suite's filter), each gets the statistics of the same sample times
+    # any power of two bit for bit, and those of the unit-scale sample to
+    # within rounding.
     x = np.random.default_rng(61).normal(size=40)
-    x *= scale / np.abs(x).max()
+    huge = x * (scale / np.abs(x).max())
     for test in tests:
-        with pytest.raises(DomainError, match="overflow"):
-            test(x)
+        got = test(huge)
+        assert np.isfinite(got).all()
+        for exp in (-1100, -math.frexp(scale)[1], -1):
+            assert np.asarray(test(np.ldexp(huge, exp))).tobytes() == np.asarray(got).tobytes()
+        np.testing.assert_allclose(got[-1], test(x)[-1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("test", [inar.jarque_bera, inar.shapiro_wilk, inar.qq_data],
+                         ids=lambda f: f.__name__)
+def test_tiny_sample_has_statistics(test):
+    # Distinct values whose second moment underflows unscaled: statistics,
+    # not ZeroVariance.
+    x = np.random.default_rng(67).normal(size=40)
+    got = test(x * 1e-200)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, test(x), rtol=1e-12)
+
+
+def test_histogram_of_a_range_beyond_float64():
+    # max - min overflows float64: binned at unit scale, edges scaled back.
+    left, right, count = inar.histogram_data([1e308, -1e308, 0.0], bins=4)
+    assert np.isfinite(left).all() and np.isfinite(right).all()
+    assert left[0] == -1e308 and right[-1] == 1e308
+    assert count.tolist() == [1, 0, 1, 1]
+
+
+def test_histogram_scale_free():
+    # Counts keep their bins and edges scale exactly under a power of two;
+    # a constant sample keeps numpy's unit-wide range around its value.
+    x = np.random.default_rng(71).normal(size=200) * 37.0
+    left, right, count = inar.histogram_data(x, bins=30)
+    edges = np.histogram(x, bins=30)[1]
+    assert left.tobytes() == edges[:-1].tobytes() and right.tobytes() == edges[1:].tobytes()
+    for exp in (-900, 700):
+        scaled = inar.histogram_data(np.ldexp(x, exp), bins=30)
+        assert scaled[2].tolist() == count.tolist()
+        assert scaled[0].tobytes() == np.ldexp(left, exp).tobytes()
+    left, right, count = inar.histogram_data([5.0, 5.0, 5.0], bins=2)
+    assert left.tolist() == [4.5, 5.0] and right.tolist() == [5.0, 5.5]
 
 
 class TestSandwich:
@@ -405,6 +445,30 @@ class TestSandwichReusesTheFit:
         assert sandwich_bytes(other, theta, p) == sandwich_bytes(other, bare, p)
         assert sandwich_bytes(path, theta, q) == sandwich_bytes(path, bare, q)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_path_changed_after_the_fit(self, data):
+        # The fit keeps its own copy of the counts, never the caller's
+        # array: a path changed in place after the fit gets its own
+        # sandwich, at the fit's p and at another, not the fit's. For a
+        # CountPath, a caller re-enables writes to its counts.
+        T = data.draw(st.integers(3, 60), label="T")
+        p = data.draw(st.integers(0, min(T - 1, 15)), label="p")
+        q = data.draw(st.integers(0, min(T - 1, 15)).filter(lambda v: v != p), label="q")
+        counts = np.array(data.draw(count_paths(T), label="path"), dtype=np.float64)
+        t = data.draw(st.integers(0, T - 1), label="t")
+        value = data.draw(st.integers(0, 10 ** 6).filter(lambda v: v != counts[t]), label="value")
+        for path in (counts.copy(), CountPath(counts=counts.astype(np.int64))):
+            theta = fitted(path, p)
+            if theta is None:
+                return
+            bare = ThetaVector.from_array(theta.to_array())
+            held = path if isinstance(path, np.ndarray) else path.counts
+            held.flags.writeable = True
+            held[t] = value
+            assert sandwich_bytes(path, theta, p) == sandwich_bytes(path, bare, p)
+            assert sandwich_bytes(path, theta, q) == sandwich_bytes(path, bare, q)
+
     def test_simulated_paths_bit_for_bit(self, case1_params, case2_params):
         # The study's paths, and p = 30, a size the property above never
         # reaches.
@@ -419,6 +483,7 @@ class TestSandwichReusesTheFit:
     def test_one_factorisation_per_fit(self, monkeypatch, case1_params, tmp_path, run_cli):
         path = inar.simulate_path(case1_params, 300, RngStream(3))
         calls = []
+        builds = []
 
         def counted(name):
             real = getattr(np.linalg, name)
@@ -430,24 +495,43 @@ class TestSandwichReusesTheFit:
 
         counted("inv")
         counted("eigh")
+        real_build = inar._kernels.design_build
+
+        def build(x, p):
+            builds.append((x.shape, p))
+            return real_build(x, p)
+        monkeypatch.setattr(inar._kernels, "design_build", build)
+        # The sandwich of a fit on its own path and p builds nothing: it
+        # takes Y and Y^-1 from the fit.
         theta = inar.solve_cls(inar.build_design(path, 5))
         inar.sandwich_covariance(path, theta, 5)
         assert calls == [("inv", (1, 6, 6))]
+        assert builds == [((300, 1), 5)]
         # A hand-built estimate carries no inverse: the sandwich makes a
         # second one.
         calls.clear()
+        builds.clear()
         theta = inar.solve_cls(inar.build_design(path, 5))
         inar.sandwich_covariance(path, ThetaVector.from_array(theta.to_array()), 5)
         assert calls == [("inv", (1, 6, 6)), ("inv", (1, 6, 6))]
-        # So does a sandwich at another p than the fit's.
+        assert builds == [((300, 1), 5)] * 2
+        # So does a sandwich at another p than the fit's, and it builds a
+        # second design, as one on another path at the fit's p does.
         calls.clear()
+        builds.clear()
         inar.sandwich_covariance(path, theta, 4)
         assert calls == [("inv", (1, 5, 5))]
+        assert builds == [((300, 1), 4)]
+        builds.clear()
+        inar.sandwich_covariance(path.counts[::-1], theta, 5)
+        assert builds == [((300, 1), 5)]
         # A non-integer path's fit makes one, as its J_hat is 2Y bit for bit.
         calls.clear()
+        builds.clear()
         gamma = np.random.default_rng(29).gamma(2.0, 3.0, size=500)
         inar.sandwich_covariance(gamma, inar.solve_cls(inar.build_design(gamma, 5)), 5)
         assert calls == [("inv", (1, 6, 6))]
+        assert builds == [((500, 1), 5)]
         # A stacked fit of conditioned lanes makes one batched inverse.
         calls.clear()
         inar.fit_lanes(np.column_stack([path.counts, path.counts[::-1]]), 5)
@@ -455,9 +539,11 @@ class TestSandwichReusesTheFit:
         # `inar estimate --ci` is one fit, plus the eigh of its rcond field.
         inar.write_path_csv(path, tmp_path / "path.csv")
         calls.clear()
+        builds.clear()
         proc = run_cli(["estimate", "--path", tmp_path / "path.csv", "--p", 5, "--ci"])
         assert proc.returncode == 0, proc.stderr
         assert calls == [("inv", (1, 6, 6)), ("eigh", (6, 6))]
+        assert builds == [((300, 1), 5)]
 
     def test_estimate_is_its_values(self, case1_params):
         # The inverse an estimate keeps is not one of its fields.
@@ -469,3 +555,29 @@ class TestSandwichReusesTheFit:
         assert repr(theta) == repr(bare)
         assert asdict(theta) == asdict(bare)
         assert replace(theta) == bare
+
+
+@pytest.mark.parametrize("T, p", [(200, 10), (1000, 30)])
+def test_stacked_sandwich_is_the_one_lane_sandwich(case1_params, case2_params, T, p):
+    # K_hat and Sigma of a (T, N) count stack, over more than one lane chunk,
+    # are the one-lane sandwich's bit for bit. A lane whose fit fails (an
+    # all-zero path: singular design) has a NaN theta, and its K_hat and
+    # Sigma are NaN.
+    k = inar._kernels
+    n_lanes = 40
+    assert n_lanes > k._LAG_VALUES // (T * (p + 1))
+    for params in (case1_params, case2_params):
+        counts, _ = inar.simulate_lanes(params, T, 43, range(n_lanes))
+        counts[:, 3] = 0.0
+        y, b = k.design_build(counts, p)
+        fits = k.cls_solve(y, b)
+        ok = fits.status == k.FIT_OK
+        assert ok.sum() == n_lanes - 1 and not ok[3]
+        k_hat = k.score_variance(counts, fits.theta)
+        sigma = k.sandwich_solve(2.0 * y, 0.5 * fits.inv, k_hat)
+        assert np.isnan(k_hat[3]).all() and np.isnan(sigma[3]).all()
+        for j in np.flatnonzero(ok):
+            theta = inar.solve_cls(inar.build_design(counts[:, j], p))
+            cov = inar.sandwich_covariance(counts[:, j], theta, p)
+            assert k_hat[j].tobytes() == cov.K_hat.tobytes()
+            assert sigma[j].tobytes() == cov.Sigma_hat.tobytes()
