@@ -63,7 +63,9 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S12 = np.uint64(12)
-_INV52 = 2.220446049250313e-16  # 2**-52
+# The bits of 1.0: OR-ed into a 52-bit z they make the float 1 + z * 2**-52.
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_ONE_LESS_HALF_ULP = 1.0 - 2.0 ** -53
 # Counts from here on do not fit in int64.
 INT64_END = 2.0 ** 63
 _MASK64 = (1 << 64) - 1
@@ -87,8 +89,11 @@ def stream_keys(seed, stream_ids):
 
 def _uniforms(state):
     # splitmix64 step of every entry of ``state``, in place (array uint64
-    # arithmetic wraps silently); top 52 bits centered in (0, 1). The mix
-    # runs in place on two temporaries; its values are _mix64's.
+    # arithmetic wraps silently); the top 52 bits z of each mix give the
+    # uniform (z + 1/2) * 2**-52 in (0, 1). The mix runs in place on two
+    # temporaries; its values are _mix64's. The uniform is read from the
+    # mix's own words: 1 + z * 2**-52 by its bits, less 1 - 2**-53, which
+    # is exact (the difference has at most 53 significant bits below 1).
     state += _GOLDEN
     z = state >> _S30
     z ^= state
@@ -99,9 +104,9 @@ def _uniforms(state):
     np.right_shift(z, _S31, out=t)
     z ^= t
     z >>= _S12
-    u = z.astype(np.float64)
-    u += 0.5
-    u *= _INV52
+    z |= _ONE_BITS
+    u = z.view(np.float64)
+    u -= _ONE_LESS_HALF_ULP
     return u
 
 
@@ -300,7 +305,8 @@ def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
     us = 0.5 - np.abs(u)
     k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
     accept = (us >= 0.07) & (wv <= v_r)
-    seen = accept.copy()
+    # One round (a block) is its own mask; accept changes only after slow.
+    seen = accept.copy() if accept.shape[0] > 1 else accept
     for r in range(1, seen.shape[0]):
         np.logical_or(seen[r], seen[r - 1], out=seen[r])
     slow = ~seen & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
@@ -599,29 +605,40 @@ def score_variance(x, theta):
             lanes = slice(start, start + chunk)
             k_hat[lanes] = score_variance(x[:, lanes], theta[lanes])
         return k_hat
-    # Lane i's lag matrix: row t is z_t = (1, x_{t-1}, ..., x_{t-p}), 0
-    # before the path starts. Columns 1..p are one copy of a view of the
-    # path padded with p zeros, whose (t, j) entry is padded[p - 1 + t - j]
-    # = x_{t-1-j} (on padded's buffer, no as_strided, as in _lagged_design).
-    # Each lane is C-contiguous: the residual is not an integer sum, and
-    # BLAS rounds it by the operand layout.
     x = x.T
     p = m - 1
-    lags = np.empty((n_lanes, n_steps, m))
-    lags[..., 0] = 1.0
-    if p:
+    if not p:
+        # z_n = (1), so phi_n = mu exactly and K_hat needs no lag matrix:
+        # the squared residual, written into a fresh C-contiguous (N, T, 1)
+        # array (a broadcast result would take x.T's layout, which BLAS
+        # rounds differently), summed by the lag-matrix route's BLAS call
+        # against a column of ones, one column for all lanes (matmul calls
+        # BLAS on each lane's operands alone).
+        resid = np.empty((n_lanes, n_steps, 1))
+        np.subtract(theta[:, None, :], x[..., None], out=resid)
+        resid *= resid
+        k_hat = resid.mT @ np.ones((n_steps, 1))
+    else:
+        # Lane i's lag matrix: row t is z_t = (1, x_{t-1}, ..., x_{t-p}), 0
+        # before the path starts. Columns 1..p are one copy of a view of
+        # the path padded with p zeros, whose (t, j) entry is padded[p - 1
+        # + t - j] = x_{t-1-j} (on padded's buffer, no as_strided, as in
+        # _lagged_design). Each lane is C-contiguous: the residual is not
+        # an integer sum, and BLAS rounds it by the operand layout.
+        lags = np.empty((n_lanes, n_steps, m))
+        lags[..., 0] = 1.0
         padded = np.zeros((n_lanes, p + n_steps))
         padded[:, p:] = x
         step = padded.itemsize
         lags[..., 1:] = np.ndarray((n_lanes, n_steps, p), padded.dtype, padded,
                                    (p - 1) * step, (padded.strides[0], step, -step))
-    # The squared residual in place: at T = 1e5 each (T,) temporary is
-    # 0.8 MB at the peak of a sandwich. (phi_n - x_n)^2 is (x_n - phi_n)^2
-    # bit for bit.
-    resid = lags @ theta[..., None]
-    resid -= x[..., None]
-    resid *= resid
-    k_hat = (lags * resid).mT @ lags
+        # The squared residual in place: at T = 1e5 each (T,) temporary is
+        # 0.8 MB at the peak of a sandwich. (phi_n - x_n)^2 is (x_n -
+        # phi_n)^2 bit for bit.
+        resid = lags @ theta[..., None]
+        resid -= x[..., None]
+        resid *= resid
+        k_hat = (lags * resid).mT @ lags
     k_hat = k_hat + k_hat.mT
     k_hat *= 0.5
     k_hat *= 4.0 / n_steps

@@ -41,10 +41,10 @@ class DesignSystem:
     b: np.ndarray = field(repr=False)
     T: int
     p: int
-    # A system from build_design also holds a read-only float copy of the
-    # counts it was built from, never the caller's own array: the path of
-    # its estimate's sandwich is compared with it. Not a field, as
-    # ThetaVector._fit is not.
+    # A system from build_design also holds the read-only float counts it
+    # was built from: a CountPath's own float view, or a copy of an array
+    # (never the caller's own). Its estimate's sandwich knows its path by
+    # them. Not a field, as ThetaVector._fit is not.
     _counts = None
 
     def __post_init__(self):
@@ -88,8 +88,9 @@ class ThetaVector:
 
 
 def _counts_of(path, copy: bool = False) -> np.ndarray:
-    # The path as a C-contiguous (T,) float64 array: a new one for a
-    # CountPath or with ``copy``, else the caller's own where it is one.
+    # The path as a C-contiguous (T,) float64 array: a CountPath's shared
+    # read-only float view; for an array a new one with ``copy``, else the
+    # caller's own where it is one.
     if isinstance(path, CountPath):
         return path.counts_float()
     x = np.array(path, dtype=np.float64, order="C", ndmin=1, copy=copy or None)

@@ -80,10 +80,11 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     X_{n-p}) zero-padded at the start; Sigma_hat is computed via two refined
     solves with one inverse of J_hat (an LU factorisation), whose condition
     is screened as :func:`inar.solve_cls` screens Y's. When theta_hat came
-    from :func:`inar.solve_cls` on :func:`inar.build_design`'s system of a
-    path with these counts, at this p, that system's Y and half the solve's
-    Y^-1 are reused exactly; otherwise Y is built and J_hat inverted here,
-    with the same result bit for bit."""
+    from :func:`inar.solve_cls` on :func:`inar.build_design`'s system of
+    this :class:`inar.CountPath` (known by its float view, without a
+    comparison) or of a path with these counts, at this p, that system's Y
+    and half the solve's Y^-1 are reused exactly; otherwise Y is built and
+    J_hat inverted here, with the same result bit for bit."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
@@ -91,9 +92,11 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     theta = np.zeros((1, p + 1), dtype=np.float64)  # betas beyond p dropped, missing ones 0
     theta[0, : theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
     fit = theta_hat._fit  # (counts, Y, Y^-1) of the solve, or None
-    # The fit's counts at the fit's p: its Y is this path's design, and its
-    # copy of the counts stands in for the one just made.
-    reuse = fit is not None and fit[1].shape[0] == p + 1 and np.array_equal(x, fit[0])
+    # The fit's counts at the fit's p: its Y is this path's design. The fit
+    # of this CountPath holds its float view itself; an array is compared,
+    # and the fit's copy of its counts stands in for the one just made.
+    reuse = fit is not None and fit[1].shape[0] == p + 1 and (
+        x is fit[0] or np.array_equal(x, fit[0]))
     # A non-finite or overflowing path gives inf and NaN, rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         if reuse:
@@ -304,11 +307,22 @@ def histogram_data(sample, bins: int = 30) -> tuple[np.ndarray, np.ndarray, np.n
         raise ValueError("sample must be nonempty")
     # Binned in (-1, 1), the edges scaled back exactly. A constant sample
     # stays as it is: numpy widens its one-point range by 0.5 either way,
-    # which does not scale.
+    # which does not scale, and which a value of about 2**48 or more in
+    # magnitude (2**53 for one bin) absorbs, so that numpy finds no
+    # increasing edges.
     e = 0
-    if x.min() != x.max():
+    constant = x.min() == x.max()
+    if not constant:
         x, e = _unit_scale(x)
-    counts, edges = np.histogram(x, bins=bins)
+    try:
+        counts, edges = np.histogram(x, bins=bins)
+    except ValueError:
+        if not constant or bins < 1:
+            raise
+        raise DomainError(
+            f"constant sample of value {float(x[0])!r} is too large to bin: the "
+            f"width-1 range around it does not split into {bins} bins"
+        ) from None
     edges = np.ldexp(edges, e)
     return edges[:-1], edges[1:], counts
 

@@ -61,6 +61,13 @@ class RngStream:
         return RngStream(self.seed, stream_id)
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    # A read-only view of ``arr``, made read-only too: numpy refuses to make
+    # such a view writable again, so its values are fixed for good.
+    arr.flags.writeable = False
+    return arr.view()
+
+
 @dataclass(frozen=True)
 class CountPath:
     """One realization X_1..X_T with its generation provenance."""
@@ -76,12 +83,23 @@ class CountPath:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", _sealed(self.counts))
 
     def __len__(self) -> int:
         return self.counts.shape[0]
 
     def counts_float(self) -> np.ndarray:
-        return self.counts.astype(np.float64)
+        """The counts as float64: one read-only array, made on first use
+        and shared by every caller (a fit and its sandwich know their path
+        by it). It is not a field: repr and replace ignore it. Neither it
+        nor ``counts`` can be made writable again, so it never goes
+        stale."""
+        x = self.__dict__.get("_floats")
+        if x is None:
+            x = _sealed(self.counts.astype(np.float64))
+            # Two first uses on two threads keep one array.
+            x = self.__dict__.setdefault("_floats", x)
+        return x
 
 
 def poisson_sample(lam: float, rng: RngStream, size: int | None = None):

@@ -570,3 +570,127 @@ def test_failed_lanes_keep_other_lanes(case1_params):
             continue
         assert fits.theta[j].tobytes() == inar.solve_cls(system).to_array().tobytes()
         assert _k.RCOND_THRESHOLD <= fits.rcond[j] <= inar.rcond(system)
+
+
+def test_singular_lanes_anywhere_in_the_stack():
+    # Exactly singular lanes first, in the middle and last of a stack: each
+    # gets a NaN inverse, and every other lane its one-lane np.linalg.inv
+    # bit for bit.
+    rng = np.random.default_rng(83)
+    m, n = 4, 12
+    a = rng.normal(size=(n, m, m))
+    y = a @ a.mT + m * np.eye(m)
+    twin = rng.integers(-5, 6, size=(m, m)).astype(np.float64)
+    twin[2] = twin[0]
+    singular = {0: np.zeros((m, m)), 5: twin, n - 1: np.diag([1.0, 2.0, 0.0, 3.0])}
+    for j, s in singular.items():
+        y[j] = s
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(s)
+    want = {j: np.linalg.inv(y[j]) for j in range(n) if j not in singular}
+    g = _k._inverses(y)
+    for j in range(n):
+        if j in singular:
+            assert np.isnan(g[j]).all()
+        else:
+            assert g[j].tobytes() == want[j].tobytes()
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def splitmix_uniform(state):
+    """The next state and uniform of splitmix64 from ``state``, in Python
+    ints: the uniform is the mix's top 52 bits z as (z + 1/2) * 2**-52."""
+    state = (state + _GOLDEN_INT) & _MASK
+    z = ((state ^ (state >> 30)) * _MIX1_INT) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
+    z ^= z >> 31
+    return state, ((z >> 12) + 0.5) * 2.0 ** -52
+
+
+def _unshift(y, k):
+    # The x with x ^ (x >> k) == y.
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def state_before(mixed):
+    """The state whose splitmix64 step mixes to the 64-bit ``mixed``: the
+    finalizer inverted step by step, less one increment."""
+    z = _unshift(mixed, 31)
+    z = _unshift((z * pow(_MIX2_INT, -1, 1 << 64)) & _MASK, 27)
+    z = _unshift((z * pow(_MIX1_INT, -1, 1 << 64)) & _MASK, 30)
+    return (z - _GOLDEN_INT) & _MASK
+
+
+def edge_states():
+    # States whose mix has top 52 bits 0 or 2**52 - 1: the smallest and
+    # largest uniforms, 2**-53 and 1 - 2**-53.
+    top = st.sampled_from([0, (1 << 52) - 1])
+    return st.builds(lambda t, low: state_before((t << 12) | low), top, st.integers(0, 4095))
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(st.integers(0, _MASK) | edge_states(), min_size=1, max_size=40))
+@example(states=[0, _MASK])
+def test_uniforms_match_python_splitmix(states):
+    # _uniforms steps every state in place and returns each uniform, bit
+    # for bit those of a pure-Python splitmix64 sharing no code with it.
+    state = np.array(states, dtype=np.uint64)
+    u = _k._uniforms(state)
+    want = [splitmix_uniform(s) for s in states]
+    assert state.tolist() == [s for s, _ in want]
+    assert u.dtype == np.float64 and u.tolist() == [w for _, w in want]
+    assert ((0.0 < u) & (u < 1.0)).all()
+
+
+def test_edge_states_reach_the_extreme_uniforms():
+    # The inverse finalizer finds states for both ends of (0, 1).
+    for top, want in ((0, 2.0 ** -53), ((1 << 52) - 1, 1.0 - 2.0 ** -53)):
+        s = state_before((top << 12) | 77)
+        assert splitmix_uniform(s)[1] == want
+        assert _k._uniforms(np.array([s], dtype=np.uint64)).tolist() == [want]
+
+
+def lag_matrix_k_hat(x, theta):
+    """K_hat at p = 0 by the general route, with its lag matrix of ones:
+    the residual from the matrix product, weighted rows, symmetrised."""
+    n_steps, n_lanes = x.shape
+    lags = np.empty((n_lanes, n_steps, 1))
+    lags[..., 0] = 1.0
+    resid = lags @ theta[..., None]
+    resid -= x.T[..., None]
+    resid *= resid
+    k_hat = (lags * resid).mT @ lags
+    k_hat = k_hat + k_hat.mT
+    k_hat *= 0.5
+    k_hat *= 4.0 / n_steps
+    return k_hat
+
+
+@pytest.mark.parametrize("T", [10, 1000, 100_000])
+def test_iid_score_variance_is_the_lag_matrix_route(T):
+    # At p = 0 K_hat skips the lag matrix; K_hat and Sigma equal the lag
+    # matrix route's bit for bit on one lane, on three and on more lanes
+    # than one chunk holds, and a lane with a NaN theta gets NaN.
+    rng = np.random.default_rng(T)
+    for n_lanes in (1, 3, _k._LAG_VALUES // T + 5):
+        x = rng.poisson(150.0, size=(T, n_lanes)).astype(np.float64)
+        x[:, -1] = rng.gamma(2.0, 40.0, size=T)  # a non-integer path
+        y, b = _k.design_build(x, 0)
+        fits = _k.cls_solve(y, b)
+        theta = fits.theta.copy()
+        theta[:, 0] += rng.normal(size=n_lanes)  # off the fit, as a bare estimate
+        if n_lanes > 1:
+            theta[1] = np.nan
+        got = _k.score_variance(x, theta)
+        want = lag_matrix_k_hat(x, theta)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[1]).all() if n_lanes > 1 else np.isfinite(got).all()
+        j_hat, g = 2.0 * y, 0.5 * fits.inv
+        assert (_k.sandwich_solve(j_hat, g, got).tobytes()
+                == _k.sandwich_solve(j_hat, g, want).tobytes())

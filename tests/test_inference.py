@@ -2,6 +2,7 @@
 normal quantile. scipy serves as the oracle for the special functions."""
 
 import math
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -317,6 +318,30 @@ def test_histogram_scale_free():
     assert left.tolist() == [4.5, 5.0] and right.tolist() == [5.0, 5.5]
 
 
+@pytest.mark.parametrize("value, bins", [
+    (1e17, 1), (1e17, 30), (-1e17, 1), (-1e17, 30), (1e308, 1), (1e308, 30), (2.0 ** 50, 30)])
+def test_histogram_of_a_huge_constant_sample(value, bins):
+    # numpy widens a one-point range by 0.5 either way, which a value this
+    # large absorbs (2**50 still fits one bin, not thirty): a DomainError
+    # naming the value, not numpy's ValueError.
+    with pytest.raises(DomainError, match=re.escape(f"constant sample of value {value!r} ")):
+        inar.histogram_data([value] * 3, bins=bins)
+
+
+@pytest.mark.parametrize("value, bins", [
+    (5.0, 1), (5.0, 30), (-3.25, 30), (0.0, 7), (2.0 ** 40, 30), (-(2.0 ** 40), 30),
+    (2.0 ** 50, 1), (2.0 ** 53 - 1, 2)])
+def test_histogram_of_a_constant_sample_keeps_numpy_edges(value, bins):
+    # Smaller constant samples keep numpy's edges, value - 0.5 to value +
+    # 0.5, bit for bit.
+    left, right, count = inar.histogram_data([value] * 3, bins=bins)
+    want_count, edges = np.histogram([value] * 3, bins=bins)
+    assert left.tobytes() == edges[:-1].tobytes() and right.tobytes() == edges[1:].tobytes()
+    assert count.tolist() == want_count.tolist() and count.sum() == 3
+    if abs(value) < 2.0 ** 52:
+        assert left[0] == value - 0.5 and right[-1] == value + 0.5
+
+
 class TestSandwich:
     def test_iid_poisson_scalar(self):
         # p=0: Sigma reduces to the residual variance, which is nu for Poisson
@@ -450,8 +475,9 @@ class TestSandwichReusesTheFit:
     def test_path_changed_after_the_fit(self, data):
         # The fit keeps its own copy of the counts, never the caller's
         # array: a path changed in place after the fit gets its own
-        # sandwich, at the fit's p and at another, not the fit's. For a
-        # CountPath, a caller re-enables writes to its counts.
+        # sandwich, at the fit's p and at another, not the fit's. A
+        # CountPath's counts and float view cannot be made writable again,
+        # so its fit never goes stale.
         T = data.draw(st.integers(3, 60), label="T")
         p = data.draw(st.integers(0, min(T - 1, 15)), label="p")
         q = data.draw(st.integers(0, min(T - 1, 15)).filter(lambda v: v != p), label="q")
@@ -463,11 +489,51 @@ class TestSandwichReusesTheFit:
             if theta is None:
                 return
             bare = ThetaVector.from_array(theta.to_array())
-            held = path if isinstance(path, np.ndarray) else path.counts
-            held.flags.writeable = True
-            held[t] = value
+            if isinstance(path, np.ndarray):
+                path[t] = value
+            else:
+                for held in (path.counts, path.counts_float()):
+                    with pytest.raises(ValueError, match="WRITEABLE"):
+                        held.flags.writeable = True
+                    with pytest.raises(ValueError, match="read-only"):
+                        held[t] = value
             assert sandwich_bytes(path, theta, p) == sandwich_bytes(path, bare, p)
             assert sandwich_bytes(path, theta, q) == sandwich_bytes(path, bare, q)
+
+    def test_reuse_by_identity(self, monkeypatch, case1_params):
+        # The sandwich of an estimate on its own CountPath knows the path by
+        # its float view: no counts are compared. An equal array is
+        # compared and reuses the fit too; other counts or another p
+        # rebuild Y. Every route gives the bare estimate's bytes.
+        path = inar.simulate_path(case1_params, 400, RngStream(7))
+        p = 3
+        theta = inar.solve_cls(inar.build_design(path, p))
+        bare = ThetaVector.from_array(theta.to_array())
+        assert theta._fit[0] is path.counts_float()
+        want = {q: sandwich_bytes(path, bare, q) for q in (p, p + 1)}
+        other = path.counts[::-1].copy()
+        want_other = sandwich_bytes(other, bare, p)
+        builds = []
+        real_build = inar._kernels.design_build
+
+        def build(x, q):
+            builds.append(q)
+            return real_build(x, q)
+
+        def no_compare(*args, **kwargs):
+            raise AssertionError("counts compared")
+        monkeypatch.setattr(inar._kernels, "design_build", build)
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", no_compare)
+            assert sandwich_bytes(path, theta, p) == want[p]
+        assert builds == []
+        assert sandwich_bytes(path.counts.astype(np.float64), theta, p) == want[p]
+        assert sandwich_bytes(path.counts, theta, p) == want[p]
+        assert builds == []
+        assert sandwich_bytes(CountPath(counts=other), theta, p) == want_other
+        assert sandwich_bytes(other, theta, p) == want_other
+        assert sandwich_bytes(path, theta, p + 1) == want[p + 1]
+        assert builds == [p, p, p + 1]
 
     def test_simulated_paths_bit_for_bit(self, case1_params, case2_params):
         # The study's paths, and p = 30, a size the property above never

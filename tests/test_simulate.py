@@ -1,6 +1,7 @@
 """Sampler statistics, path simulation, determinism, and CSV round trips."""
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -249,9 +250,28 @@ class TestCountPath:
             CountPath(counts=np.array([1, -2, 3]))
 
     def test_counts_read_only(self):
+        # For good: writes to the counts cannot be turned back on.
         path = CountPath(counts=np.array([1, 2, 3]))
         assert not path.counts.flags.writeable
         assert path.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            path.counts.flags.writeable = True
+
+    def test_one_shared_float_view(self):
+        # counts_float makes one read-only float64 array on first use and
+        # hands it to every caller: the fit and its sandwich share it. It
+        # is no field: repr and replace ignore it.
+        path = CountPath(counts=np.array([4, 0, 7, 2]), seed=3)
+        x = path.counts_float()
+        assert x is path.counts_float()
+        assert x.dtype == np.float64 and x.flags.c_contiguous and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x.flags.writeable = True
+        assert x.tolist() == [4.0, 0.0, 7.0, 2.0]
+        assert inar.build_design(path, 1)._counts is x
+        assert repr(CountPath(counts=path.counts, seed=3)) == repr(path)
+        again = dataclasses.replace(path)
+        assert again.counts_float() is not x and again.counts_float().tolist() == x.tolist()
 
     def test_csv_roundtrip_file_object(self):
         path = CountPath(counts=np.array([5, 0, 12, 3]), seed=9, stream_id=1)

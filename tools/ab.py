@@ -15,9 +15,11 @@ first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
 the sides (identical, or the largest absolute and relative difference of
 its numbers, overall and per field), and so are, under ``cli``, the files of
-:func:`cli_outputs`: a case-1 ``inar simulate`` path CSV, ``inar estimate
---ci`` on it at p = 0, 1, 10 and 20, and ``inar normality`` on the case-1
-``samples.csv``.
+:func:`cli_outputs`: a case-1 ``inar simulate`` path CSV (the scalar loop),
+``inar estimate --ci`` on it at p = 0, 1, 10 and 20, a constant-rate path
+CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler, over several
+blocks), ``inar estimate --ci`` on that at p = 0 (the iid sandwich), and
+``inar normality`` on the case-1 ``samples.csv``.
 ``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``. The
 record (``--out``) is rewritten after every run, so an interrupted session
 keeps what it measured; the temporary directory is removed at exit. Its
@@ -46,6 +48,10 @@ ROOT = Path(__file__).resolve().parents[1]
 MC_SEED = 11
 PAIRS = 10
 ESTIMATE_LAGS = (0, 1, 10, 20)
+# The constant-rate path: draws at a PTRS rate over several 2**13-round
+# blocks of the block sampler.
+IID_NU = 100
+IID_T = 20_000
 
 
 def quartiles(values):
@@ -235,7 +241,9 @@ def cli_outputs(side_root, out, samples):
     estimate --ci`` JSON on that path at each p of ``ESTIMATE_LAGS`` (the
     ends and the middle of perfbench's ``fit_sweep`` range, and p = 0, the
     order that ``sampler_stream`` fits and the design build's empty-tail
-    edge), and ``inar normality`` JSON on the ``samples`` CSV, all run with
+    edge), the path CSV of ``inar simulate --kernel none`` at ``IID_NU``
+    and T = ``IID_T`` (seed 11) with ``inar estimate --ci`` JSON on it at
+    p = 0, and ``inar normality`` JSON on the ``samples`` CSV, all run with
     ``side_root``'s package."""
     side_root, out = Path(side_root), Path(out)
     out.mkdir(parents=True)
@@ -245,6 +253,10 @@ def cli_outputs(side_root, out, samples):
     for p in ESTIMATE_LAGS:
         _inar(side_root, "estimate", "--path", out / "path.csv", "--p", p, "--ci",
               "--out", out / f"estimate_p{p}.json")
+    _inar(side_root, "simulate", "--nu", IID_NU, "--kernel", "none", "--T", IID_T,
+          "--seed", MC_SEED, "--out", out / "iid_path.csv")
+    _inar(side_root, "estimate", "--path", out / "iid_path.csv", "--p", 0, "--ci",
+          "--out", out / "iid_estimate_p0.json")
     _inar(side_root, "normality", "--samples", samples, "--out", out / "normality.json")
     return out
 
@@ -284,7 +296,9 @@ def main(argv=None):
                 "number of chunks the run completed. `outputs` compares every file of "
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
-                f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))} and "
+                f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
+                f"constant-rate `inar simulate --kernel none --nu {IID_NU}` path CSV "
+                f"(seed 11, T={IID_T}) with `inar estimate --ci` on it at p = 0, and "
                 "`inar normality` on the case-1 samples.csv."
             ),
             "parent": parent,
