@@ -10,13 +10,17 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
 - the scalar loop itself (``sim_path``) runs one path in plain Python, for
   paths whose rate depends on their past; it is every route's reference.
 - the lane engine (``sim_lanes``) advances many streams one step together;
-  lane i reproduces the scalar loop on key i bit for bit.
+  lane i reproduces the scalar loop on key i bit for bit. A PTRS step is
+  one numpy pass of a few rounds on every lane; a lane that rejects them
+  all is finished by the scalar loop on ``_IntStream``, the same stream
+  held as a Python int from the lane's state after the pass.
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
   shared by every cell: inversion counts the sums of the sequential search
   that each uniform passes; the PTRS round kernel takes per-lane constants
-  or floats and finds first acceptances by a running OR.
+  or floats, and finds where each lane's log test can decide its draw by
+  a running OR of its squeeze acceptances.
   ``sim_one`` sends a path whose kernel is zero here and any other path to
   ``sim_path``.
 
@@ -126,6 +130,28 @@ def _stream_uniforms(key):
         state += _BLOCK_SKIP
 
 
+_GOLDEN_INT, _MIX1_INT, _MIX2_INT = int(_GOLDEN), int(_MIX1), int(_MIX2)
+
+
+class _IntStream:
+    """``_uniforms`` on one state held as a Python int, one uniform per
+    call, with no numpy call: each call steps ``state`` by GOLDEN modulo
+    2**64 and returns the uniform of the new state."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def __call__(self):
+        s = self.state = (self.state + _GOLDEN_INT) & _MASK64
+        z = ((s ^ (s >> 30)) * _MIX1_INT) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+        # (z' + 1/2) * 2**-52 for the top 52 bits z' of the mix, exactly:
+        # 2 z' + 1 < 2**53 is the mix's top 53 bits with the lowest set.
+        return (((z ^ (z >> 31)) >> 11) | 1) * 2.0 ** -53
+
+
 def _poisson_draw(lam, uniform):
     if lam <= 0.0:
         return 0
@@ -222,6 +248,28 @@ class _LogFactorials:
 _LOGFACT = _LogFactorials()
 
 
+class _Grown:
+    """The first n rows of a read-only array ``make(size)``, made again at
+    max(n, 2 size) rows when n is past its size; safe to share between
+    threads, as _LOGFACT is."""
+
+    def __init__(self, make):
+        self.make = make
+        self.table = make(0)
+
+    def __call__(self, n):
+        table = self.table  # one read, as in _LogFactorials
+        if n > table.shape[0]:
+            table = self.make(max(n, 2 * table.shape[0]))
+            table.flags.writeable = False
+            self.table = table
+        return table[:n]
+
+
+# Lane indices 0..n-1 of the lane engine's PTRS pass.
+_LANES = _Grown(np.arange)
+
+
 def _inversion(lam, u):
     # The sequential search's draw for each uniform of u at 0 < lam < 10
     # (a float, or one rate per uniform): the number of k < 200 with
@@ -245,17 +293,25 @@ def _inversion(lam, u):
     return count
 
 
-def _log_test(k, lam, us, v, a, b, inv_alpha):
-    # PTRS acceptance test past the squeeze, at per-cell or shared constants.
+def _log_sides(k, lam, us, v, a, b, inv_alpha):
+    # The two sides of the PTRS log test past the squeeze on cells with k >=
+    # 0, at per-cell or shared constants, and the sum of the magnitudes of
+    # their terms. There lv < 0 (v < 1), and li, lq (inv_alpha > 1 and b >
+    # 8 at lam >= 10), t and lg are >= 0, so li - lv + lq + t + lam + lg is
+    # |lv| + |li| + |lq| + |t| + lam + lg, summed in that order, bit for bit.
     lv = np.log(v)
     li = np.log(inv_alpha)
     lq = np.log(a / (us * us) + b)
     t = k * np.log(lam)
     lg = _LOGFACT(k)
-    lhs = lv + li - lq
-    rhs = t - lam - lg
+    return lv + li - lq, t - lam - lg, li - lv + lq + t + lam + lg
+
+
+def _log_test(k, lam, us, v, a, b, inv_alpha):
+    # PTRS acceptance test past the squeeze, at per-cell or shared constants.
+    lhs, rhs, size = _log_sides(k, lam, us, v, a, b, inv_alpha)
     accept = lhs <= rhs
-    tie = np.abs(lhs - rhs) <= _TIE * (np.abs(lv) + np.abs(li) + np.abs(lq) + np.abs(t) + lam + lg)
+    tie = np.abs(lhs - rhs) <= _TIE * size
     tie = np.flatnonzero(tie).tolist()
     if tie:  # float constants as per-cell arrays, indexed like the lanes'
         lam, a, b, inv_alpha = np.broadcast_arrays(lam, a, b, inv_alpha, k)[:4]
@@ -267,14 +323,17 @@ def _log_test(k, lam, us, v, a, b, inv_alpha):
     return accept
 
 
-# PTRS rounds tried per pass of the lane loop. Round r of a lane reads the
-# counters 2r+1 (u) and 2r+2 (v) past its state, so one pass draws
-# _PTRS_ROUNDS rounds of every lane still rejecting at once, and each lane
-# keeps its first accepting round: the draws and the state are those of the
-# scalar loop. A numpy dispatch costs more than the arithmetic of a round,
-# so four rounds per pass beat one; about 4e-4 of draws at lam = 100 (4e-3
-# at lam = 10) reject all four and take another pass.
-_PTRS_ROUNDS = 4
+# PTRS rounds tried in the one pass of a lane step. Round r of a lane reads
+# the counters 2r+1 (u) and 2r+2 (v) past its state, so one pass draws
+# _PTRS_ROUNDS rounds of every lane at once, and each lane keeps its first
+# accepting round: the draws and the state are those of the scalar loop. A
+# numpy dispatch costs more than the arithmetic of a round, so a pass tries
+# several. The few lanes that reject them all take the scalar loop's next
+# rounds, one Python draw each, rather than another numpy pass: with three
+# rounds, 3e-3 of draws at lam = 100 (one step in ten has none on 1000
+# lanes) and 1.4e-2 at lam = 10.5. Three rounds ran the study faster than
+# four (ROADMAP item 5).
+_PTRS_ROUNDS = 3
 # Counter offsets of one pass, one row each: the u of rounds 0..R-1, then
 # their v. After _uniforms, v row r holds the state advanced by 2(r+1).
 _PASS_OFFSETS = np.concatenate([
@@ -322,46 +381,42 @@ def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
     return k, accept
 
 
-def _ptrs_pass(st, lam, a, b, inv_alpha, v_r):
-    # One pass of _PTRS_ROUNDS rounds (u, v) on the lanes with states st:
-    # each lane's first accepting round (round 0 where none accepts), its
-    # k, its state after that round, whether it accepted, and the grid.
-    n = st.shape[0]
-    grid = st + _PASS_OFFSETS
-    w = _uniforms(grid)
-    k, accept = _ptrs_rounds(w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r)
-    cell = accept.argmax(axis=0) * n + np.arange(n)
-    return (k.reshape(-1)[cell], grid[_PTRS_ROUNDS:].reshape(-1)[cell],
-            accept.reshape(-1)[cell], grid)
+def _first_rounds(accept):
+    # Row of the first true entry of each column of an (R, n) mask, R - 1
+    # where there is none: the number of rows before the first true row of
+    # the mask's running OR, clamped (argmax costs about three times as
+    # much). The running OR is left in the mask; its last row is whether
+    # the column has a true entry.
+    for r in range(1, accept.shape[0]):
+        np.logical_or(accept[r], accept[r - 1], out=accept[r])
+    first = np.add.reduce(~accept, axis=0)
+    np.minimum(first, accept.shape[0] - 1, out=first)
+    return first
 
 
 def _ptrs_lanes(lam, state):
-    # Masked PTRS in passes: each pass tries _PTRS_ROUNDS rounds (u, v) of
-    # the lanes still rejecting and drops the lanes that accept in any. The
-    # first pass covers every lane and writes all of out and state; a lane
-    # it leaves rejecting has both overwritten by the pass that accepts it.
+    # One pass of _PTRS_ROUNDS rounds (u, v) on every lane: each lane keeps
+    # the k of its first accepting round and the state after that round. A
+    # lane that rejects every round reads round R - 1, whose v row is its
+    # state after the pass; the scalar loop finishes it from there on a
+    # plain-int stream.
+    n = state.shape[0]
     a, b, inv_alpha, v_r = _ptrs_constants(lam)
-    out, st_k, hit, grid = _ptrs_pass(state, lam, a, b, inv_alpha, v_r)
-    state[:] = st_k
-    if hit.all():
-        return out
-    miss = ~hit
-    pos = np.flatnonzero(miss)
-    st = grid[-1, miss]
-    lam, a, b, inv_alpha, v_r = (c[miss] for c in (lam, a, b, inv_alpha, v_r))
-    while True:
-        k, st_k, hit, grid = _ptrs_pass(st, lam, a, b, inv_alpha, v_r)
-        if hit.all():
-            out[pos] = k
-            state[pos] = st_k
-            return out
-        out[pos[hit]] = k[hit]
-        state[pos[hit]] = st_k[hit]
-        miss = ~hit
-        pos, lam, a, b, inv_alpha, v_r = (
-            c[miss] for c in (pos, lam, a, b, inv_alpha, v_r)
-        )
-        st = grid[-1, miss]
+    grid = state + _PASS_OFFSETS
+    w = _uniforms(grid)
+    k, accept = _ptrs_rounds(w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r)
+    cell = _first_rounds(accept)
+    cell *= n
+    cell += _LANES(n)
+    out = k.reshape(-1)[cell]
+    state[:] = grid[_PTRS_ROUNDS:].reshape(-1)[cell]
+    pos = (~accept[-1]).nonzero()[0]
+    if pos.size:  # on narrow lane sets most steps have none to gather
+        for i, st, rate in zip(pos.tolist(), grid[-1, pos].tolist(), lam[pos].tolist()):
+            uniform = _IntStream(st)
+            out[i] = _poisson_draw(rate, uniform)
+            state[i] = uniform.state
+    return out
 
 
 def _poisson_lanes(lam, state):
@@ -582,6 +637,9 @@ def design_build(x, p):
     return y, b
 
 
+# The column of ones of K_hat at p = 0, for every T and thread.
+_ONES = _Grown(lambda size: np.ones((size, 1)))
+
 # Lanes per chunk of score_variance (one at least): bounds its (lanes, T,
 # m) lag tensor and the weighted copy of it at _LAG_VALUES values each, a
 # size that stays in cache. Chunks of 2**20 values made K_hat of 1000 lanes
@@ -613,11 +671,13 @@ def score_variance(x, theta):
         # array (a broadcast result would take x.T's layout, which BLAS
         # rounds differently), summed by the lag-matrix route's BLAS call
         # against a column of ones, one column for all lanes (matmul calls
-        # BLAS on each lane's operands alone).
+        # BLAS on each lane's operands alone). The column is the first T
+        # rows of _ONES, C-contiguous as a fresh one: no T-float allocation
+        # and its page faults per call.
         resid = np.empty((n_lanes, n_steps, 1))
         np.subtract(theta[:, None, :], x[..., None], out=resid)
         resid *= resid
-        k_hat = resid.mT @ np.ones((n_steps, 1))
+        k_hat = resid.mT @ _ONES(n_steps)
     else:
         # Lane i's lag matrix: row t is z_t = (1, x_{t-1}, ..., x_{t-p}), 0
         # before the path starts. Columns 1..p are one copy of a view of

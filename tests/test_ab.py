@@ -156,3 +156,26 @@ def test_cli_outputs(tmp_path):
     assert list(json.loads((out / "normality.json").read_text())["normality"]) == [
         "mu_hat", "beta_1"]
     assert set(ab.diff_outputs(out, out).values()) == {"identical"}
+
+
+def test_low_rate_study(tmp_path):
+    # The low-rate lane study's config is written where it is asked for
+    # (the record's temporary directory, not configs/) and parses as the
+    # study it names. `inar mc` runs on a side's configs/*_T1000.json, then
+    # on it; a side compared with itself is identical.
+    path = ab.write_low_rate_config(tmp_path)
+    assert path.parent == tmp_path and not (ab.ROOT / "configs" / path.name).exists()
+    cfg = inar.parse_config(path.read_text())
+    assert (cfg.params.nu, cfg.params.kernel, cfg.T, cfg.n_experiments, cfg.base_seed) == (
+        10.5, (0.05,), 200, 1000, ab.MC_SEED)
+    side = tmp_path / "side"
+    (side / "configs").mkdir(parents=True)
+    (side / "src").symlink_to(ab.ROOT / "src")
+    small = json.loads((ab.ROOT / "configs" / "case2_T1000.json").read_text())
+    small.update(T=30, p=1, n_experiments=10)
+    (side / "configs" / "small_T1000.json").write_text(json.dumps(small))
+    runs = dict(ab._mc_outputs(side, tmp_path / "mc", [path]))
+    assert list(runs) == ["small_T1000", "low_rate_T200"]
+    out = runs["low_rate_T200"]
+    assert (out / "samples.csv").read_text().count("\n") == 1001
+    assert set(ab.diff_outputs(out, out).values()) == {"identical"}

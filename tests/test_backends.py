@@ -173,6 +173,93 @@ def test_ptrs_passes_match_oracle():
         assert np.array_equal(counts[:, j], inar.poisson_sample(10.0, RngStream(9, j), size=n_steps))
 
 
+@settings(max_examples=60, deadline=None)
+@given(key=st.integers(0, 2 ** 64 - 1))
+@example(key=0)
+@example(key=2 ** 64 - 1)
+def test_int_stream_matches_stream_uniforms(key):
+    # The plain-int source that finishes PTRS stragglers reads the stream's
+    # uniforms, over more than one of _stream_uniforms' blocks, and its
+    # state ends as many counters past its start as it has read.
+    n = _k._BLOCK + 40
+    gen = _k._stream_uniforms(np.array([key], dtype=np.uint64))
+    uniform = _k._IntStream(key)
+    assert [uniform() for _ in range(n)] == [next(gen) for _ in range(n)]
+    assert uniform.state == (key + n * int(_k._GOLDEN)) % 2 ** 64
+
+
+def test_ptrs_stragglers_finish_on_scalar_loop(monkeypatch):
+    # Near lam = 10 a round rejects about one time in four, so on 1000
+    # lanes over 50 steps many lanes reject every round of their pass and
+    # are finished by the scalar loop on a plain-int stream, some after two
+    # or more further rounds. Every lane must still be the scalar path.
+    finishes = []
+
+    class CountingStream(_k._IntStream):
+        def __init__(self, state):
+            super().__init__(state)
+            self.reads = 0
+            finishes.append(self)
+
+        def __call__(self):
+            self.reads += 1
+            return super().__call__()
+
+    monkeypatch.setattr(_k, "_IntStream", CountingStream)
+    overflow_at = assert_lanes_match(ModelParams(nu=10.5, kernel=(0.05,)), 50, 11,
+                                     range(1000), 1e9)
+    assert np.all(overflow_at == -1)
+    assert len(finishes) >= 100
+    assert sum(f.reads >= 4 for f in finishes) >= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.lists(
+    st.lists(st.booleans(), min_size=rows, max_size=rows), max_size=30)))
+def test_first_rounds_is_clamped_argmax(columns):
+    # The first true row of each column is argmax's; a column with none
+    # reads R - 1, and the mask's last row then says whether it has one.
+    rows = len(columns[0]) if columns else 3
+    mask = np.array(columns, dtype=bool).reshape(len(columns), rows).T
+    want = np.where(mask.any(axis=0), mask.argmax(axis=0), rows - 1)
+    seen = mask.copy()
+    assert _k._first_rounds(seen).tolist() == want.tolist()
+    assert seen[-1].tolist() == mask.any(axis=0).tolist()
+
+
+# The uniforms _uniforms makes: (z + 1/2) * 2**-52 for 52-bit z.
+grid_uniforms = st.integers(0, 2 ** 52 - 1).map(lambda z: (z + 0.5) * 2.0 ** -52)
+
+
+def abs_tie_bound(k, lam, us, v, a, b, inv_alpha):
+    """The sum of the magnitudes of the log test's terms, each by np.abs."""
+    return (np.abs(np.log(v)) + np.abs(np.log(inv_alpha)) + np.abs(np.log(a / (us * us) + b))
+            + np.abs(k * np.log(lam)) + lam + _k._LOGFACT(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(10.0, 1e6), grid_uniforms, grid_uniforms),
+                min_size=1, max_size=20))
+def test_tie_bound_without_abs(cells):
+    # On slow cells (k >= 0) the log test's bound, summed from the terms'
+    # known signs, is the sum of their magnitudes bit for bit: at one rate
+    # per cell (lanes) and at the first cell's rate as floats (blocks).
+    lam, wu, wv = (np.array(c) for c in zip(*cells))
+    per_cell = _k._ptrs_constants(lam)
+    shared = [float(c[0]) for c in _k._ptrs_constants(lam[:1])]
+    for rate, (a, b, inv_alpha, _) in ((lam, per_cell), (float(lam[0]), shared)):
+        u = wu - 0.5
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
+        slow = k >= 0.0
+        if not slow.any():
+            continue
+        if isinstance(rate, np.ndarray):
+            rate, a, b, inv_alpha = rate[slow], a[slow], b[slow], inv_alpha[slow]
+        args = (k[slow], rate, us[slow], wv[slow], a, b, inv_alpha)
+        assert _k._log_sides(*args)[2].tobytes() == abs_tie_bound(*args).tobytes()
+
+
 constant_rates = st.one_of(
     st.sampled_from([0.0, 10.0]),
     st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
@@ -694,3 +781,21 @@ def test_iid_score_variance_is_the_lag_matrix_route(T):
         j_hat, g = 2.0 * y, 0.5 * fits.inv
         assert (_k.sandwich_solve(j_hat, g, got).tobytes()
                 == _k.sandwich_solve(j_hat, g, want).tobytes())
+
+
+@pytest.mark.parametrize("T", [10, 1000, 100_000])
+def test_shared_ones_column_is_a_fresh_one(monkeypatch, T):
+    # The p = 0 K_hat sums each lane's squared residual against the first
+    # T rows of one read-only column of ones: the same bytes as against a
+    # fresh column, on one lane and on three, also after a longer T has
+    # grown the column.
+    monkeypatch.setattr(_k, "_ONES", _k._Grown(lambda size: np.ones((size, 1))))
+    rng = np.random.default_rng(T)
+    for grown in (False, True):
+        if grown:
+            assert _k._ONES(3 * T + 1).shape == (3 * T + 1, 1)
+        column = _k._ONES(T)
+        assert column.shape == (T, 1) and not column.flags.writeable
+        for n_lanes in (1, 3):
+            r = rng.gamma(2.0, 40.0, size=(n_lanes, T, 1)) ** 2
+            assert (r.mT @ column).tobytes() == (r.mT @ np.ones((T, 1))).tobytes()

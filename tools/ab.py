@@ -12,9 +12,12 @@ every workload of ``BENCHMARK.json``, for its run length:
 The change side is the checkout this script lives in, as its files stand.
 Each of the ten pairs runs both sides on one seed, and the side that runs
 first alternates from pair to pair. In the same run, every output file of
-``inar mc --seed 11`` on each ``configs/*_T1000.json`` is compared between
-the sides (identical, or the largest absolute and relative difference of
-its numbers, overall and per field), and so are, under ``cli``, the files of
+``inar mc --seed 11`` on each ``configs/*_T1000.json``, and on the low-rate
+lane study ``LOW_RATE`` (nu = 10.5, kernel ``lags:[0.05]``, T = 200, 1000
+replications; its config is written into the temporary directory by
+:func:`write_low_rate_config`), is compared between the sides (identical,
+or the largest absolute and relative difference of its numbers, overall
+and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV (the scalar loop),
 ``inar estimate --ci`` on it at p = 0, 1, 10 and 20, a constant-rate path
 CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler, over several
@@ -52,6 +55,11 @@ ESTIMATE_LAGS = (0, 1, 10, 20)
 # blocks of the block sampler.
 IID_NU = 100
 IID_T = 20_000
+# A lane study at rates just above the PTRS threshold of 10, where a round
+# rejects about one time in four: lanes that reject every round of their
+# step's pass, and finish on the scalar loop, come up on most steps.
+LOW_RATE = {"nu": 10.5, "kernel": "lags:[0.05]", "T": 200, "p": 1,
+            "n_experiments": 1000, "seed": MC_SEED, "case": "low_rate"}
 
 
 def quartiles(values):
@@ -228,8 +236,17 @@ def _inar(side_root, *args):
                    cwd=side_root, env=env, check=True, capture_output=True)
 
 
-def _mc_outputs(side_root, out_root):
-    for cfg in sorted((side_root / "configs").glob("*_T1000.json")):
+def write_low_rate_config(directory):
+    """Write the ``LOW_RATE`` study's config into ``directory`` as
+    ``low_rate_T200.json`` and return its path."""
+    path = Path(directory) / "low_rate_T200.json"
+    path.write_text(json.dumps(LOW_RATE) + "\n")
+    return path
+
+
+def _mc_outputs(side_root, out_root, extra):
+    # Each side's configs/*_T1000.json, then the shared configs ``extra``.
+    for cfg in [*sorted((side_root / "configs").glob("*_T1000.json")), *extra]:
         out = out_root / cfg.stem
         _inar(side_root, "mc", "--config", cfg, "--out-dir", out, "--seed", MC_SEED)
         yield cfg.stem, out
@@ -294,7 +311,8 @@ def main(argv=None):
                 "Summary quartiles are inclusive quartiles over one side's runs; "
                 "`checks` lists the check lines each run printed; `chunks` is the "
                 "number of chunks the run completed. `outputs` compares every file of "
-                f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and, under "
+                f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and on the "
+                f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}) and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
                 f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
                 f"constant-rate `inar simulate --kernel none --nu {IID_NU}` path CSV "
@@ -316,8 +334,9 @@ def main(argv=None):
             "summary": {},
             "runs": [],
         }
-        change_mc = dict(_mc_outputs(ROOT, scratch / "change_mc"))
-        parent_mc = dict(_mc_outputs(parent_root, scratch / "parent_mc"))
+        low_rate = [write_low_rate_config(scratch)]
+        change_mc = dict(_mc_outputs(ROOT, scratch / "change_mc", low_rate))
+        parent_mc = dict(_mc_outputs(parent_root, scratch / "parent_mc", low_rate))
         record["outputs"] = {
             stem: diff_outputs(parent_mc[stem], out) if stem in parent_mc else "missing"
             for stem, out in change_mc.items()
