@@ -222,48 +222,40 @@ _TIE = 2.0 ** -40
 _LOGFACT_CACHE = 1 << 16
 
 
-class _LogFactorials:
-    """log k! = math.lgamma(k + 1) for integer-valued float arrays k, from a
-    table grown on demand (scipy's gammaln differs from math.lgamma in the
-    last bit on about half of its inputs)."""
-
-    def __init__(self):
-        self.table = np.zeros(0)
-
-    def __call__(self, k):
-        top = int(k.max()) + 1
-        if top > _LOGFACT_CACHE:
-            return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
-        # One read of the table: a caller on another thread may replace it
-        # meanwhile, and this call indexes the table it checked.
-        table = self.table
-        if top > table.shape[0]:
-            size = min(_LOGFACT_CACHE, max(top, 2 * table.shape[0]))
-            table = self.table = np.array([math.lgamma(i + 1.0) for i in range(size)])
-        return table[k.astype(np.intp)]
-
-
-# The one log k! table of the package, read by every PTRS log test (lanes
-# and blocks, on any thread): a large rate grows it once, not once per call.
-_LOGFACT = _LogFactorials()
-
-
 class _Grown:
     """The first n rows of a read-only array ``make(size)``, made again at
     max(n, 2 size) rows when n is past its size; safe to share between
-    threads, as _LOGFACT is."""
+    threads."""
 
     def __init__(self, make):
         self.make = make
         self.table = make(0)
 
     def __call__(self, n):
-        table = self.table  # one read, as in _LogFactorials
+        # One read of the table: a caller on another thread may replace it
+        # meanwhile, and this call slices the table it checked.
+        table = self.table
         if n > table.shape[0]:
             table = self.make(max(n, 2 * table.shape[0]))
             table.flags.writeable = False
             self.table = table
         return table[:n]
+
+
+# The one log k! table of the package, read by every PTRS log test (lanes
+# and blocks, on any thread): a large rate grows it once, not once per call.
+# Its values are math.lgamma's (scipy's gammaln differs from it in the last
+# bit on about half of its inputs).
+_LOGFACT = _Grown(lambda size: np.array(
+    [math.lgamma(i + 1.0) for i in range(min(size, _LOGFACT_CACHE))]))
+
+
+def _log_factorials(k):
+    # log k! = math.lgamma(k + 1) for an integer-valued float array k.
+    top = int(k.max()) + 1
+    if top > _LOGFACT_CACHE:
+        return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+    return _LOGFACT(top)[k.astype(np.intp)]
 
 
 # Lane indices 0..n-1 of the lane engine's PTRS pass.
@@ -303,7 +295,7 @@ def _log_sides(k, lam, us, v, a, b, inv_alpha):
     li = np.log(inv_alpha)
     lq = np.log(a / (us * us) + b)
     t = k * np.log(lam)
-    lg = _LOGFACT(k)
+    lg = _log_factorials(k)
     return lv + li - lq, t - lam - lg, li - lv + lq + t + lam + lg
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
-from .model import _adopt, _freeze_copies
+from .model import _adopt, _freeze_copies, _sealed
 from .simulate import CountPath
 
 __all__ = [
@@ -41,10 +41,9 @@ class DesignSystem:
     b: np.ndarray = field(repr=False)
     T: int
     p: int
-    # A system from build_design also holds the read-only float counts it
-    # was built from: a CountPath's own float view, or a copy of an array
-    # (never the caller's own). Its estimate's sandwich knows its path by
-    # them. Not a field, as ThetaVector._fit is not.
+    # A system that build_design made from a CountPath also holds that
+    # path's float view, by which its estimate's sandwich knows the path.
+    # Not a field, as ThetaVector._fit is not.
     _counts = None
 
     def __post_init__(self):
@@ -62,8 +61,9 @@ class ThetaVector:
 
     mu: float
     betas: tuple[float, ...] = ()
-    # An estimate from solve_cls on a build_design system also holds that
-    # system's (counts, Y, Y^-1), for sandwich_covariance to reuse.
+    # An estimate from solve_cls on a system that build_design made from a
+    # CountPath also holds that system's (counts, Y, Y^-1), for
+    # sandwich_covariance to reuse.
     # Not a field: ==, hash, repr, asdict and replace see (mu, betas) only.
     _fit = None
 
@@ -87,13 +87,12 @@ class ThetaVector:
         return cls(mu=values[0], betas=tuple(values[1:]))
 
 
-def _counts_of(path, copy: bool = False) -> np.ndarray:
+def _counts_of(path) -> np.ndarray:
     # The path as a C-contiguous (T,) float64 array: a CountPath's shared
-    # read-only float view; for an array a new one with ``copy``, else the
-    # caller's own where it is one.
+    # read-only float view, else the caller's own array where it is one.
     if isinstance(path, CountPath):
         return path.counts_float()
-    x = np.array(path, dtype=np.float64, order="C", ndmin=1, copy=copy or None)
+    x = np.array(path, dtype=np.float64, order="C", ndmin=1, copy=None)
     if x.ndim != 1:
         raise DimensionMismatch(f"path must be a (T,) array, got shape {x.shape}")
     return x
@@ -113,12 +112,13 @@ def build_design(path, p: int) -> DesignSystem:
     moment; Y is the 1/T-scaled Gram matrix of the regressors
     z_n = (1, X_{n-1}, ..., X_{n-p}) with entries at nonpositive time
     indices zeroed. Y[0,0] is exactly 1."""
-    x = _counts_of(path, copy=True)
+    x = _counts_of(path)
     t = x.shape[0]
     p = _check_lag(t, p)
     with np.errstate(over="ignore", invalid="ignore"):  # solve_cls rejects non-finite
         y, b = _k.design_build(x[:, None], p)
-    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p, _counts=x)
+    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p,
+                  _counts=x if isinstance(path, CountPath) else None)
 
 
 def rcond(system: DesignSystem) -> float:
@@ -148,8 +148,9 @@ def _failure(fits, i: int) -> SingularDesign:
 def solve_cls(system: DesignSystem) -> ThetaVector:
     """Solve Y theta = b through the inverse of Y (one LU factorisation),
     plus one iterative-refinement step with the same inverse. An estimate
-    from a :func:`build_design` system carries that inverse, with the
-    system's counts and Y, to :func:`inar.sandwich_covariance`.
+    from a :func:`build_design` system of a :class:`inar.CountPath` carries
+    that inverse, with the path's float view and Y, to
+    :func:`inar.sandwich_covariance`.
 
     Raises :class:`SingularDesign` when the reciprocal condition falls
     below 1e-12 or the residual check fails (collinear lags, degenerate
@@ -161,7 +162,7 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
         raise _failure(fits, 0)
     theta = ThetaVector.from_array(fits.theta[0])
     if system._counts is not None:
-        object.__setattr__(theta, "_fit", (system._counts, system.Y, fits.inv[0]))
+        object.__setattr__(theta, "_fit", (system._counts, system.Y, _sealed(fits.inv[0])))
     return theta
 
 

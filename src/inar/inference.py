@@ -81,10 +81,10 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     solves with one inverse of J_hat (an LU factorisation), whose condition
     is screened as :func:`inar.solve_cls` screens Y's. When theta_hat came
     from :func:`inar.solve_cls` on :func:`inar.build_design`'s system of
-    this :class:`inar.CountPath` (known by its float view, without a
-    comparison) or of a path with these counts, at this p, that system's Y
-    and half the solve's Y^-1 are reused exactly; otherwise Y is built and
-    J_hat inverted here, with the same result bit for bit."""
+    this :class:`inar.CountPath` (known by its float view, not by its
+    values) at this p, that system's Y and half the solve's Y^-1 are reused
+    exactly; otherwise Y is built and J_hat inverted here, with the same
+    result bit for bit."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
@@ -92,15 +92,12 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     theta = np.zeros((1, p + 1), dtype=np.float64)  # betas beyond p dropped, missing ones 0
     theta[0, : theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
     fit = theta_hat._fit  # (counts, Y, Y^-1) of the solve, or None
-    # The fit's counts at the fit's p: its Y is this path's design. The fit
-    # of this CountPath holds its float view itself; an array is compared,
-    # and the fit's copy of its counts stands in for the one just made.
-    reuse = fit is not None and fit[1].shape[0] == p + 1 and (
-        x is fit[0] or np.array_equal(x, fit[0]))
+    # This CountPath's own float view at the fit's p: its Y is this design.
+    reuse = fit is not None and fit[0] is x and fit[1].shape[0] == p + 1
     # A non-finite or overflowing path gives inf and NaN, rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         if reuse:
-            x, y = fit[0], fit[1][None]
+            y = fit[1][None]
         else:
             y = _k.design_build(x[:, None], p)[0]
         j_hat = 2.0 * y

@@ -30,27 +30,36 @@ __all__ = [
 ]
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only for good: it and every array it is a view of
+    are made read-only in place, and numpy refuses to make a view of a
+    read-only array writable again. An array that owns its data comes back
+    as a view of itself; a view comes back unchanged."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return arr.view() if arr.base is None else arr
+
+
 def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
     """Replace each named array field of a frozen dataclass ``record`` by a
-    read-only C-contiguous copy as ``dtype``: the caller's array stays
+    sealed C-contiguous copy as ``dtype``: the caller's array stays
     writable, and later writes to it never reach the record."""
     for name in names:
         arr = np.array(getattr(record, name), dtype=dtype, order="C", ndmin=1)
-        arr.flags.writeable = False
-        object.__setattr__(record, name, arr)
+        object.__setattr__(record, name, _sealed(arr))
 
 
 def _adopt(cls, **fields):
     """A ``cls`` record (a frozen dataclass) of arrays the package has just
-    made and nothing else holds: each array, and every array it is a view
-    of, is made read-only in place instead of copied. ``__post_init__``
-    does not run; the maker has shaped the fields already."""
+    made and nothing else holds: each array is sealed in place instead of
+    copied. ``__post_init__`` does not run; the maker has shaped the fields
+    already."""
     record = object.__new__(cls)
     for name, value in fields.items():
-        arr = value
-        while isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-            arr = arr.base
+        if isinstance(value, np.ndarray):
+            value = _sealed(value)
         object.__setattr__(record, name, value)
     return record
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import InvalidRate, NonStationaryKernel, Overflow
-from .model import ModelParams, _freeze_copies, validate_params
+from .model import ModelParams, _freeze_copies, _sealed, validate_params
 
 __all__ = [
     "RngStream",
@@ -61,13 +61,6 @@ class RngStream:
         return RngStream(self.seed, stream_id)
 
 
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    # A read-only view of ``arr``, made read-only too: numpy refuses to make
-    # such a view writable again, so its values are fixed for good.
-    arr.flags.writeable = False
-    return arr.view()
-
-
 @dataclass(frozen=True)
 class CountPath:
     """One realization X_1..X_T with its generation provenance."""
@@ -83,7 +76,6 @@ class CountPath:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", _sealed(self.counts))
 
     def __len__(self) -> int:
         return self.counts.shape[0]

@@ -159,15 +159,18 @@ def test_cli_outputs(tmp_path):
 
 
 def test_low_rate_study(tmp_path):
-    # The low-rate lane study's config is written where it is asked for
-    # (the record's temporary directory, not configs/) and parses as the
-    # study it names. `inar mc` runs on a side's configs/*_T1000.json, then
-    # on it; a side compared with itself is identical.
-    path = ab.write_low_rate_config(tmp_path)
-    assert path.parent == tmp_path and not (ab.ROOT / "configs" / path.name).exists()
-    cfg = inar.parse_config(path.read_text())
-    assert (cfg.params.nu, cfg.params.kernel, cfg.T, cfg.n_experiments, cfg.base_seed) == (
-        10.5, (0.05,), 200, 1000, ab.MC_SEED)
+    # The low- and mixed-rate lane studies' configs are written where they
+    # are asked for (the record's temporary directory, not configs/) and
+    # parse as the studies they name. `inar mc` runs on a side's
+    # configs/*_T1000.json, then on them; a side compared with itself is
+    # identical.
+    path, mixed = (ab.write_config(tmp_path, s) for s in (ab.LOW_RATE, ab.MIXED_RATE))
+    for study, want in ((path, (10.5, (0.05,))), (mixed, (6.0, (0.5,)))):
+        assert study.parent == tmp_path and not (ab.ROOT / "configs" / study.name).exists()
+        cfg = inar.parse_config(study.read_text())
+        assert (cfg.params.nu, cfg.params.kernel, cfg.T, cfg.n_experiments, cfg.base_seed) == (
+            *want, 200, 1000, ab.MC_SEED)
+    assert (path.name, mixed.name) == ("low_rate_T200.json", "mixed_rate_T200.json")
     side = tmp_path / "side"
     (side / "configs").mkdir(parents=True)
     (side / "src").symlink_to(ab.ROOT / "src")

@@ -148,7 +148,7 @@ def counted_draws(lam, key, n):
 
 def test_ptrs_passes_match_oracle():
     # Near lam = 10 about 0.4% of PTRS draws reject every round of a
-    # pass, so 500 lanes x 20 steps send some lanes to further passes.
+    # pass, so 500 lanes x 20 steps send some lanes to the scalar finish.
     # Each lane has its own rate, so a log test on another lane's
     # parameters shows, and after every step each lane's state must sit
     # exactly as many counters past its key as the scalar loop has read.
@@ -234,7 +234,7 @@ grid_uniforms = st.integers(0, 2 ** 52 - 1).map(lambda z: (z + 0.5) * 2.0 ** -52
 def abs_tie_bound(k, lam, us, v, a, b, inv_alpha):
     """The sum of the magnitudes of the log test's terms, each by np.abs."""
     return (np.abs(np.log(v)) + np.abs(np.log(inv_alpha)) + np.abs(np.log(a / (us * us) + b))
-            + np.abs(k * np.log(lam)) + lam + _k._LOGFACT(k))
+            + np.abs(k * np.log(lam)) + lam + _k._log_factorials(k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -381,7 +381,7 @@ def test_shared_log_factorials_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(_k, "_LOGFACT", _k._LogFactorials())
+            monkeypatch.setattr(_k, "_LOGFACT", _k._Grown(_k._LOGFACT.make))
             with ThreadPoolExecutor(max_workers=2 * len(rates)) as pool:
                 futures = [
                     pool.submit(inar.poisson_sample, lam, RngStream(4, j), 20000)

@@ -473,9 +473,8 @@ class TestSandwichReusesTheFit:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_path_changed_after_the_fit(self, data):
-        # The fit keeps its own copy of the counts, never the caller's
-        # array: a path changed in place after the fit gets its own
-        # sandwich, at the fit's p and at another, not the fit's. A
+        # An array's fit keeps no counts: a path changed in place after
+        # the fit gets its own sandwich, at the fit's p and at another. A
         # CountPath's counts and float view cannot be made writable again,
         # so its fit never goes stale.
         T = data.draw(st.integers(3, 60), label="T")
@@ -502,9 +501,9 @@ class TestSandwichReusesTheFit:
 
     def test_reuse_by_identity(self, monkeypatch, case1_params):
         # The sandwich of an estimate on its own CountPath knows the path by
-        # its float view: no counts are compared. An equal array is
-        # compared and reuses the fit too; other counts or another p
-        # rebuild Y. Every route gives the bare estimate's bytes.
+        # its float view: no counts are compared. Equal counts in an array
+        # or in a second CountPath, other counts or another p rebuild Y.
+        # Every route gives the bare estimate's bytes.
         path = inar.simulate_path(case1_params, 400, RngStream(7))
         p = 3
         theta = inar.solve_cls(inar.build_design(path, p))
@@ -529,7 +528,9 @@ class TestSandwichReusesTheFit:
         assert builds == []
         assert sandwich_bytes(path.counts.astype(np.float64), theta, p) == want[p]
         assert sandwich_bytes(path.counts, theta, p) == want[p]
-        assert builds == []
+        assert sandwich_bytes(CountPath(counts=path.counts), theta, p) == want[p]
+        assert builds == [p, p, p]
+        builds.clear()
         assert sandwich_bytes(CountPath(counts=other), theta, p) == want_other
         assert sandwich_bytes(other, theta, p) == want_other
         assert sandwich_bytes(path, theta, p + 1) == want[p + 1]
@@ -591,13 +592,21 @@ class TestSandwichReusesTheFit:
         builds.clear()
         inar.sandwich_covariance(path.counts[::-1], theta, 5)
         assert builds == [((300, 1), 5)]
-        # A non-integer path's fit makes one, as its J_hat is 2Y bit for bit.
+        # A system built from an array, here a non-integer path, keeps
+        # neither the array nor a copy, and its estimate no inverse: the
+        # sandwich builds its own design and makes its own inverse, and
+        # gives the bare estimate's bytes.
         calls.clear()
         builds.clear()
         gamma = np.random.default_rng(29).gamma(2.0, 3.0, size=500)
-        inar.sandwich_covariance(gamma, inar.solve_cls(inar.build_design(gamma, 5)), 5)
-        assert calls == [("inv", (1, 6, 6))]
-        assert builds == [((500, 1), 5)]
+        system = inar.build_design(gamma, 5)
+        gamma_theta = inar.solve_cls(system)
+        assert system._counts is None and gamma_theta._fit is None
+        inar.sandwich_covariance(gamma, gamma_theta, 5)
+        assert calls == [("inv", (1, 6, 6))] * 2
+        assert builds == [((500, 1), 5)] * 2
+        bare = ThetaVector.from_array(gamma_theta.to_array())
+        assert sandwich_bytes(gamma, gamma_theta, 5) == sandwich_bytes(gamma, bare, 5)
         # A stacked fit of conditioned lanes makes one batched inverse.
         calls.clear()
         inar.fit_lanes(np.column_stack([path.counts, path.counts[::-1]]), 5)

@@ -223,8 +223,25 @@ class TestModelParams:
         assert len(a.digest()) == 16
 
 
+def held_arrays(record):
+    """Every array a record holds: its fields, and the float view, counts
+    or fit kept beside them."""
+    for value in vars(record).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def assert_sealed(record):
+    # numpy refuses to make any of them writable again.
+    for arr in held_arrays(record):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.flags.writeable = True
+
+
 # Each record stores read-only copies of its arrays: the caller's arrays
-# stay writable, and writing to them later leaves the record as it was.
+# stay writable, writing to them later leaves the record as it was, and
+# the record's own arrays cannot be made writable again.
 @pytest.mark.parametrize("build, arrays", [
     (lambda a: inar.CountPath(**a), {"counts": np.array([1, 2, 3], dtype=np.int64)}),
     (lambda a: inar.DesignSystem(**a, T=5, p=1), {"Y": np.eye(2), "b": np.ones(2)}),
@@ -246,15 +263,19 @@ def test_records_copy_caller_arrays(build, arrays):
         assert arr.flags.writeable and not kept.flags.writeable
         arr[...] = 7
         assert np.array_equal(kept, before)
+    assert_sealed(record)
 
 
 def test_package_records_frozen_in_place(case1_params):
     # The records build_design and sandwich_covariance return hold arrays
     # the package has just made: read-only, and so is every array they are
-    # views of; no two of them share memory.
+    # views of; no two of them share memory. No array of a record the
+    # package returns, nor the float view, counts or fit kept beside its
+    # fields, can be made writable again.
     path = inar.simulate_path(case1_params, 200, inar.RngStream(3))
     system = inar.build_design(path, 4)
-    cov = inar.sandwich_covariance(path, inar.solve_cls(system), 4)
+    theta = inar.solve_cls(system)
+    cov = inar.sandwich_covariance(path, theta, 4)
     arrays = [system.Y, system.b, cov.J_hat, cov.K_hat, cov.Sigma_hat]
     for i, arr in enumerate(arrays):
         base = arr
@@ -262,3 +283,8 @@ def test_package_records_frozen_in_place(case1_params):
             assert not base.flags.writeable
             base = base.base
         assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+    summary = inar.summarize(np.arange(6.0).reshape(3, 2), np.zeros(2))
+    renewal = inar.renewal_sequence(case1_params.kernel, 20)
+    assert system._counts is path.counts_float() and theta._fit is not None
+    for record in (path, system, theta, cov, summary, renewal):
+        assert_sealed(record)

@@ -12,10 +12,11 @@ every workload of ``BENCHMARK.json``, for its run length:
 The change side is the checkout this script lives in, as its files stand.
 Each of the ten pairs runs both sides on one seed, and the side that runs
 first alternates from pair to pair. In the same run, every output file of
-``inar mc --seed 11`` on each ``configs/*_T1000.json``, and on the low-rate
-lane study ``LOW_RATE`` (nu = 10.5, kernel ``lags:[0.05]``, T = 200, 1000
-replications; its config is written into the temporary directory by
-:func:`write_low_rate_config`), is compared between the sides (identical,
+``inar mc --seed 11`` on each ``configs/*_T1000.json``, and on the lane
+studies ``LOW_RATE`` (nu = 10.5, kernel ``lags:[0.05]``, T = 200, 1000
+replications) and ``MIXED_RATE`` (nu = 6, kernel ``lags:[0.5]``, T = 200,
+1000 replications; both configs are written into the temporary directory
+by :func:`write_config`), is compared between the sides (identical,
 or the largest absolute and relative difference of its numbers, overall
 and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV (the scalar loop),
@@ -60,6 +61,10 @@ IID_T = 20_000
 # step's pass, and finish on the scalar loop, come up on most steps.
 LOW_RATE = {"nu": 10.5, "kernel": "lags:[0.05]", "T": 200, "p": 1,
             "n_experiments": 1000, "seed": MC_SEED, "case": "low_rate"}
+# A lane study whose rates straddle that threshold (mean 12): on nearly
+# every step some lanes draw by inversion and the rest by PTRS.
+MIXED_RATE = {"nu": 6, "kernel": "lags:[0.5]", "T": 200, "p": 1,
+              "n_experiments": 1000, "seed": MC_SEED, "case": "mixed_rate"}
 
 
 def quartiles(values):
@@ -236,11 +241,11 @@ def _inar(side_root, *args):
                    cwd=side_root, env=env, check=True, capture_output=True)
 
 
-def write_low_rate_config(directory):
-    """Write the ``LOW_RATE`` study's config into ``directory`` as
-    ``low_rate_T200.json`` and return its path."""
-    path = Path(directory) / "low_rate_T200.json"
-    path.write_text(json.dumps(LOW_RATE) + "\n")
+def write_config(directory, study):
+    """Write the config ``study`` (``LOW_RATE`` or ``MIXED_RATE``) into
+    ``directory`` as ``<case>_T<T>.json`` and return its path."""
+    path = Path(directory) / f"{study['case']}_T{study['T']}.json"
+    path.write_text(json.dumps(study) + "\n")
     return path
 
 
@@ -311,8 +316,9 @@ def main(argv=None):
                 "Summary quartiles are inclusive quartiles over one side's runs; "
                 "`checks` lists the check lines each run printed; `chunks` is the "
                 "number of chunks the run completed. `outputs` compares every file of "
-                f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json and on the "
-                f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}) and, under "
+                f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json, on the "
+                f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}) and on the "
+                f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}) and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
                 f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
                 f"constant-rate `inar simulate --kernel none --nu {IID_NU}` path CSV "
@@ -334,9 +340,9 @@ def main(argv=None):
             "summary": {},
             "runs": [],
         }
-        low_rate = [write_low_rate_config(scratch)]
-        change_mc = dict(_mc_outputs(ROOT, scratch / "change_mc", low_rate))
-        parent_mc = dict(_mc_outputs(parent_root, scratch / "parent_mc", low_rate))
+        studies = [write_config(scratch, study) for study in (LOW_RATE, MIXED_RATE)]
+        change_mc = dict(_mc_outputs(ROOT, scratch / "change_mc", studies))
+        parent_mc = dict(_mc_outputs(parent_root, scratch / "parent_mc", studies))
         record["outputs"] = {
             stem: diff_outputs(parent_mc[stem], out) if stem in parent_mc else "missing"
             for stem, out in change_mc.items()
