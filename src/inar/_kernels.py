@@ -18,9 +18,12 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
   shared by every cell: inversion counts the sums of the sequential search
-  that each uniform passes; the PTRS round kernel takes per-lane constants
+  that each uniform passes, and ends the sum once the block's largest
+  uniform is not past it; the PTRS round kernel takes per-lane constants
   or floats, and finds where each lane's log test can decide its draw by
-  a running OR of its squeeze acceptances.
+  a running OR of its squeeze acceptances. A PTRS block holds its rounds
+  as one pass of the lane engine does: a contiguous row of u states over
+  a contiguous row of v states.
   ``sim_one`` sends a path whose kernel is zero here and any other path to
   ``sim_path``.
 
@@ -33,7 +36,9 @@ are integers, so the sums are exact, and equal bit for bit in any order,
 while every product and partial sum stays below 2**53 in magnitude.
 ``score_variance`` and ``sandwich_solve`` make each lane's K_hat and Sigma
 of the sandwich by the BLAS calls of a one-lane stack, so a lane's results
-do not depend on the other lanes it is stacked with.
+do not depend on the other lanes it is stacked with; the refinement
+residual of each solve is a long double vecdot, numpy's long double matmul
+bit for bit.
 """
 
 import functools
@@ -267,17 +272,27 @@ def _inversion(lam, u):
     # (a float, or one rate per uniform): the number of k < 200 with
     # u > F_k. F_k = F_{k-1} + p_k is summed by the scalar loop's operations
     # in its order, so F only grows and that count is where the search
-    # stops; the sum ends once no uniform is past F. Counts fit in uint8,
-    # whose adds cost a quarter of int64's on a block.
+    # stops; the sum ends once no uniform is past F. At one rate that is
+    # once the largest uniform, read once, is not past F, so a term costs
+    # two passes (compare, add) rather than three; at per-lane rates the
+    # mask of each term is checked. Counts fit in uint8, whose adds cost a
+    # quarter of int64's on a block.
     if isinstance(lam, np.ndarray):
         p = np.fromiter(map(math.exp, (-lam).tolist()), np.float64, lam.shape[0])
         f = p.copy()
+        top = None
     else:
         p = f = math.exp(-lam)
+        top = u.max()
     count = np.zeros(u.shape[0], dtype=np.uint8)
     for k in range(1, 201):
-        past = u > f
-        if not past.any():
+        if top is None:
+            past = u > f
+            if not past.any():
+                break
+        elif top > f:
+            past = u > f
+        else:
             break
         count += past
         p *= lam / k
@@ -468,22 +483,26 @@ def poisson_stream(lam, out, key):
         return
     # A round accepts with probability 0.75 at lam = 10, rising to 0.89 at
     # large lam: 4/3 rounds per draw still wanted mostly suffice, and a
-    # short block is followed by another.
+    # short block is followed by another. A block of R rounds lays out its
+    # states as one pass of the lane engine does (_PASS_OFFSETS): a (2, R)
+    # grid, a u row of counters 2r+1 over a v row of counters 2r+2, each
+    # row contiguous; the next base is the v row's last state, counter 2R.
     constants = (lam, *(float(c[0]) for c in _ptrs_constants(np.array([lam]))))
     rounds = min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8)
-    offsets = np.arange(2 * rounds, dtype=np.uint64) * _GOLDEN
-    buf = np.empty_like(offsets)
+    offsets = np.arange(0, 2 * rounds, 2, dtype=np.uint64) + np.arange(2, dtype=np.uint64)[:, None]
+    offsets *= _GOLDEN
+    buf = np.empty(2 * rounds, dtype=np.uint64)
     while done < n_draws:
         need = n_draws - done
         rounds = min(_STREAM_BLOCK, need + need // 3 + 8)
-        state = np.add(base, offsets[: 2 * rounds], out=buf[: 2 * rounds])
-        w = _uniforms(state).reshape(rounds, 2)
+        state = np.add(base, offsets[:, :rounds], out=buf[: 2 * rounds].reshape(2, rounds))
+        w = _uniforms(state)
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
-        k, accept = _ptrs_rounds(w[None, :, 0], w[None, :, 1], *constants)
+        k, accept = _ptrs_rounds(w[:1], w[1:], *constants)
         got = k[accept][:need]
         out[done : done + got.size] = got
-        base[:] = state[-1]
+        base[:] = state[1, -1]
         done += got.size
 
 
@@ -769,6 +788,15 @@ def inverse_rcond(y):
     return g, rc
 
 
+def _long_product(y, x):
+    # y.astype(np.longdouble) @ x bit for bit, for (..., m, m) y and (...,
+    # m, k) x. numpy's long double matmul has no BLAS and stores every
+    # partial sum to memory; vecdot of y's rows with x's columns adds the
+    # same products in the same order from 0 with the sum in a register:
+    # about 2.5x faster at m = 61, about 1 us slower per call at m <= 5.
+    return np.vecdot(y.astype(np.longdouble)[..., :, None, :], x.mT[..., None, :, :])
+
+
 def inverse_solve(y, g, r):
     """Y^-1 r for (..., m, k) right-hand sides r, given G = Y^-1 from
     ``inverse_rcond``: G r plus one iterative-refinement step with G."""
@@ -776,7 +804,7 @@ def inverse_solve(y, g, r):
     # The residual is formed in extended precision where the platform has
     # it (x86 long double): the step then lands within about one rounding
     # of the exact solution, not within 1/rcond roundings.
-    x += g @ (r - y.astype(np.longdouble) @ x).astype(np.float64)
+    x += g @ (r - _long_product(y, x)).astype(np.float64)
     return x
 
 

@@ -74,7 +74,7 @@ class CountPath:
         _freeze_copies(self, "counts", dtype=np.int64)
         if self.counts.ndim != 1 or self.counts.shape[0] < 1:
             raise ValueError("counts must be a nonempty 1-d sequence")
-        if np.any(self.counts < 0):
+        if self.counts.min() < 0:
             raise ValueError("counts must be nonnegative")
 
     def __len__(self) -> int:
@@ -82,9 +82,10 @@ class CountPath:
 
     def counts_float(self) -> np.ndarray:
         """The counts as float64: one read-only array, made on first use
-        and shared by every caller (a fit and its sandwich know their path
-        by it). It is not a field: repr and replace ignore it. Neither it
-        nor ``counts`` can be made writable again, so it never goes
+        (a path from :func:`simulate_path` comes with the simulation's
+        own) and shared by every caller (a fit and its sandwich know their
+        path by it). It is not a field: repr and replace ignore it. Neither
+        it nor ``counts`` can be made writable again, so it never goes
         stale."""
         x = self.__dict__.get("_floats")
         if x is None:
@@ -158,19 +159,24 @@ def simulate_path(
     kern = params.kernel_array()
     x, overflow_at = _k.sim_one(params.nu, kern, T, float(lam_cap), rng.state())
     # Counts stay 0 after an intensity overflow, so a huge count comes first.
-    huge = np.flatnonzero(x >= _k.INT64_END)
-    if huge.size:
-        raise Overflow(f"count at step {huge[0] + 1} does not fit in int64")
+    if x.max() >= _k.INT64_END:
+        huge = np.flatnonzero(x >= _k.INT64_END)[0]
+        raise Overflow(f"count at step {huge + 1} does not fit in int64")
     if overflow_at >= 0:
         raise Overflow(
             f"intensity exceeded cap {lam_cap:g} at step {overflow_at + 1}"
         )
-    return CountPath(
+    path = CountPath(
         counts=x,
         seed=rng.seed,
         stream_id=rng.stream_id,
         params_digest=params.digest(),
     )
+    # x is the counts as float64 (integers: counts.astype(np.float64) bit
+    # for bit), made here and held by nothing else, so it becomes the
+    # path's float view in place of a copy made on first use.
+    path.__dict__["_floats"] = _sealed(x)
+    return path
 
 
 def simulate_lanes(

@@ -133,8 +133,9 @@ def test_src_lines(tmp_path):
 
 def test_cli_outputs(tmp_path):
     # The simulate, estimate --ci (p = 0, 1, 10, 20) and normality files of
-    # one side, with this checkout's package, and the constant-rate path
-    # with its p = 0 estimate; a side compared with itself is identical.
+    # one side, with this checkout's package, and the constant-rate paths
+    # at a PTRS and an inversion rate with their p = 0 estimates; a side
+    # compared with itself is identical.
     rng = np.random.default_rng(5)
     values = rng.normal(size=(30, 2)).tolist()
     rows = [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(values, start=1)]
@@ -143,16 +144,20 @@ def test_cli_outputs(tmp_path):
     out = ab.cli_outputs(ab.ROOT, tmp_path / "cli", samples)
     assert sorted(p.name for p in out.iterdir()) == [
         "estimate_p0.json", "estimate_p1.json", "estimate_p10.json", "estimate_p20.json",
-        "iid_estimate_p0.json", "iid_path.csv", "normality.json", "path.csv"]
+        "iid_estimate_p0.json", "iid_low_estimate_p0.json", "iid_low_path.csv",
+        "iid_path.csv", "normality.json", "path.csv"]
     assert (out / "path.csv").read_text().count("\n") == 1001
     for p in ab.ESTIMATE_LAGS:
         estimate = json.loads((out / f"estimate_p{p}.json").read_text())
         assert estimate["p"] == p and len(estimate["ci"]) == p + 1
-    # Several blocks of the block sampler at a PTRS rate, and the iid sandwich.
-    assert ab.IID_NU >= 10 and ab.IID_T > 2 * inar._kernels._STREAM_BLOCK
-    assert (out / "iid_path.csv").read_text().count("\n") == ab.IID_T + 1
-    estimate = json.loads((out / "iid_estimate_p0.json").read_text())
-    assert estimate["p"] == 0 and len(estimate["ci"]) == 1
+    # Several blocks of the block sampler at a PTRS rate and at an inversion
+    # rate, and the iid sandwich on each.
+    assert ab.IID_NU >= 10 and ab.IID_LOW_NU < 10
+    assert ab.IID_T > 2 * inar._kernels._STREAM_BLOCK
+    for name in ("iid", "iid_low"):
+        assert (out / f"{name}_path.csv").read_text().count("\n") == ab.IID_T + 1
+        estimate = json.loads((out / f"{name}_estimate_p0.json").read_text())
+        assert estimate["p"] == 0 and len(estimate["ci"]) == 1
     assert list(json.loads((out / "normality.json").read_text())["normality"]) == [
         "mu_hat", "beta_1"]
     assert set(ab.diff_outputs(out, out).values()) == {"identical"}

@@ -799,3 +799,26 @@ def test_shared_ones_column_is_a_fresh_one(monkeypatch, T):
         for n_lanes in (1, 3):
             r = rng.gamma(2.0, 40.0, size=(n_lanes, T, 1)) ** 2
             assert (r.mT @ column).tobytes() == (r.mT @ np.ones((T, 1))).tobytes()
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3, 130])
+@pytest.mark.parametrize("m", [1, 2, 11, 21, 61])
+@pytest.mark.parametrize("square", [False, True])
+def test_long_residual_product_is_long_double_matmul(n_lanes, m, square):
+    # The refinement residual's Y x by vecdot is the long double matmul
+    # bit for bit (equal values with equal signs; the padding bytes of a
+    # long double are not compared), on (m, 1) and (m, m) right-hand
+    # sides, and so is inverse_solve built on it.
+    rng = np.random.default_rng(1000 * m + n_lanes)
+    a = rng.normal(size=(n_lanes, m, m))
+    y = a @ a.mT + m * np.eye(m)
+    r = rng.normal(size=(n_lanes, m, m if square else 1))
+    r *= 10.0 ** rng.integers(-8, 9, size=r.shape)
+    g = np.linalg.inv(y)
+    x = g @ r
+    got = _k._long_product(y, x)
+    want = y.astype(np.longdouble) @ x
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
+    want_x = x + g @ (r - want).astype(np.float64)
+    assert _k.inverse_solve(y, g, r).tobytes() == want_x.tobytes()

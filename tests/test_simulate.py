@@ -200,6 +200,30 @@ class TestSimulatePath:
         with pytest.raises(Overflow, match=f"count at step {step} does not fit in int64"):
             inar.simulate_path(params, 3, RngStream(1), lam_cap=1e300)
 
+    @pytest.mark.parametrize("nu, kernel", [(3.0, ()), (150.0, ()), (3.0, (0.3, 0.2))])
+    def test_simulated_float_view(self, nu, kernel):
+        # A simulated path's float view is the simulation's own float64
+        # counts, sealed: the counts as float64 bit for bit, one array kept
+        # by build_design and reused by the fit, and made afresh for a
+        # replaced path. numpy lets an array that owns its data be made
+        # writable again, so of the view's base only its seal is checked.
+        path = inar.simulate_path(ModelParams(nu=nu, kernel=kernel), 20_000, RngStream(4, 2))
+        x = path.counts_float()
+        assert x is path.counts_float()
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.tobytes() == path.counts.astype(np.float64).tobytes()
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            x.flags.writeable = True
+        assert not x.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x.base[0] = 1.0
+        system = inar.build_design(path, 1)
+        assert system._counts is x
+        assert inar.solve_cls(system)._fit[0] is x
+        again = dataclasses.replace(path)
+        assert again.counts_float() is not x
+        assert again.counts_float().tobytes() == x.tobytes()
+
     @pytest.mark.parametrize("cap", [float("inf"), float("nan")])
     def test_non_finite_cap_rejected(self, cap):
         with pytest.raises(ValueError, match="lambda_cap"):
@@ -246,8 +270,9 @@ class TestCountPath:
     def test_validation(self):
         with pytest.raises(ValueError):
             CountPath(counts=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            CountPath(counts=np.array([1, -2, 3]))
+        for counts in ([1, -2, 3], [-1, 0], [5, 4, -(2 ** 63)]):
+            with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+                CountPath(counts=np.array(counts))
 
     def test_counts_read_only(self):
         # For good: writes to the counts cannot be turned back on.

@@ -21,9 +21,10 @@ or the largest absolute and relative difference of its numbers, overall
 and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV (the scalar loop),
 ``inar estimate --ci`` on it at p = 0, 1, 10 and 20, a constant-rate path
-CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler, over several
-blocks), ``inar estimate --ci`` on that at p = 0 (the iid sandwich), and
-``inar normality`` on the case-1 ``samples.csv``.
+CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler's rejection
+blocks) and one at ``IID_LOW_NU`` (its inversion blocks), ``inar estimate
+--ci`` on each at p = 0 (the iid sandwich), and ``inar normality`` on the
+case-1 ``samples.csv``.
 ``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``. The
 record (``--out``) is rewritten after every run, so an interrupted session
 keeps what it measured; the temporary directory is removed at exit. Its
@@ -52,9 +53,11 @@ ROOT = Path(__file__).resolve().parents[1]
 MC_SEED = 11
 PAIRS = 10
 ESTIMATE_LAGS = (0, 1, 10, 20)
-# The constant-rate path: draws at a PTRS rate over several 2**13-round
-# blocks of the block sampler.
+# The constant-rate paths: draws at a PTRS rate over several 2**13-round
+# blocks of the block sampler, and at an inversion rate over more than two
+# 2**13-draw blocks.
 IID_NU = 100
+IID_LOW_NU = 3
 IID_T = 20_000
 # A lane study at rates just above the PTRS threshold of 10, where a round
 # rejects about one time in four: lanes that reject every round of their
@@ -263,8 +266,9 @@ def cli_outputs(side_root, out, samples):
     estimate --ci`` JSON on that path at each p of ``ESTIMATE_LAGS`` (the
     ends and the middle of perfbench's ``fit_sweep`` range, and p = 0, the
     order that ``sampler_stream`` fits and the design build's empty-tail
-    edge), the path CSV of ``inar simulate --kernel none`` at ``IID_NU``
-    and T = ``IID_T`` (seed 11) with ``inar estimate --ci`` JSON on it at
+    edge), the path CSVs of ``inar simulate --kernel none`` at ``IID_NU``
+    (``iid_path.csv``) and at ``IID_LOW_NU`` (``iid_low_path.csv``), T =
+    ``IID_T`` and seed 11, each with ``inar estimate --ci`` JSON on it at
     p = 0, and ``inar normality`` JSON on the ``samples`` CSV, all run with
     ``side_root``'s package."""
     side_root, out = Path(side_root), Path(out)
@@ -275,10 +279,11 @@ def cli_outputs(side_root, out, samples):
     for p in ESTIMATE_LAGS:
         _inar(side_root, "estimate", "--path", out / "path.csv", "--p", p, "--ci",
               "--out", out / f"estimate_p{p}.json")
-    _inar(side_root, "simulate", "--nu", IID_NU, "--kernel", "none", "--T", IID_T,
-          "--seed", MC_SEED, "--out", out / "iid_path.csv")
-    _inar(side_root, "estimate", "--path", out / "iid_path.csv", "--p", 0, "--ci",
-          "--out", out / "iid_estimate_p0.json")
+    for nu, name in ((IID_NU, "iid"), (IID_LOW_NU, "iid_low")):
+        _inar(side_root, "simulate", "--nu", nu, "--kernel", "none", "--T", IID_T,
+              "--seed", MC_SEED, "--out", out / f"{name}_path.csv")
+        _inar(side_root, "estimate", "--path", out / f"{name}_path.csv", "--p", 0, "--ci",
+              "--out", out / f"{name}_estimate_p0.json")
     _inar(side_root, "normality", "--samples", samples, "--out", out / "normality.json")
     return out
 
@@ -321,8 +326,9 @@ def main(argv=None):
                 f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}) and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
                 f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
-                f"constant-rate `inar simulate --kernel none --nu {IID_NU}` path CSV "
-                f"(seed 11, T={IID_T}) with `inar estimate --ci` on it at p = 0, and "
+                f"constant-rate `inar simulate --kernel none` path CSV at nu = {IID_NU} "
+                f"and at nu = {IID_LOW_NU} (seed 11, T={IID_T}), each with `inar "
+                "estimate --ci` on it at p = 0, and "
                 "`inar normality` on the case-1 samples.csv."
             ),
             "parent": parent,
