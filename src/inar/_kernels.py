@@ -627,9 +627,9 @@ def _lagged_design(x, p, y=None, b=None):
     # Every index is in range: mode "clip" only spares take the buffered
     # copy it makes of a given out in its default mode.
     iy, ib = _design_index(p)
-    y = np.take(sums, iy, axis=1, out=y, mode="clip")
+    y = sums.take(iy, axis=1, out=y, mode="clip")
     y[:, 0, 0] = 1.0
-    return y, np.take(sums, ib, axis=1, out=b, mode="clip")
+    return y, sums.take(ib, axis=1, out=b, mode="clip")
 
 
 def design_build(x, p):
@@ -778,12 +778,14 @@ def inverse_rcond(y):
     clears RCOND_THRESHOLD by _BOUND_MARGIN. Every other lane gets
     ``eigh_rcond``'s ratio, so a lane falls below the threshold exactly
     when that ratio does. Scaling Y by 2 scales G by 1/2 and leaves the
-    condition as it is, bit for bit."""
+    condition as it is, bit for bit. It sets no ``np.errstate``: a zero,
+    singular or huge Y divides by zero or overflows in the bound, so its
+    callers (``cls_solve``, ``inar.sandwich_covariance``) ignore those."""
     g = _inverses(y)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rc = 1.0 / np.sqrt(np.einsum("nij,nij->n", y, y) * np.einsum("nij,nij->n", g, g))
-    rest = np.flatnonzero(~(rc >= RCOND_THRESHOLD * _BOUND_MARGIN))  # and NaN
-    if rest.size:
+    rc = 1.0 / np.sqrt(np.einsum("nij,nij->n", y, y) * np.einsum("nij,nij->n", g, g))
+    screened = rc >= RCOND_THRESHOLD * _BOUND_MARGIN  # and not NaN
+    if not screened.all():
+        rest = np.flatnonzero(~screened)
         rc[rest] = eigh_rcond(y[rest])
     return g, rc
 
@@ -833,7 +835,9 @@ def cls_solve(y, b):
         # Such a lane solves the identity system instead, so that no NaN
         # or inf reaches LAPACK; its results are masked below.
         y = np.where(finite[:, None, None], y, np.eye(y.shape[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A failed lane may divide by zero, overflow or make NaN on its way to
+    # the mask.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g, rc = inverse_rcond(y)
         theta = inverse_solve(y, g, b)
         # The Frobenius norms of numpy.linalg.norm, without its wrapper.

@@ -90,7 +90,7 @@ def _cmd_estimate(args) -> int:
     if args.ci:
         cov = sandwich_covariance(path, theta, args.p)
         intervals = confidence_intervals(theta, cov, system.T, args.level)
-        ses = [float(v) for v in np.sqrt(np.maximum(np.diag(cov.Sigma_hat), 0.0) / system.T)]
+        ses = [float(v) for v in np.sqrt(np.maximum(cov.Sigma_hat.diagonal(), 0.0) / system.T)]
         doc["level"] = args.level
         doc["se"] = ses
         doc["ci"] = [[lo, hi] for lo, hi in intervals]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
-from .model import _adopt, _freeze_copies, _sealed
+from .model import _adopt, _freeze_copies, _frozen_copy
 from .simulate import CountPath
 
 __all__ = [
@@ -62,8 +62,9 @@ class ThetaVector:
     mu: float
     betas: tuple[float, ...] = ()
     # An estimate from solve_cls on a system that build_design made from a
-    # CountPath also holds that system's (counts, Y, Y^-1), for
-    # sandwich_covariance to reuse.
+    # CountPath also holds that path's float view and the fit's Y, Y^-1 and
+    # (1, m) solved row, (counts, Y, Y^-1, theta), for sandwich_covariance
+    # to reuse.
     # Not a field: ==, hash, repr, asdict and replace see (mu, betas) only.
     _fit = None
 
@@ -76,7 +77,7 @@ class ThetaVector:
         return len(self.betas)
 
     def to_array(self) -> np.ndarray:
-        return np.concatenate(([self.mu], np.asarray(self.betas, dtype=np.float64)))
+        return np.array((self.mu, *self.betas), dtype=np.float64)
 
     @classmethod
     def from_array(cls, arr) -> "ThetaVector":
@@ -149,8 +150,8 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
     """Solve Y theta = b through the inverse of Y (one LU factorisation),
     plus one iterative-refinement step with the same inverse. An estimate
     from a :func:`build_design` system of a :class:`inar.CountPath` carries
-    that inverse, with the path's float view and Y, to
-    :func:`inar.sandwich_covariance`.
+    copies of Y, that inverse and its solved row, with the path's float
+    view, to :func:`inar.sandwich_covariance`.
 
     Raises :class:`SingularDesign` when the reciprocal condition falls
     below 1e-12 or the residual check fails (collinear lags, degenerate
@@ -160,10 +161,14 @@ def solve_cls(system: DesignSystem) -> ThetaVector:
     fits = _k.cls_solve(system.Y[None], system.b[None])
     if fits.status[0] != _k.FIT_OK:
         raise _failure(fits, 0)
-    theta = ThetaVector.from_array(fits.theta[0])
+    values = fits.theta[0].tolist()
+    fit = None
     if system._counts is not None:
-        object.__setattr__(theta, "_fit", (system._counts, system.Y, _sealed(fits.inv[0])))
-    return theta
+        # Copies no caller can make writable: a later write to system.Y
+        # (through its base) does not reach this estimate's sandwich.
+        fit = (system._counts, _frozen_copy(system.Y), _frozen_copy(fits.inv[0]),
+               _frozen_copy(fits.theta))
+    return _adopt(ThetaVector, mu=values[0], betas=tuple(values[1:]), _fit=fit)
 
 
 def fit_lanes(counts, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +186,8 @@ def fit_lanes(counts, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"counts must be a (T, N) array, got shape {x.shape}")
     p = _check_lag(x.shape[0], p)
     with np.errstate(over="ignore", invalid="ignore"):  # cls_solve masks non-finite
-        fits = _k.cls_solve(*_k.design_build(x, p))
+        y, b = _k.design_build(x, p)
+    fits = _k.cls_solve(y, b)
     return fits.theta, fits.status == _k.FIT_OK
 
 

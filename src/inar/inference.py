@@ -82,39 +82,39 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     is screened as :func:`inar.solve_cls` screens Y's. When theta_hat came
     from :func:`inar.solve_cls` on :func:`inar.build_design`'s system of
     this :class:`inar.CountPath` (known by its float view, not by its
-    values) at this p, that system's Y and half the solve's Y^-1 are reused
-    exactly; otherwise Y is built and J_hat inverted here, with the same
-    result bit for bit."""
+    values) at this p, that system's Y, half the solve's Y^-1 and its
+    solved row are reused exactly; otherwise Y is built and J_hat inverted
+    here, with the same result bit for bit."""
     if p is None:
         p = theta_hat.p
     x = _counts_of(path)
     p = _check_lag(x.shape[0], p)
-    theta = np.zeros((1, p + 1), dtype=np.float64)  # betas beyond p dropped, missing ones 0
-    theta[0, : theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
-    fit = theta_hat._fit  # (counts, Y, Y^-1) of the solve, or None
+    fit = theta_hat._fit  # (counts, Y, Y^-1, theta) of the solve, or None
     # This CountPath's own float view at the fit's p: its Y is this design.
     reuse = fit is not None and fit[0] is x and fit[1].shape[0] == p + 1
-    # A non-finite or overflowing path gives inf and NaN, rejected below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A non-finite or overflowing path gives inf and NaN, rejected below; a
+    # zero or huge J_hat divides by zero or overflows in its screen.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if reuse:
-            y = fit[1][None]
+            y, theta = fit[1][None], fit[3]
         else:
             y = _k.design_build(x[:, None], p)[0]
+            theta = np.zeros((1, p + 1), dtype=np.float64)  # betas beyond p dropped, missing ones 0
+            theta[0, : theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
         j_hat = 2.0 * y
         k_hat = _k.score_variance(x[:, None], theta)
-    if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
-        raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
-
-    if reuse:
-        # Y is the design the solve screened; the LU of 2Y doubles Y's, so
-        # inv(2Y) = Y^-1 / 2.
-        g = 0.5 * fit[2][None]
-    else:
-        g, rc = _k.inverse_rcond(j_hat)
-        if rc[0] < RCOND_THRESHOLD:
-            raise SingularDesign(
-                f"J_hat reciprocal condition {rc[0]:.3e} below {RCOND_THRESHOLD:g}"
-            )
+        if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
+            raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
+        if reuse:
+            # Y is the design the solve screened; the LU of 2Y doubles Y's,
+            # so inv(2Y) = Y^-1 / 2.
+            g = 0.5 * fit[2][None]
+        else:
+            g, rc = _k.inverse_rcond(j_hat)
+            if rc[0] < RCOND_THRESHOLD:
+                raise SingularDesign(
+                    f"J_hat reciprocal condition {rc[0]:.3e} below {RCOND_THRESHOLD:g}"
+                )
     sigma = _k.sandwich_solve(j_hat, g, k_hat)
     return _adopt(SandwichCovariance, J_hat=j_hat[0], K_hat=k_hat[0], Sigma_hat=sigma[0])
 
@@ -129,11 +129,11 @@ def confidence_intervals(
     level = float(level)
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must be in (0, 1), got {level}")
-    vec = theta_hat.to_array()
-    diag = np.diag(cov.Sigma_hat)
-    if diag.shape[0] != vec.shape[0]:
+    values = (theta_hat.mu, *theta_hat.betas)
+    diag = cov.Sigma_hat.diagonal()
+    if diag.shape[0] != len(values):
         raise ValueError(
-            f"covariance dimension {diag.shape[0]} does not match theta {vec.shape[0]}"
+            f"covariance dimension {diag.shape[0]} does not match theta {len(values)}"
         )
     try:
         t = float(T)
@@ -143,7 +143,7 @@ def confidence_intervals(
         raise ValueError(f"T must be >= 1 and finite, got {T}")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.maximum(diag, 0.0) / t)
-    return [(v - h, v + h) for v, h in zip(vec.tolist(), half.tolist())]
+    return [(v - h, v + h) for v, h in zip(values, half.tolist())]
 
 
 def normality_report(sample) -> NormalityReport:

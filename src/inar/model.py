@@ -31,15 +31,26 @@ __all__ = [
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only for good: it and every array it is a view of
-    are made read-only in place, and numpy refuses to make a view of a
-    read-only array writable again. An array that owns its data comes back
-    as a view of itself; a view comes back unchanged."""
+    """``arr`` made read-only in place, without a copy: it and every array
+    it is a view of are made read-only. An array that owns its data comes
+    back as a view of itself; a view comes back unchanged. numpy refuses
+    to make that view writable again, but not its base: a caller who
+    reaches ``.base`` can make the base writable and write through it. It
+    seals the records the package returns and a path's T-long counts and
+    float view, which are not copied; what an estimate keeps for a later
+    sandwich is a :func:`_frozen_copy` instead."""
     base = arr
     while isinstance(base, np.ndarray):
-        base.flags.writeable = False
+        base.setflags(write=False)
         base = base.base
     return arr.view() if arr.base is None else arr
+
+
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """A copy of ``arr`` that nothing can make writable: a view of an
+    immutable ``bytes`` copy of its data, whose writeable flag numpy will
+    not set, through ``.base`` or otherwise."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
@@ -52,15 +63,15 @@ def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
 
 
 def _adopt(cls, **fields):
-    """A ``cls`` record (a frozen dataclass) of arrays the package has just
-    made and nothing else holds: each array is sealed in place instead of
-    copied. ``__post_init__`` does not run; the maker has shaped the fields
-    already."""
+    """A ``cls`` record (a frozen dataclass) of values the package has just
+    made and nothing else holds: each array among them is sealed in place
+    instead of copied. ``__post_init__`` does not run; the maker has shaped
+    and typed the fields already."""
     record = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value = _sealed(value)
-        object.__setattr__(record, name, value)
+            fields[name] = _sealed(value)
+    record.__dict__.update(fields)
     return record
 
 

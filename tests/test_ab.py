@@ -59,6 +59,49 @@ def test_summary_of_pairs():
         "change_peak_rss_mb": 70.5, "change_chunks": 36}
 
 
+_FIT_STDOUT = """\
+check fit_residual: PASS x160
+run: 38 chunks, 6080 ops, 2.579 s timed wall
+raw_ops_per_s (not scaled by the speed probe): 2386.34 1/s
+fit_latency_p50_ms: {p50:.4f} ms  fit_latency_p99_ms: {p99:.4f} ms  samples: 6080
+metric ops_per_s: {ops} 1/s
+{{"correct": true, "attempted": 6080, "failed": 0, "metrics": {{"ops_per_s": {{"value": {ops}, \
+"unit": "1/s"}}, "peak_rss_mb": {{"value": 64.5, "unit": "MB"}}}}}}
+"""
+
+
+def test_fit_latency_in_records():
+    # A fit_sweep run keeps perfbench's per-fit latency line; the summary
+    # gives its p50 and p99 quartiles per side and the change's wins
+    # (lower is better). A run without the line has none.
+    def record(side, pair, p50, p99, ops):
+        rec = ab.bench_record(0, _FIT_STDOUT.format(p50=p50, p99=p99, ops=ops), "")
+        return {"set": "final", "workload": "fit_sweep", "pair": pair, "side": side, **rec}
+
+    rec = ab.bench_record(0, _FIT_STDOUT.format(p50=0.3956, p99=0.6423, ops=1980.5), "")
+    assert rec["fit_latency_ms"] == {"p50": 0.3956, "p99": 0.6423, "samples": 6080}
+    assert rec["chunks"] == 38 and rec["peak_rss_mb"] == 64.5
+    assert rec["checks"] == ["check fit_residual: PASS x160"]
+    assert rec["result"]["metrics"]["ops_per_s"]["value"] == 1980.5
+    plain = _FIT_STDOUT.format(p50=0, p99=0, ops=1.0).splitlines()
+    assert ab.bench_record(0, "\n".join(plain[:3] + plain[4:]), "")["fit_latency_ms"] is None
+    runs = [record("parent", 1, 0.40, 0.70, 2000.0), record("change", 1, 0.36, 0.71, 2200.0),
+            record("change", 2, 0.35, 0.60, 2300.0), record("parent", 2, 0.42, 0.65, 1900.0),
+            record("parent", 3, 0.41, 0.66, 1950.0), record("change", 3, 0.37, 0.62, 2150.0)]
+    entry = ab.summarize(runs, {"ops_per_s": "higher"})["final/fit_sweep"]
+    p50, p99 = entry["fit_latency_p50_ms"], entry["fit_latency_p99_ms"]
+    assert p50["parent"] == {"q1": 0.405, "median": 0.41, "q3": 0.415, "n": 3}
+    assert p50["change"]["median"] == 0.36
+    assert {k: p50[k] for k in ("change_wins", "ties", "pairs")} == {
+        "change_wins": 3, "ties": 0, "pairs": 3}
+    assert {k: p99[k] for k in ("change_wins", "ties", "pairs")} == {
+        "change_wins": 2, "ties": 0, "pairs": 3}
+    assert entry["ops_per_s"]["change_wins"] == 3
+    assert "fit_latency_p50_ms" not in ab.summarize(
+        [_run(1, "parent", 1.0, 1.0, 1), _run(1, "change", 2.0, 1.0, 1)],
+        {"ops_per_s": "higher"})["final/w"]
+
+
 def test_output_diff(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()

@@ -1,6 +1,7 @@
 """Sandwich covariance, confidence intervals, normality tests, and the
 normal quantile. scipy serves as the oracle for the special functions."""
 
+import hashlib
 import math
 import re
 from dataclasses import asdict, fields, replace
@@ -475,8 +476,9 @@ class TestSandwichReusesTheFit:
     def test_path_changed_after_the_fit(self, data):
         # An array's fit keeps no counts: a path changed in place after
         # the fit gets its own sandwich, at the fit's p and at another. A
-        # CountPath's counts and float view cannot be made writable again,
-        # so its fit never goes stale.
+        # CountPath's counts and float view refuse writes and cannot be
+        # made writable again; only their bases, which own the data (they
+        # are sealed in place, not copied), can.
         T = data.draw(st.integers(3, 60), label="T")
         p = data.draw(st.integers(0, min(T - 1, 15)), label="p")
         q = data.draw(st.integers(0, min(T - 1, 15)).filter(lambda v: v != p), label="q")
@@ -498,6 +500,30 @@ class TestSandwichReusesTheFit:
                         held[t] = value
             assert sandwich_bytes(path, theta, p) == sandwich_bytes(path, bare, p)
             assert sandwich_bytes(path, theta, q) == sandwich_bytes(path, bare, q)
+
+    def test_fit_sealed_for_good(self, case1_params):
+        # The Y, Y^-1 and row an estimate keeps are views of an immutable
+        # bytes copy: numpy makes none of them, nor any array they are
+        # views of, writable again. A write to the system's Y through its
+        # base does not reach the sandwich of the estimate.
+        path = inar.simulate_path(case1_params, 300, RngStream(5))
+        for p in (0, 4):
+            system = inar.build_design(path, p)
+            theta = inar.solve_cls(system)
+            want = sandwich_bytes(path, theta, p)
+            assert want == sandwich_bytes(path, ThetaVector.from_array(theta.to_array()), p)
+            for kept in theta._fit[1:]:
+                assert not np.shares_memory(kept, system.Y)
+                base = kept
+                while isinstance(base, np.ndarray):
+                    with pytest.raises(ValueError, match="WRITEABLE"):
+                        base.flags.writeable = True
+                    base = base.base
+                assert isinstance(base, bytes)
+            assert theta._fit[3].tobytes() == theta.to_array().tobytes()
+            system.Y.base.flags.writeable = True
+            system.Y.base[...] = 7.0
+            assert sandwich_bytes(path, theta, p) == want
 
     def test_reuse_by_identity(self, monkeypatch, case1_params):
         # The sandwich of an estimate on its own CountPath knows the path by
@@ -631,6 +657,34 @@ class TestSandwichReusesTheFit:
         assert asdict(theta) == asdict(bare)
         assert replace(theta) == bare
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_to_array_is_a_fresh_copy(self, data):
+        # to_array gives a new writable float64 array of (mu, *betas), bit
+        # for bit, for an estimate that carries its fit and for hand-built
+        # ones; writing into it reaches neither the estimate nor a later
+        # sandwich.
+        T = data.draw(st.integers(3, 60), label="T")
+        p = data.draw(st.integers(0, min(T - 1, 15)), label="p")
+        path = CountPath(counts=np.array(data.draw(count_paths(T), label="path"), dtype=np.int64))
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        hand = ThetaVector(mu=data.draw(finite, label="mu"),
+                           betas=data.draw(st.lists(finite, min_size=p, max_size=p), label="betas"))
+        theta = fitted(path, p)
+        estimates = [hand] if theta is None else [theta, ThetaVector.from_array(theta.to_array()), hand]
+        for est in estimates:
+            values = (est.mu, *est.betas)
+            want = sandwich_bytes(path, est, p)
+            first, second = est.to_array(), est.to_array()
+            for arr in (first, second):
+                assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
+                assert arr.tobytes() == np.array(values, dtype=np.float64).tobytes()
+            assert not np.shares_memory(first, second)
+            first[:] = np.nan
+            assert (est.mu, *est.betas) == values
+            assert est.to_array().tobytes() == second.tobytes()
+            assert sandwich_bytes(path, est, p) == want
+
 
 @pytest.mark.parametrize("T, p", [(200, 10), (1000, 30)])
 def test_stacked_sandwich_is_the_one_lane_sandwich(case1_params, case2_params, T, p):
@@ -656,3 +710,34 @@ def test_stacked_sandwich_is_the_one_lane_sandwich(case1_params, case2_params, T
             cov = inar.sandwich_covariance(counts[:, j], theta, p)
             assert k_hat[j].tobytes() == cov.K_hat.tobytes()
             assert sigma[j].tobytes() == cov.Sigma_hat.tobytes()
+
+
+# sha256 prefixes of the bytes of theta, J_hat, K_hat, Sigma_hat and the
+# 95% intervals of `estimate --ci` on one case-1 path (T = 1000, seed 11,
+# stream 1). They pin the fit's bits on one build: numpy 2.4 with
+# OpenBLAS 0.3.31 on x86-64, whose long double (the refinement residual's)
+# is 80-bit. Another BLAS or platform may round differently.
+GOLDEN_DIGESTS = {
+    0: {"theta": "1b58030724a6724b", "J_hat": "3f710ac088db3336", "K_hat": "8875f60f41922f76",
+        "Sigma_hat": "103684b8f54b57a0", "ci": "776c9b82f2a9e443"},
+    1: {"theta": "e671329e14c3074e", "J_hat": "712cbc49058774a2", "K_hat": "9ddceea0326eb1ee",
+        "Sigma_hat": "cad46b5394349731", "ci": "e8734bd6b60e88e3"},
+    10: {"theta": "697095ca751291c1", "J_hat": "cdac560a6563bb08", "K_hat": "39e1a9b49cb7ad9b",
+         "Sigma_hat": "19a643cb4d14c8ab", "ci": "87bd03feca7b4c80"},
+    20: {"theta": "9f469c6856904b8d", "J_hat": "deaf19fbc60973d2", "K_hat": "74a661add188bfcd",
+         "Sigma_hat": "1d75fab363dce40d", "ci": "eafe0bc97256c8e5"},
+}
+
+
+@pytest.mark.parametrize("p", sorted(GOLDEN_DIGESTS))
+def test_golden_digests(case1_params, p):
+    # The estimate that carries its fit, and a bare one of its values.
+    path = inar.simulate_path(case1_params, 1000, RngStream(11, 1))
+    theta = inar.solve_cls(inar.build_design(path, p))
+    for est in (theta, ThetaVector.from_array(theta.to_array())):
+        cov = inar.sandwich_covariance(path, est, p)
+        ci = inar.confidence_intervals(est, cov, len(path))
+        parts = {"theta": est.to_array(), "J_hat": cov.J_hat, "K_hat": cov.K_hat,
+                 "Sigma_hat": cov.Sigma_hat, "ci": np.array(ci, dtype=np.float64)}
+        got = {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in parts.items()}
+        assert got == GOLDEN_DIGESTS[p]

@@ -203,10 +203,12 @@ class TestSimulatePath:
     @pytest.mark.parametrize("nu, kernel", [(3.0, ()), (150.0, ()), (3.0, (0.3, 0.2))])
     def test_simulated_float_view(self, nu, kernel):
         # A simulated path's float view is the simulation's own float64
-        # counts, sealed: the counts as float64 bit for bit, one array kept
-        # by build_design and reused by the fit, and made afresh for a
-        # replaced path. numpy lets an array that owns its data be made
-        # writable again, so of the view's base only its seal is checked.
+        # counts, sealed in place (a T-long array is not copied): the
+        # counts as float64 bit for bit, one array kept by build_design and
+        # reused by the fit, and made afresh for a replaced path. numpy
+        # refuses to make the view writable again, but not its base, which
+        # owns the data: a caller who reaches x.base can re-enable writes
+        # there. So of the base only its seal is checked here.
         path = inar.simulate_path(ModelParams(nu=nu, kernel=kernel), 20_000, RngStream(4, 2))
         x = path.counts_float()
         assert x is path.counts_float()

@@ -93,7 +93,10 @@ def summarize(runs, metrics):
     of the change over its pairs; every failed check line; whether every
     run was correct; and the peak RSS of each pair with the chunks each
     run completed (a longer run reads a higher peak for the same data).
-    Pairs with a failed run are left out of the quartiles and wins."""
+    Where every counted run has a per-fit latency (``fit_sweep``), its
+    p50 and p99 get quartiles and wins too, as ``fit_latency_p50_ms`` and
+    ``fit_latency_p99_ms`` (lower is better). Pairs with a failed run are
+    left out of the quartiles and wins."""
     groups = {}
     for run in runs:
         groups.setdefault(f"{run['set']}/{run['workload']}", {}).setdefault(
@@ -110,6 +113,12 @@ def summarize(runs, metrics):
                     for s in ("parent", "change")}
             entry[metric] = {s: quartiles(v) for s, v in side.items()}
             entry[metric].update(wins(side["parent"], side["change"], better))
+        if all(by_pair[p][s].get("fit_latency_ms") for p in pairs for s in ("parent", "change")):
+            for q in ("p50", "p99"):
+                side = {s: [by_pair[p][s]["fit_latency_ms"][q] for p in pairs]
+                        for s in ("parent", "change")}
+                entry[f"fit_latency_{q}_ms"] = {s: quartiles(v) for s, v in side.items()}
+                entry[f"fit_latency_{q}_ms"].update(wins(side["parent"], side["change"], "lower"))
         done = [r for sides in by_pair.values() for r in sides.values()]
         entry["failed_checks"] = sorted({c for r in done for c in r["checks"] if ": FAIL" in c})
         entry["all_correct"] = all(r["exit"] == 0 and r["result"]["correct"] for r in done)
@@ -219,23 +228,38 @@ def _git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
+def bench_record(returncode, stdout, stderr):
+    """One run's record from perfbench's exit code and output: its last
+    JSON line, its check lines, its chunk count, its peak RSS and, for a
+    workload that prints one, its ``fit_latency_p50_ms`` /
+    ``fit_latency_p99_ms`` line as ``{"p50", "p99", "samples"}`` (else
+    None)."""
+    lines = stdout.strip().splitlines()
+    result = None
+    if returncode == 0 and lines:
+        result = json.loads(lines[-1])
+    chunks = next((int(line.split()[1]) for line in lines if line.startswith("run: ")), None)
+    latency = None
+    for line in lines:
+        if line.startswith("fit_latency_p50_ms: "):
+            words = line.split()
+            latency = {"p50": float(words[1]), "p99": float(words[4]), "samples": int(words[7])}
+    metrics = result["metrics"] if result else {}
+    return {
+        "exit": returncode,
+        "result": result or {"correct": False, "stderr": stderr[-2000:]},
+        "checks": [line for line in lines if line.startswith("check ")],
+        "chunks": chunks,
+        "peak_rss_mb": metrics.get("peak_rss_mb", {}).get("value"),
+        "fit_latency_ms": latency,
+    }
+
+
 def _bench(side_root, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=side_root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    result = None
-    if proc.returncode == 0 and lines:
-        result = json.loads(lines[-1])
-    chunks = next((int(line.split()[1]) for line in lines if line.startswith("run: ")), None)
-    metrics = result["metrics"] if result else {}
-    return {
-        "exit": proc.returncode,
-        "result": result or {"correct": False, "stderr": proc.stderr[-2000:]},
-        "checks": [line for line in lines if line.startswith("check ")],
-        "chunks": chunks,
-        "peak_rss_mb": metrics.get("peak_rss_mb", {}).get("value"),
-    }
+    return bench_record(proc.returncode, proc.stdout, proc.stderr)
 
 
 def _inar(side_root, *args):
@@ -320,7 +344,9 @@ def main(argv=None):
                 f"{seconds:g} --trace 0`, run from the root of each side's files. "
                 "Summary quartiles are inclusive quartiles over one side's runs; "
                 "`checks` lists the check lines each run printed; `chunks` is the "
-                "number of chunks the run completed. `outputs` compares every file of "
+                "number of chunks the run completed; `fit_latency_ms` is the per-fit "
+                "p50 and p99 latency line a fit_sweep run printed, summarised as "
+                "fit_latency_p50_ms and fit_latency_p99_ms. `outputs` compares every file of "
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json, on the "
                 f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}) and on the "
                 f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}) and, under "
