@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import (
+    DimensionMismatch,
     DomainError,
     InvalidLevel,
     SampleSizeOutOfRange,
@@ -59,6 +60,12 @@ class SandwichCovariance:
 
     def __post_init__(self):
         _freeze_copies(self, "J_hat", "K_hat", "Sigma_hat")
+        m = self.J_hat.shape[0]
+        shapes = (self.J_hat.shape, self.K_hat.shape, self.Sigma_hat.shape)
+        if m < 1 or shapes != ((m, m),) * 3:
+            raise DimensionMismatch(
+                f"expected J_hat, K_hat and Sigma_hat (m,m) with one m >= 1, got {shapes}"
+            )
 
 
 @dataclass(frozen=True)

@@ -93,16 +93,17 @@ class ModelParams:
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "kernel", tuple(float(a) for a in self.kernel))
 
+    # A finite kernel whose norm passes the float range has norm inf.
     @property
     def norm_l1(self) -> float:
-        return float(np.sum(np.abs(self.kernel))) if self.kernel else 0.0
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(self.kernel))) if self.kernel else 0.0
 
     @property
     def norm_l2_sq(self) -> float:
-        if not self.kernel:
-            return 0.0
         arr = np.asarray(self.kernel)
-        return float(arr @ arr)
+        with np.errstate(over="ignore"):
+            return float(arr @ arr)
 
     def kernel_array(self) -> np.ndarray:
         return np.asarray(self.kernel, dtype=np.float64)
@@ -203,11 +204,18 @@ def validate_params(params: ModelParams) -> ValidationReport:
     )
 
 
-def _check_stationary(kernel: np.ndarray, what: str = "kernel"):
-    if kernel.size and float(np.sum(np.abs(kernel))) >= 1.0:
-        raise NonStationaryKernel(
-            f"{what} has l1 norm {float(np.sum(np.abs(kernel))):.6g} >= 1"
-        )
+def _require_valid(params: ModelParams) -> ValidationReport:
+    """:func:`validate_params`' report, or :class:`NonStationaryKernel` at
+    the first hard condition that fails: finiteness, nonnegativity, l1 < 1.
+    Simulation, renewal, the bounds and ``McConfig`` check the model here."""
+    report = validate_params(params)
+    if not report.finite:
+        raise NonStationaryKernel("nu and all kernel entries must be finite")
+    if not report.nonnegative:
+        raise NonStationaryKernel("nu and all kernel entries must be >= 0")
+    if not report.stationary:
+        raise NonStationaryKernel(f"kernel has l1 norm {report.norm_l1:.6g} >= 1")
+    return report
 
 
 def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
@@ -220,7 +228,7 @@ def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     kern = np.asarray(kernel, dtype=np.float64)
-    _check_stationary(kern)
+    _require_valid(ModelParams(0.0, kern))
     klen = kern.shape[0]
     a = np.zeros(n_max, dtype=np.float64)
     for n in range(1, n_max + 1):
@@ -238,7 +246,7 @@ def solve_renewal(y, kernel) -> np.ndarray:
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
     kern = np.asarray(kernel, dtype=np.float64)
-    _check_stationary(kern)
+    _require_valid(ModelParams(0.0, kern))
     n = yarr.shape[0]
     if n == 0:
         return yarr.copy()
@@ -255,16 +263,12 @@ def moment_bounds(params: ModelParams, horizon_T: int) -> BoundsReport:
     """Analytic bounds: stationary mean, second moment, and the deviation
     constants L^2 (lower) and K^2 (upper) at horizon T.
 
-    Requires stationarity. The second-moment-based quantities are omitted
+    Requires a valid model. The second-moment-based quantities are omitted
     when the squared l2 norm of the kernel reaches 1/2.
     """
     if horizon_T < 1:
         raise ValueError(f"horizon_T must be >= 1, got {horizon_T}")
-    report = validate_params(params)
-    if not report.stationary:
-        raise NonStationaryKernel(
-            f"kernel has l1 norm {report.norm_l1:.6g} >= 1"
-        )
+    report = _require_valid(params)
     nu = params.nu
     l1 = report.norm_l1
     l2_sq = report.norm_l2_sq
@@ -273,7 +277,7 @@ def moment_bounds(params: ModelParams, horizon_T: int) -> BoundsReport:
     mean_bound = nu / (1.0 - l1)
 
     second = None
-    if l2_sq < 0.5:
+    if report.l2_advisory:
         second = (2.0 * nu * nu * (1.0 - l1) + nu) / (
             (1.0 - 2.0 * l2_sq) * (1.0 - l1)
         )

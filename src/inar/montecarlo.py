@@ -15,7 +15,7 @@ import numpy as np
 from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
 from .estimate import fit_lanes
 from .inference import NormalityReport, histogram_data, normality_report, qq_data
-from .model import ModelParams, _freeze_copies
+from .model import ModelParams, _freeze_copies, _require_valid
 from .simulate import DEFAULT_LAMBDA_CAP, simulate_lanes
 
 __all__ = [
@@ -48,6 +48,7 @@ class McConfig:
             raise ValueError("n_experiments must be >= 1")
         if not 0 <= self.p <= self.T - 1:
             raise ValueError(f"need 0 <= p <= T-1, got p={self.p}, T={self.T}")
+        _require_valid(self.params)
 
 
 @dataclass(frozen=True)

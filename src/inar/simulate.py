@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as _k
-from .errors import InvalidRate, NonStationaryKernel, Overflow
-from .model import ModelParams, _freeze_copies, _sealed, validate_params
+from .errors import InvalidRate, Overflow
+from .model import ModelParams, _freeze_copies, _require_valid, _sealed
 
 __all__ = [
     "RngStream",
@@ -125,15 +125,7 @@ def _check_inputs(params: ModelParams, T, lam_cap) -> int:
         raise ValueError(f"T must be >= 1, got {T}")
     if not math.isfinite(lam_cap):
         raise ValueError(f"lambda_cap must be finite, got {lam_cap}")
-    report = validate_params(params)
-    if not report.finite:
-        raise NonStationaryKernel("nu and all kernel entries must be finite")
-    if not report.nonnegative:
-        raise NonStationaryKernel("nu and all kernel entries must be >= 0")
-    if not report.stationary:
-        raise NonStationaryKernel(
-            f"kernel has l1 norm {report.norm_l1:.6g} >= 1"
-        )
+    _require_valid(params)
     return T
 
 

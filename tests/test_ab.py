@@ -172,6 +172,7 @@ def test_src_lines(tmp_path):
     (pkg / "notes.txt").write_text("1\n2\n")
     (pkg / "sub" / "c.py").write_text("1\n")
     assert ab.src_lines(tmp_path) == 4
+    assert ab.src_file_lines(tmp_path) == {"a.py": 3, "b.py": 1}
 
 
 def test_cli_outputs(tmp_path):

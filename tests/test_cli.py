@@ -180,6 +180,10 @@ def test_normality_component_selection(tmp_path, run_cli):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert list(doc["normality"]) == ["beta_3"]
+    proc = run_cli(["normality", "--samples", out / "samples.csv",
+                    "--components", "beta_3,beta_4"])
+    assert_one_error_line(proc)
+    assert proc.stderr == "inar: error: InarError: component 'beta_4' not present in samples CSV\n"
 
 
 def test_estimate_singular_exits_one(tmp_path, run_cli):
@@ -380,6 +384,26 @@ def assert_one_error_line(proc):
     assert proc.stderr.startswith("inar: error: ")
 
 
+@pytest.mark.parametrize("spec, norm", [
+    ("lags:[0.6,0.6]", "1.2"),
+    ("lags:[1e200]", "1e+200"),
+    ("lags:[1e308,1e308]", "inf"),
+])
+def test_nonstationary_kernel_one_error_line(tmp_path, run_cli, spec, norm):
+    # A finite kernel whose norms overflow is rejected like any other,
+    # with no floating-point warning before the error line.
+    line = f"inar: error: NonStationaryKernel: kernel has l1 norm {norm} >= 1\n"
+    out = tmp_path / "p.csv"
+    proc = run_cli(["simulate", "--nu", 10, "--kernel", spec, "--T", 20,
+                    "--seed", 2, "--out", out])
+    assert_one_error_line(proc)
+    assert proc.stderr == line and not out.exists()
+    cfg = write_config(tmp_path, kernel=spec)
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "mc"])
+    assert_one_error_line(proc)
+    assert proc.stderr == line and not (tmp_path / "mc").exists()
+
+
 @pytest.mark.parametrize("stream_id", [-1, 2 ** 64, 2 ** 65])
 def test_simulate_stream_id_out_of_range(tmp_path, run_cli, stream_id):
     # Ids wrap modulo 2**64 in the generator, so -1 would alias 2**64 - 1.
@@ -508,12 +532,19 @@ _beyond_float = st.integers(min_value=2 ** 1024, max_value=2 ** 1100)
 _not_number = st.one_of(st.text(max_size=8), st.booleans(), st.none(),
                         st.lists(st.integers(), max_size=2))
 _not_int = st.one_of(_not_number, st.floats())
+_finite_lag = st.floats(min_value=0.0, allow_infinity=False)
 _bad_kernel = st.one_of(
     st.sampled_from(["", "banana", "geometric:", "geometric:abc", "lags:[", "lags:[0.5,oops]",
                      "lags:[0.6,0.6]", "lags:[0.5,NaN]", "geometric:inf"]),
     st.floats(min_value=1.0).map(lambda r: f"geometric:{r!r}"),
     st.floats(max_value=0.0).map(lambda r: f"geometric:{r!r}"),
     st.floats(max_value=-1e-300).map(lambda a: f"lags:[0.5,{a!r}]"),
+    # Finite lags of any size, one of them at least 1: l1 >= 1, and from
+    # about 1e154 on the norms overflow.
+    st.tuples(st.lists(_finite_lag, max_size=3),
+              st.floats(min_value=1.0, allow_infinity=False),
+              st.lists(_finite_lag, max_size=3)).map(
+        lambda t: f"lags:[{','.join(map(repr, [*t[0], t[1], *t[2]]))}]"),
 )
 WRONG_TYPE = {
     "nu": _not_number,

@@ -103,6 +103,10 @@ class TestBuildDesign:
         with pytest.raises(DimensionMismatch):
             DesignSystem(Y=np.eye(3), b=np.zeros(2), T=10, p=2)
 
+    def test_lanes_need_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"counts must be a \(T, N\) array, got shape \(5,\)"):
+            inar.fit_lanes(np.ones(5), 1)
+
 
 @pytest.mark.parametrize("call", [
     lambda x, theta: inar.build_design(x, 1),

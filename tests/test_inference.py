@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import inar
 from inar import (
     CountPath,
+    DimensionMismatch,
     DomainError,
     InvalidLevel,
     ModelParams,
@@ -102,6 +103,24 @@ class TestConfidenceIntervals:
         with pytest.raises(ValueError, match="T must be >= 1"):
             inar.confidence_intervals(theta, self._unit_cov(1), T=T)
 
+    def test_theta_covariance_mismatch(self):
+        theta = ThetaVector(mu=1.0, betas=(0.5,))
+        with pytest.raises(ValueError, match="covariance dimension 3 does not match theta 2"):
+            inar.confidence_intervals(theta, self._unit_cov(3), T=10)
+
+    @pytest.mark.parametrize("J_hat, K_hat, Sigma_hat", [
+        (np.eye(2), np.eye(3), np.ones(2)),
+        (np.eye(2), np.eye(2), np.ones(2)),
+        (np.eye(2), np.eye(2), np.ones((2, 3))),
+        (np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))),
+        (np.ones((0, 0)), np.ones((0, 0)), np.ones((0, 0))),
+        (np.ones((2, 2, 2)), np.eye(2), np.eye(2)),
+    ])
+    def test_sandwich_record_shapes(self, J_hat, K_hat, Sigma_hat):
+        # Three (m, m) matrices with one m >= 1, as DesignSystem checks Y.
+        with pytest.raises(DimensionMismatch, match="expected J_hat, K_hat and Sigma_hat"):
+            SandwichCovariance(J_hat=J_hat, K_hat=K_hat, Sigma_hat=Sigma_hat)
+
 
 class TestJarqueBera:
     def test_hand_case(self):
@@ -149,7 +168,8 @@ class TestJarqueBera:
 
 
 class TestShapiroWilk:
-    @pytest.mark.parametrize("n", [12, 25, 50, 200, 999, 2000])
+    # AS R94 has small-sample weights up to n = 5 and p-values up to n = 11.
+    @pytest.mark.parametrize("n", [4, 5, 7, 11, 12, 25, 50, 200, 999, 2000])
     def test_against_scipy_normal(self, n):
         x = np.random.default_rng(n).normal(size=n)
         w, p = inar.shapiro_wilk(x)

@@ -145,6 +145,17 @@ class TestMomentBounds:
         rep = inar.moment_bounds(ModelParams(nu=7.0, kernel=(0.2,)), 10)
         assert rep.mean_bound > 7.0
 
+    def test_zero_rate(self):
+        # nu = 0: the second L^2 candidate collapses to 0; the first, 1, stays.
+        rep = inar.moment_bounds(ModelParams(nu=0.0, kernel=(0.2,)), horizon_T=10)
+        assert rep.mean_bound == 0.0 and rep.second_moment_bound == 0.0
+        assert rep.norm_L2 == 1.0 and rep.norm_K2 == 2.0
+
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_bad_horizon(self, T):
+        with pytest.raises(ValueError, match=f"horizon_T must be >= 1, got {T}"):
+            inar.moment_bounds(ModelParams(nu=1.0), horizon_T=T)
+
     def test_second_moment_none_past_l2_advisory(self, case2_params):
         # ||alpha||_2^2 = 0.64 >= 1/2: the second-moment machinery does not apply
         rep = inar.moment_bounds(case2_params, horizon_T=500)
@@ -182,6 +193,59 @@ class TestValidation:
     def test_non_finite_rejected(self, nu, kernel):
         rep = inar.validate_params(ModelParams(nu=nu, kernel=kernel))
         assert not rep.finite and not rep.ok
+
+    @pytest.mark.parametrize("kernel, l1, l2_sq", [
+        ((1e200,), 1e200, np.inf),
+        ((1e308, 1e308), np.inf, np.inf),
+    ])
+    def test_overflowing_norms(self, kernel, l1, l2_sq):
+        # Finite entries, norms beyond the float range: inf, with no warning.
+        params = ModelParams(nu=1.0, kernel=kernel)
+        assert (params.norm_l1, params.norm_l2_sq) == (l1, l2_sq)
+        rep = inar.validate_params(params)
+        assert rep.finite and rep.nonnegative and not rep.stationary
+
+
+# Every check of the model raises the simulator's messages, in its order.
+_BAD_KERNELS = [
+    pytest.param((0.2, float("nan")), "nu and all kernel entries must be finite", id="nan"),
+    pytest.param((0.2, -0.1), "nu and all kernel entries must be >= 0", id="negative"),
+    pytest.param((-0.1, float("nan")), "nu and all kernel entries must be finite", id="nan-first"),
+    pytest.param((0.6, 0.6), "kernel has l1 norm 1.2 >= 1", id="l1"),
+    pytest.param((1e308, 1e308), "kernel has l1 norm inf >= 1", id="l1-overflow"),
+]
+_BAD_RATES = [
+    pytest.param(float("nan"), "nu and all kernel entries must be finite", id="nan"),
+    pytest.param(-1.0, "nu and all kernel entries must be >= 0", id="negative"),
+]
+_KERNEL_CHECKS = {
+    "renewal_sequence": lambda kernel: inar.renewal_sequence(kernel, 5),
+    "solve_renewal": lambda kernel: inar.solve_renewal(np.ones(5), kernel),
+}
+_MODEL_CHECKS = {
+    "simulate_path": lambda params: inar.simulate_path(params, 5, inar.RngStream(1)),
+    "moment_bounds": lambda params: inar.moment_bounds(params, 10),
+    "McConfig": lambda params: inar.McConfig(params, T=10, p=1, n_experiments=1, base_seed=1),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_KERNEL_CHECKS) + sorted(_MODEL_CHECKS))
+@pytest.mark.parametrize("kernel, message", _BAD_KERNELS)
+def test_bad_kernel_rejected(check, kernel, message):
+    with pytest.raises(NonStationaryKernel) as exc:
+        if check in _KERNEL_CHECKS:
+            _KERNEL_CHECKS[check](kernel)
+        else:
+            _MODEL_CHECKS[check](ModelParams(nu=1.0, kernel=kernel))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("check", sorted(_MODEL_CHECKS))
+@pytest.mark.parametrize("nu, message", _BAD_RATES)
+def test_bad_rate_rejected(check, nu, message):
+    with pytest.raises(NonStationaryKernel) as exc:
+        _MODEL_CHECKS[check](ModelParams(nu=nu, kernel=(0.2,)))
+    assert str(exc.value) == message
 
 
 class TestGeometricKernel:

@@ -57,6 +57,10 @@ class TestPoissonSample:
         with pytest.raises(InvalidRate):
             inar.poisson_sample(lam, RngStream(1))
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="size must be >= 0, got -1"):
+            inar.poisson_sample(1.0, RngStream(1), size=-1)
+
     def test_largest_rate_draws_fit(self):
         lam = np.nextafter(2.0 ** 62, 0.0)
         x = inar.poisson_sample(lam, RngStream(1, 0), size=8)

@@ -25,7 +25,8 @@ CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler's rejection
 blocks) and one at ``IID_LOW_NU`` (its inversion blocks), ``inar estimate
 --ci`` on each at p = 0 (the iid sandwich), and ``inar normality`` on the
 case-1 ``samples.csv``.
-``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``. The
+``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``, and
+``src_file_lines`` each file's ``wc -l``, by name. The
 record (``--out``) is rewritten after every run, so an interrupted session
 keeps what it measured; the temporary directory is removed at exit. Its
 ``notes`` are left empty for the author to fill in.
@@ -217,10 +218,16 @@ def diff_outputs(parent_dir, change_dir):
     return out
 
 
+def src_file_lines(root):
+    """The ``wc -l`` of each ``src/inar/*.py`` under ``root``, by file
+    name: the number of newline characters in the file."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted(Path(root).glob("src/inar/*.py"))}
+
+
 def src_lines(root):
-    """The ``wc -l`` total of ``src/inar/*.py`` under ``root``: the number
-    of newline characters in those files."""
-    return sum(p.read_bytes().count(b"\n") for p in Path(root).glob("src/inar/*.py"))
+    """The ``wc -l`` total of ``src/inar/*.py`` under ``root``."""
+    return sum(src_file_lines(root).values())
 
 
 def _git(*args):
@@ -359,6 +366,8 @@ def main(argv=None):
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
+            "src_file_lines": {"parent": src_file_lines(parent_root),
+                               "change": src_file_lines(ROOT)},
             "sets": {"final": "the change side's files as they stood when the record was made"},
             "notes": "",
             "machine": {
