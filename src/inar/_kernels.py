@@ -603,12 +603,14 @@ def _lagged_design(x, p, y=None, b=None):
     h = n_steps - p
     sums = np.zeros((n, m * m + m))
     prods = sums[:, : m * m].reshape(n, m, m)
-    # Row 0 of P: P_d(h) for d = 0..p, from the lag view of x whose (t, d)
+    # Row 0 of P: P_d(h) for d = 0..p, from the lag view of x whose (d, t)
     # entry is x_{t+d}, t < h (built on x's buffer directly: as_strided
-    # adds about 5 us, a sixth of a short lane's build).
+    # adds about 5 us, a sixth of a short lane's build), contracted with
+    # x[:h] over t by one vecdot: each P_d(h) is one dot product, an exact
+    # integer sum as the module docstring states, so its order is free.
     step = x.strides[1]
-    lags = np.ndarray((n, h, m), x.dtype, x, 0, (x.strides[0], step, step))
-    np.einsum("nt,ntd->nd", x[:, :h], lags, out=prods[:, 0])
+    lags = np.ndarray((n, m, h), x.dtype, x, 0, (x.strides[0], step, step))
+    np.vecdot(x[:, None, :h], lags, out=prods[:, 0])
     # Rows 1..p of P: the products of the tail u = x[h:], as its (p, p)
     # outer product written right after row 0. Read in rows of p + 1,
     # row 1 + r holds u_r u_{r+d} at column d wherever r + d < p; its other
@@ -782,7 +784,11 @@ def inverse_rcond(y):
     singular or huge Y divides by zero or overflows in the bound, so its
     callers (``cls_solve``, ``inar.sandwich_covariance``) ignore those."""
     g = _inverses(y)
-    rc = 1.0 / np.sqrt(np.einsum("nij,nij->n", y, y) * np.einsum("nij,nij->n", g, g))
+    # |Y|_F^2 and |G|_F^2 as one vecdot of each lane's flattened matrix;
+    # the shape is spelled out, as -1 is ambiguous for a stack of no lanes.
+    n, m = y.shape[:2]
+    flat_y, flat_g = y.reshape(n, m * m), g.reshape(n, m * m)
+    rc = 1.0 / np.sqrt(np.vecdot(flat_y, flat_y) * np.vecdot(flat_g, flat_g))
     screened = rc >= RCOND_THRESHOLD * _BOUND_MARGIN  # and not NaN
     if not screened.all():
         rest = np.flatnonzero(~screened)
@@ -830,8 +836,12 @@ def cls_solve(y, b):
     layout of y and b: BLAS rounds by operand layout, so both are taken
     C-contiguous (``design_build``'s already are)."""
     y, b = np.ascontiguousarray(y), np.ascontiguousarray(b)[:, :, None]
-    finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
-    if not finite.all():
+    # One screen of the whole stack; the per-lane mask is built only when
+    # it fails. While it passes, finite is the scalar True, which masks as
+    # a mask of all lanes would (indexing by ~finite selects none).
+    finite = np.True_
+    if not (np.isfinite(y).all() and np.isfinite(b).all()):
+        finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
         # Such a lane solves the identity system instead, so that no NaN
         # or inf reaches LAPACK; its results are masked below.
         y = np.where(finite[:, None, None], y, np.eye(y.shape[-1]))
@@ -845,7 +855,10 @@ def cls_solve(y, b):
         resid = np.sqrt(np.add.reduce(r * r, axis=(1, 2)))
         bound = 1e-8 * np.maximum(1.0, np.sqrt(np.add.reduce(b * b, axis=(1, 2))))
     conditioned = finite & (rc >= RCOND_THRESHOLD)
-    good = conditioned & np.isfinite(theta).all(axis=(1, 2)) & (resid <= bound)
+    # A finite lane whose theta is not finite has NaN or inf in r, so it
+    # fails resid <= bound and is FIT_RESIDUAL: an overflowed solution
+    # comes out of the refinement step NaN, and its resid is NaN.
+    good = conditioned & (resid <= bound)
     status = np.zeros(good.shape, dtype=np.int8)
     if not good.all():
         status[~good] = FIT_RESIDUAL

@@ -116,10 +116,15 @@ def build_design(path, p: int) -> DesignSystem:
     x = _counts_of(path)
     t = x.shape[0]
     p = _check_lag(t, p)
-    with np.errstate(over="ignore", invalid="ignore"):  # solve_cls rejects non-finite
+    counts = isinstance(path, CountPath)
+    if counts:
+        # int64 counts: every product is below 2**126 and every sum far
+        # below the float maximum, so nothing overflows or makes NaN.
         y, b = _k.design_build(x[:, None], p)
-    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p,
-                  _counts=x if isinstance(path, CountPath) else None)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # solve_cls rejects non-finite
+            y, b = _k.design_build(x[:, None], p)
+    return _adopt(DesignSystem, Y=y[0], b=b[0], T=t, p=p, _counts=x if counts else None)
 
 
 def rcond(system: DesignSystem) -> float:

@@ -110,7 +110,9 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
             theta[0, : theta_hat.p + 1] = theta_hat.to_array()[: p + 1]
         j_hat = 2.0 * y
         k_hat = _k.score_variance(x[:, None], theta)
-        if not (np.isfinite(j_hat).all() and np.isfinite(k_hat).all()):
+        # The fit's J_hat is 2Y of a CountPath design that cls_solve screened
+        # finite, every entry below 2**127: only K_hat needs the check.
+        if not ((reuse or np.isfinite(j_hat).all()) and np.isfinite(k_hat).all()):
             raise ValueError("J_hat or K_hat has non-finite entries; check the path and theta_hat")
         if reuse:
             # Y is the design the solve screened; the LU of 2Y doubles Y's,
@@ -139,7 +141,7 @@ def confidence_intervals(
     values = (theta_hat.mu, *theta_hat.betas)
     diag = cov.Sigma_hat.diagonal()
     if diag.shape[0] != len(values):
-        raise ValueError(
+        raise DimensionMismatch(
             f"covariance dimension {diag.shape[0]} does not match theta {len(values)}"
         )
     try:

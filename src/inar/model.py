@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonStationaryKernel
+from .errors import DimensionMismatch, NonStationaryKernel
 
 __all__ = [
     "ModelParams",
@@ -218,6 +218,15 @@ def _require_valid(params: ModelParams) -> ValidationReport:
     return report
 
 
+def _kernel_vector(kernel) -> np.ndarray:
+    # The kernel as a 1-d float64 array, checked as a model's kernel.
+    kern = np.asarray(kernel, dtype=np.float64)
+    if kern.ndim != 1:
+        raise DimensionMismatch(f"kernel must be a 1-d vector, got shape {kern.shape}")
+    _require_valid(ModelParams(0.0, kern))
+    return kern
+
+
 def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     """First ``n_max`` values of A = sum of convolution powers of the kernel.
 
@@ -227,8 +236,7 @@ def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    kern = np.asarray(kernel, dtype=np.float64)
-    _require_valid(ModelParams(0.0, kern))
+    kern = _kernel_vector(kernel)
     klen = kern.shape[0]
     a = np.zeros(n_max, dtype=np.float64)
     for n in range(1, n_max + 1):
@@ -245,8 +253,7 @@ def solve_renewal(y, kernel) -> np.ndarray:
     yarr = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
-    kern = np.asarray(kernel, dtype=np.float64)
-    _require_valid(ModelParams(0.0, kern))
+    kern = _kernel_vector(kernel)
     n = yarr.shape[0]
     if n == 0:
         return yarr.copy()

@@ -175,6 +175,16 @@ def test_src_lines(tmp_path):
     assert ab.src_file_lines(tmp_path) == {"a.py": 3, "b.py": 1}
 
 
+def test_machine_names_the_blas_build():
+    # The record names numpy's BLAS build, for which its digests hold.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    facts = ab.machine_facts()
+    assert facts["numpy"] == np.__version__
+    assert facts["blas"] == {"name": blas["name"], "version": blas["version"],
+                             "openblas configuration": blas.get("openblas configuration")}
+    json.dumps(facts)
+
+
 def test_cli_outputs(tmp_path):
     # The simulate, estimate --ci (p = 0, 1, 10, 20) and normality files of
     # one side, with this checkout's package, and the constant-rate paths

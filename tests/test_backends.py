@@ -578,6 +578,16 @@ def test_lane_fits_every_status_in_one_stack():
         assert fits.inv[j].tobytes() == np.linalg.inv(y[j]).tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_stack_of_no_lanes(m):
+    # Empty fields of the shapes and types of a stack with lanes.
+    fits = _k.cls_solve(np.empty((0, m, m)), np.empty((0, m)))
+    assert {name: (v.shape, v.dtype) for name, v in fits._asdict().items()} == {
+        "theta": ((0, m), np.float64), "status": ((0,), np.int8),
+        "rcond": ((0,), np.float64), "resid": ((0,), np.float64),
+        "inv": ((0, m, m), np.float64)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_non_finite_lanes_anywhere(data):

@@ -5,6 +5,7 @@ algebra is checked against naive double-loop implementations of the defining
 sums on simulated paths.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,16 @@ class TestBuildDesign:
     def test_lanes_need_a_matrix(self):
         with pytest.raises(DimensionMismatch, match=r"counts must be a \(T, N\) array, got shape \(5,\)"):
             inar.fit_lanes(np.ones(5), 1)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_counts_near_int64_end(self, p):
+        # Counts near 2**62 make products near 2**124, far inside float
+        # range: a CountPath's design is finite and warns of nothing.
+        counts = np.tile(np.array([2**62 - 1, 2**61], dtype=np.int64), 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = inar.build_design(CountPath(counts=counts), p)
+        assert np.isfinite(system.Y).all() and np.isfinite(system.b).all()
 
 
 @pytest.mark.parametrize("call", [

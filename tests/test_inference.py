@@ -105,7 +105,7 @@ class TestConfidenceIntervals:
 
     def test_theta_covariance_mismatch(self):
         theta = ThetaVector(mu=1.0, betas=(0.5,))
-        with pytest.raises(ValueError, match="covariance dimension 3 does not match theta 2"):
+        with pytest.raises(DimensionMismatch, match="covariance dimension 3 does not match theta 2"):
             inar.confidence_intervals(theta, self._unit_cov(3), T=10)
 
     @pytest.mark.parametrize("J_hat, K_hat, Sigma_hat", [
@@ -734,16 +734,51 @@ def test_stacked_sandwich_is_the_one_lane_sandwich(case1_params, case2_params, T
 
 # sha256 prefixes of the bytes of theta, J_hat, K_hat, Sigma_hat and the
 # 95% intervals of `estimate --ci` on one case-1 path (T = 1000, seed 11,
-# stream 1). They pin the fit's bits on one build: numpy 2.4 with
-# OpenBLAS 0.3.31 on x86-64, whose long double (the refinement residual's)
-# is 80-bit. Another BLAS or platform may round differently.
+# stream 1) at every p in 0..20. They pin the fit's bits on one build:
+# numpy 2.4 with OpenBLAS 0.3.31 on x86-64, whose long double (the
+# refinement residual's) is 80-bit. Another BLAS or platform may round
+# differently.
 GOLDEN_DIGESTS = {
     0: {"theta": "1b58030724a6724b", "J_hat": "3f710ac088db3336", "K_hat": "8875f60f41922f76",
         "Sigma_hat": "103684b8f54b57a0", "ci": "776c9b82f2a9e443"},
     1: {"theta": "e671329e14c3074e", "J_hat": "712cbc49058774a2", "K_hat": "9ddceea0326eb1ee",
         "Sigma_hat": "cad46b5394349731", "ci": "e8734bd6b60e88e3"},
+    2: {"theta": "9b2dcebd611d3125", "J_hat": "ec46cb7e1af6f50b", "K_hat": "2372002e9d0c110f",
+        "Sigma_hat": "aa3fa39ba71aff6d", "ci": "546eea9fe0d34954"},
+    3: {"theta": "380bbbce2967caf0", "J_hat": "aaf17a656f40effd", "K_hat": "995e0be8461d793a",
+        "Sigma_hat": "0133348df39246bb", "ci": "ac7cf27995f0f1ad"},
+    4: {"theta": "ff695090d2d8b795", "J_hat": "12b32fb637cc1897", "K_hat": "b68aeb75d0a20830",
+        "Sigma_hat": "7daac2bc48e6f70b", "ci": "2f8e16ac440a1073"},
+    5: {"theta": "c9be281fc60403b3", "J_hat": "d8bdc98835e44f11", "K_hat": "56e6951981ce1ad6",
+        "Sigma_hat": "d615e0c6afa2d5ff", "ci": "d4a926875104ce55"},
+    6: {"theta": "f46bb11be3c7a8a1", "J_hat": "6ebce1be3e9d69e9", "K_hat": "de456fc3b4a5f96c",
+        "Sigma_hat": "6bfd9ce968cdf04d", "ci": "5ea80581fb8e83ae"},
+    7: {"theta": "07947a4413cada62", "J_hat": "a3c0c99ceaef92bc", "K_hat": "cdba309165ee5391",
+        "Sigma_hat": "71b44540fc2d8750", "ci": "72c5b5a4aa650ba9"},
+    8: {"theta": "18c36f85f8c8ed00", "J_hat": "fe294bbd11dcc0ef", "K_hat": "35cec9673ee0dc15",
+        "Sigma_hat": "49b9d1f2d2f700d6", "ci": "64b9cd9efbb61f3f"},
+    9: {"theta": "15a8d4adda660dbe", "J_hat": "a758e816d6402063", "K_hat": "27f29c81d9972279",
+        "Sigma_hat": "7d625ffc0d6108d4", "ci": "e846095161490f68"},
     10: {"theta": "697095ca751291c1", "J_hat": "cdac560a6563bb08", "K_hat": "39e1a9b49cb7ad9b",
          "Sigma_hat": "19a643cb4d14c8ab", "ci": "87bd03feca7b4c80"},
+    11: {"theta": "2df0ebb81f166aeb", "J_hat": "edbc8bfea33a5579", "K_hat": "51ef11dd0f6fcbde",
+         "Sigma_hat": "cb9f2959aa48f9aa", "ci": "cf74e744fa922e56"},
+    12: {"theta": "c27fc10431dfaac6", "J_hat": "02e97675f1d5422f", "K_hat": "ef1ad8d36746babd",
+         "Sigma_hat": "e19fc9cb5e370530", "ci": "93401db75b39a718"},
+    13: {"theta": "6348e7c6e60c12b9", "J_hat": "1632f80f1bac79c7", "K_hat": "3a2d8f65004297aa",
+         "Sigma_hat": "8861bfd68ba8a5ae", "ci": "7d9f536429e59751"},
+    14: {"theta": "46d2a8d55a8daf72", "J_hat": "1d100689fd8c2d7d", "K_hat": "831922d54d8778b1",
+         "Sigma_hat": "71bbc83e0e2fc9ec", "ci": "91d8a6e903dc674d"},
+    15: {"theta": "639d13c9ef8959c0", "J_hat": "a6657eb911c33620", "K_hat": "99a4ada8bc3b4f5d",
+         "Sigma_hat": "4eedabf26765c2c0", "ci": "0c3958a89e951052"},
+    16: {"theta": "e4df83bdfd360c96", "J_hat": "f839b819973e8ccd", "K_hat": "7a9eb13b734aa917",
+         "Sigma_hat": "64f367d2bcfe59eb", "ci": "464c23d20ccace0a"},
+    17: {"theta": "10ce56d775c8bc28", "J_hat": "13dc5251d63a114a", "K_hat": "3fd6c801df108c15",
+         "Sigma_hat": "e84af429248beae6", "ci": "a409e122526ea01d"},
+    18: {"theta": "a3168acb0695aa7b", "J_hat": "8fd59cc0267fc3de", "K_hat": "20f729a58d1d5f83",
+         "Sigma_hat": "e591e2eb815c5950", "ci": "71fe634ee20940b3"},
+    19: {"theta": "f0d075e6f4eb7867", "J_hat": "453ee9e50259f893", "K_hat": "3f6ec9001a32a4e4",
+         "Sigma_hat": "fb4a37265d0452b7", "ci": "2797f5bdd1095a31"},
     20: {"theta": "9f469c6856904b8d", "J_hat": "deaf19fbc60973d2", "K_hat": "74a661add188bfcd",
          "Sigma_hat": "1d75fab363dce40d", "ci": "eafe0bc97256c8e5"},
 }
@@ -761,3 +796,22 @@ def test_golden_digests(case1_params, p):
                  "Sigma_hat": cov.Sigma_hat, "ci": np.array(ci, dtype=np.float64)}
         got = {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in parts.items()}
         assert got == GOLDEN_DIGESTS[p]
+
+
+# sha256 prefixes of the bytes of fit_lanes' theta and fitted mask on 256
+# lanes of each README case (T = 200, p = 10, seed 11, streams 0..255): the
+# stacked fit of a study block, pinned on the build GOLDEN_DIGESTS names.
+GOLDEN_LANE_DIGESTS = {
+    "case1": {"theta": "9263bec7c7a363cf", "fitted": "2661920f2409dd6c"},
+    "case2": {"theta": "f891ff6a073891c6", "fitted": "2661920f2409dd6c"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LANE_DIGESTS))
+def test_golden_lane_digests(case1_params, case2_params, case):
+    params = {"case1": case1_params, "case2": case2_params}[case]
+    counts, _ = inar.simulate_lanes(params, 200, 11, range(256))
+    theta, fitted = inar.fit_lanes(counts, 10)
+    got = {"theta": hashlib.sha256(theta.tobytes()).hexdigest()[:16],
+           "fitted": hashlib.sha256(fitted.tobytes()).hexdigest()[:16]}
+    assert got == GOLDEN_LANE_DIGESTS[case]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import inar
-from inar import ModelParams, NonStationaryKernel
+from inar import DimensionMismatch, ModelParams, NonStationaryKernel
 
 
 def brute_renewal(kernel, n_max):
@@ -238,6 +238,18 @@ def test_bad_kernel_rejected(check, kernel, message):
         else:
             _MODEL_CHECKS[check](ModelParams(nu=1.0, kernel=kernel))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("check", sorted(_KERNEL_CHECKS))
+@pytest.mark.parametrize("kernel, shape", [
+    pytest.param(0.3, "()", id="0-d"),
+    pytest.param(np.full((2, 2), 0.1), "(2, 2)", id="2-d"),
+])
+def test_kernel_not_a_vector(check, kernel, shape):
+    # Named by its shape before the model's conditions are checked.
+    with pytest.raises(DimensionMismatch) as exc:
+        _KERNEL_CHECKS[check](kernel)
+    assert str(exc.value) == f"kernel must be a 1-d vector, got shape {shape}"
 
 
 @pytest.mark.parametrize("check", sorted(_MODEL_CHECKS))

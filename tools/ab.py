@@ -319,6 +319,22 @@ def cli_outputs(side_root, out, samples):
     return out
 
 
+def machine_facts():
+    """The host and build the record's numbers hold for. The golden digests
+    and byte-identical outputs hold per BLAS build, so it names numpy's
+    BLAS: its name, version and OpenBLAS configuration string (None where
+    numpy does not report one)."""
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
@@ -370,13 +386,7 @@ def main(argv=None):
                                "change": src_file_lines(ROOT)},
             "sets": {"final": "the change side's files as they stood when the record was made"},
             "notes": "",
-            "machine": {
-                "cores": os.cpu_count(),
-                "machine": platform.machine(),
-                "system": platform.system(),
-                "python": platform.python_version(),
-                "numpy": numpy.__version__,
-            },
+            "machine": machine_facts(),
             "outputs": {},
             "summary": {},
             "runs": [],
