@@ -75,8 +75,6 @@ _S12 = np.uint64(12)
 # The bits of 1.0: OR-ed into a 52-bit z they make the float 1 + z * 2**-52.
 _ONE_BITS = np.uint64(0x3FF0000000000000)
 _ONE_LESS_HALF_ULP = 1.0 - 2.0 ** -53
-# Counts from here on do not fit in int64.
-INT64_END = 2.0 ** 63
 _MASK64 = (1 << 64) - 1
 
 
@@ -372,9 +370,7 @@ def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
     k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
     accept = (us >= 0.07) & (wv <= v_r)
     # One round (a block) is its own mask; accept changes only after slow.
-    seen = accept.copy() if accept.shape[0] > 1 else accept
-    for r in range(1, seen.shape[0]):
-        np.logical_or(seen[r], seen[r - 1], out=seen[r])
+    seen = _running_or(accept.copy()) if accept.shape[0] > 1 else accept
     slow = ~seen & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
     slow = slow.reshape(-1).nonzero()[0]
     if slow.size:
@@ -388,14 +384,20 @@ def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
     return k, accept
 
 
+def _running_or(mask):
+    # Each row of an (R, n) mask OR-ed, in place, with every row above it.
+    for r in range(1, mask.shape[0]):
+        np.logical_or(mask[r], mask[r - 1], out=mask[r])
+    return mask
+
+
 def _first_rounds(accept):
     # Row of the first true entry of each column of an (R, n) mask, R - 1
     # where there is none: the number of rows before the first true row of
     # the mask's running OR, clamped (argmax costs about three times as
     # much). The running OR is left in the mask; its last row is whether
     # the column has a true entry.
-    for r in range(1, accept.shape[0]):
-        np.logical_or(accept[r], accept[r - 1], out=accept[r])
+    _running_or(accept)
     first = np.add.reduce(~accept, axis=0)
     np.minimum(first, accept.shape[0] - 1, out=first)
     return first
@@ -524,8 +526,8 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
 
     Returns the (n_steps, N) float64 counts, column i being sim_path's path
     on key i, and the 0-based step at which each lane overflowed (-1 for
-    none): its intensity exceeded ``cap``, or it drew a count of INT64_END
-    or more. A lane's counts stay 0 from that step on.
+    none): its intensity exceeded ``cap``. A lane's counts stay 0 from that
+    step on.
     """
     n_lanes = keys.shape[0]
     state = np.array(keys, dtype=np.uint64)
@@ -553,12 +555,6 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
             lam[~alive] = 0.0
             all_alive = bool(alive.all())
         x[n] = _poisson_lanes(lam, state)
-        if x[n].max() >= INT64_END:
-            huge = x[n] >= INT64_END
-            overflow_at[huge] = n
-            alive &= ~huge
-            x[n, huge] = 0.0
-            all_alive = False
     return x, overflow_at
 
 

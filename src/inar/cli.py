@@ -22,7 +22,7 @@ from . import __version__
 from .config import parse_config, parse_kernel_spec, require_seed, require_stream_id
 from .errors import InarError
 from .estimate import build_design, rcond, residual_norm, solve_cls
-from .inference import confidence_intervals, normality_report, sandwich_covariance
+from .inference import _checked_level, confidence_intervals, normality_report, sandwich_covariance
 from .model import ModelParams
 from .montecarlo import component_label, normality_suite, run_experiment
 from .simulate import (
@@ -76,6 +76,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    # The level goes into the provenance with or without --ci.
+    _checked_level(args.level)
     path = read_path_csv(args.path)
     system = build_design(path, args.p)
     theta = solve_cls(system)

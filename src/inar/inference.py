@@ -128,6 +128,14 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
     return _adopt(SandwichCovariance, J_hat=j_hat[0], K_hat=k_hat[0], Sigma_hat=sigma[0])
 
 
+def _checked_level(level) -> float:
+    """``level`` as a float, or :class:`InvalidLevel` outside (0, 1)."""
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"level must be in (0, 1), got {level}")
+    return level
+
+
 def confidence_intervals(
     theta_hat: ThetaVector,
     cov: SandwichCovariance,
@@ -135,9 +143,7 @@ def confidence_intervals(
     level: float = 0.95,
 ) -> list[tuple[float, float]]:
     """Per-coordinate intervals theta_j +/- z_{(1+level)/2} sqrt(Sigma_jj/T)."""
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must be in (0, 1), got {level}")
+    level = _checked_level(level)
     values = (theta_hat.mu, *theta_hat.betas)
     diag = cov.Sigma_hat.diagonal()
     if diag.shape[0] != len(values):

@@ -227,6 +227,18 @@ def _kernel_vector(kernel) -> np.ndarray:
     return kern
 
 
+def _renewal(y, kern) -> np.ndarray:
+    # x_n = y_n + sum_{s <= min(n-1, K)} alpha_s x_{n-s}, summed from y_n in
+    # s order on Python floats, for a 1-d y and a checked kernel.
+    alphas = kern.tolist()
+    x = []
+    for acc in y.tolist():
+        for alpha, prev in zip(alphas, reversed(x)):
+            acc += alpha * prev
+        x.append(acc)
+    return np.array(x, dtype=np.float64)
+
+
 def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     """First ``n_max`` values of A = sum of convolution powers of the kernel.
 
@@ -237,33 +249,19 @@ def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     kern = _kernel_vector(kernel)
-    klen = kern.shape[0]
-    a = np.zeros(n_max, dtype=np.float64)
-    for n in range(1, n_max + 1):
-        acc = kern[n - 1] if n <= klen else 0.0
-        smax = min(n - 1, klen)
-        for s in range(1, smax + 1):
-            acc += kern[s - 1] * a[n - s - 1]
-        a[n - 1] = acc
-    return RenewalSequence(a)
+    y = np.zeros(n_max, dtype=np.float64)
+    y[: kern.shape[0]] = kern[:n_max]
+    return RenewalSequence(_renewal(y, kern))
 
 
 def solve_renewal(y, kernel) -> np.ndarray:
-    """Solve x = y + alpha * x (convolution): x_n = y_n + sum A_i y_{n-i}."""
+    """Solve x = y + alpha * x (convolution) by its recursion in n."""
     yarr = np.asarray(y, dtype=np.float64)
+    if yarr.ndim != 1:
+        raise DimensionMismatch(f"y must be a 1-d vector, got shape {yarr.shape}")
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
-    kern = _kernel_vector(kernel)
-    n = yarr.shape[0]
-    if n == 0:
-        return yarr.copy()
-    a = renewal_sequence(kern, n).values if kern.size else None
-    x = yarr.copy()
-    if a is not None:
-        for i in range(1, n):
-            # x_n += A_i * y_{n-i} for all n > i, vectorized over n
-            x[i:] += a[i - 1] * yarr[: n - i]
-    return x
+    return _renewal(yarr, _kernel_vector(kernel))
 
 
 def moment_bounds(params: ModelParams, horizon_T: int) -> BoundsReport:

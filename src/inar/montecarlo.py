@@ -15,8 +15,8 @@ import numpy as np
 from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
 from .estimate import fit_lanes
 from .inference import NormalityReport, histogram_data, normality_report, qq_data
-from .model import ModelParams, _freeze_copies, _require_valid
-from .simulate import DEFAULT_LAMBDA_CAP, simulate_lanes
+from .model import ModelParams, _freeze_copies
+from .simulate import DEFAULT_LAMBDA_CAP, _check_inputs, simulate_lanes
 
 __all__ = [
     "McConfig",
@@ -48,7 +48,7 @@ class McConfig:
             raise ValueError("n_experiments must be >= 1")
         if not 0 <= self.p <= self.T - 1:
             raise ValueError(f"need 0 <= p <= T-1, got p={self.p}, T={self.T}")
-        _require_valid(self.params)
+        _check_inputs(self.params, self.T, self.lam_cap)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ _LANE_BLOCK_VALUES = 1 << 20
 def run_experiment(config: McConfig) -> McSummary:
     """Algorithm: simulate replications i = 1..N together, replication i on
     stream_id = i, fit them together by CLS, then aggregate. Replications
-    whose design is singular or whose intensity exceeds ``lam_cap`` are
-    dropped and counted; the run fails only if every replication does."""
+    whose design is singular or whose intensity exceeds ``lam_cap`` (or
+    2**62) are dropped and counted; the run fails only if every one does."""
     n = config.n_experiments
     block = max(1, _LANE_BLOCK_VALUES // config.T)
     results = np.full((n, config.p + 1), np.nan, dtype=np.float64)

@@ -36,10 +36,12 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_CAP = 1e9
-# Counts are int64. PTRS draws lie within a few sqrt(lam) of lam, so rates
-# below 2**62 draw below 2**63 (_k.INT64_END); a path's rates are bounded
-# only by its cap, so its counts are checked after the draw.
+# Counts are int64: every route draws at rates of at most min(lam_cap,
+# _LARGEST_RATE), where no draw reaches 2**63 (PTRS's squeeze accepts only
+# k <= lam + 1.9 sqrt(lam) + 1, its float64 log test rejects every k farther
+# than about 1e12 from lam, and inversion stops below 200).
 _MAX_RATE = 2.0 ** 62
+_LARGEST_RATE = math.nextafter(_MAX_RATE, 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,14 +121,16 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
     return int(out[0]) if size is None else out
 
 
-def _check_inputs(params: ModelParams, T, lam_cap) -> int:
+def _check_inputs(params: ModelParams, T, lam_cap) -> tuple[int, float]:
+    # T, checked, and the rate bound min(lam_cap, _LARGEST_RATE): a path
+    # stops as an intensity overflow at its first rate above it.
     T = int(T)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not math.isfinite(lam_cap):
         raise ValueError(f"lambda_cap must be finite, got {lam_cap}")
     _require_valid(params)
-    return T
+    return T, min(float(lam_cap), _LARGEST_RATE)
 
 
 def simulate_path(
@@ -139,25 +143,18 @@ def simulate_path(
     intensity nu plus the kernel-weighted recent counts.
 
     Raises :class:`Overflow` if any intensity, nu included, exceeds
-    ``lam_cap`` (runaway, near-critical configurations) or a count does not
-    fit in int64, and :class:`NonStationaryKernel` if the parameters fail
-    validation.
+    ``lam_cap`` (runaway, near-critical configurations) or reaches 2**62,
+    whose draws may not fit in int64, and :class:`NonStationaryKernel` if
+    the parameters fail validation.
 
     A path whose kernel is zero has the constant rate nu: its counts are
     :func:`poisson_sample`'s draws, made in numpy blocks. Any other path is
     simulated one step at a time in plain Python.
     """
-    T = _check_inputs(params, T, lam_cap)
-    kern = params.kernel_array()
-    x, overflow_at = _k.sim_one(params.nu, kern, T, float(lam_cap), rng.state())
-    # Counts stay 0 after an intensity overflow, so a huge count comes first.
-    if x.max() >= _k.INT64_END:
-        huge = np.flatnonzero(x >= _k.INT64_END)[0]
-        raise Overflow(f"count at step {huge + 1} does not fit in int64")
+    T, cap = _check_inputs(params, T, lam_cap)
+    x, overflow_at = _k.sim_one(params.nu, params.kernel_array(), T, cap, rng.state())
     if overflow_at >= 0:
-        raise Overflow(
-            f"intensity exceeded cap {lam_cap:g} at step {overflow_at + 1}"
-        )
+        raise Overflow(f"intensity exceeded cap {cap:g} at step {overflow_at + 1}")
     path = CountPath(
         counts=x,
         seed=rng.seed,
@@ -183,17 +180,17 @@ def simulate_lanes(
 
     Returns a (T, N) float64 count array and an (N,) int64 array of the
     0-based step at which each lane overflowed (-1 where it never did):
-    its intensity exceeded ``lam_cap`` or its count did not fit in int64,
-    the step :func:`simulate_path` names in its :class:`Overflow`. Column j
+    its intensity exceeded ``lam_cap`` or reached 2**62, the step
+    :func:`simulate_path` names in its :class:`Overflow`. Column j
     equals the counts of
     ``simulate_path(params, T, RngStream(seed, stream_ids[j]), lam_cap)``
     bit for bit; an overflowed column is zero from its overflow step on.
     A step costs numpy dispatch however few the lanes, so a single path
     is faster through :func:`simulate_path`.
     """
-    T = _check_inputs(params, T, lam_cap)
+    T, cap = _check_inputs(params, T, lam_cap)
     keys = _k.stream_keys(seed, stream_ids)
-    return _k.sim_lanes(params.nu, params.kernel_array(), T, float(lam_cap), keys)
+    return _k.sim_lanes(params.nu, params.kernel_array(), T, cap, keys)
 
 
 def _csv_column(values) -> list[str]:

@@ -188,8 +188,9 @@ def test_machine_names_the_blas_build():
 def test_cli_outputs(tmp_path):
     # The simulate, estimate --ci (p = 0, 1, 10, 20) and normality files of
     # one side, with this checkout's package, and the constant-rate paths
-    # at a PTRS and an inversion rate with their p = 0 estimates; a side
-    # compared with itself is identical.
+    # at a PTRS and an inversion rate with their p = 0 estimates, and the
+    # paths just below the rate bound; a side compared with itself is
+    # identical.
     rng = np.random.default_rng(5)
     values = rng.normal(size=(30, 2)).tolist()
     rows = [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(values, start=1)]
@@ -199,7 +200,8 @@ def test_cli_outputs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "estimate_p0.json", "estimate_p1.json", "estimate_p10.json", "estimate_p20.json",
         "iid_estimate_p0.json", "iid_low_estimate_p0.json", "iid_low_path.csv",
-        "iid_path.csv", "normality.json", "path.csv"]
+        "iid_path.csv", "near_bound_iid_path.csv", "near_bound_lags_path.csv",
+        "normality.json", "path.csv"]
     assert (out / "path.csv").read_text().count("\n") == 1001
     for p in ab.ESTIMATE_LAGS:
         estimate = json.loads((out / f"estimate_p{p}.json").read_text())
@@ -212,6 +214,10 @@ def test_cli_outputs(tmp_path):
         assert (out / f"{name}_path.csv").read_text().count("\n") == ab.IID_T + 1
         estimate = json.loads((out / f"{name}_estimate_p0.json").read_text())
         assert estimate["p"] == 0 and len(estimate["ci"]) == 1
+    for _, _, name in ab.NEAR_BOUND:
+        counts = [int(row.split(",")[1]) for row in
+                  (out / f"{name}_path.csv").read_text().splitlines()[1:]]
+        assert len(counts) == ab.NEAR_BOUND_T and 1e18 < min(counts) <= max(counts) < 2 ** 62
     assert list(json.loads((out / "normality.json").read_text())["normality"]) == [
         "mu_hat", "beta_1"]
     assert set(ab.diff_outputs(out, out).values()) == {"identical"}

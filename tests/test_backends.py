@@ -6,13 +6,16 @@ for paths with a kernel) runs one. The block sampler (``poisson_sample``
 and kernel-free ``simulate_path``) draws one constant-rate stream with the
 lanes' inversion and rejection kernels at a float rate. The scalar
 loop is the oracle: every lane and every block must reproduce it bit for
-bit, including the step at which a lane's intensity overflows.
+bit, including the step at which a lane's intensity overflows. Every route
+bounds a path's rates by min(lambda_cap, largest double below 2**62), so
+its draws fit in int64; the oracle runs under the same bound.
 
 The stacked fit (``fit_lanes``) builds and solves the designs of many
 count paths together; ``build_design`` and ``solve_cls`` fit one. Every
 lane's design, estimate and failure must equal the one-lane call's.
 """
 
+import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -28,10 +31,15 @@ from inar import ModelParams, Overflow, RngStream, SingularDesign
 from inar.simulate import simulate_lanes
 
 
+# The largest rate any route draws at: min(cap, RATE_BOUND) bounds a path.
+RATE_BOUND = math.nextafter(2.0 ** 62, 0.0)
+
+
 def scalar_path(params, T, seed, stream_id, cap):
-    """The one-lane loop: (counts, 0-based overflow step or -1)."""
+    """The one-lane loop under the rate bound: (counts, 0-based overflow
+    step or -1)."""
     key = RngStream(seed, stream_id).state()
-    return _k.sim_path(params.nu, params.kernel_array(), T, float(cap), key)
+    return _k.sim_path(params.nu, params.kernel_array(), T, min(float(cap), RATE_BOUND), key)
 
 
 def assert_lanes_match(params, T, seed, ids, cap):
@@ -94,30 +102,62 @@ def test_first_observation_checked_against_cap():
     assert np.all(overflow_at == 0) and not counts.any()
 
 
+# The Overflow of a rate past the bound names the bound, not the cap.
+BOUND_OVERFLOW = r"^intensity exceeded cap 4\.61169e\+18 at step {}$"
+
+
 @pytest.mark.parametrize("nu, kernel, T", [
-    (1e19, (0.3,), 4),        # every lane overflows at step 1
-    (5e18, (0.9,), 4),        # step 2, once the kernel adds 0.9 of step 1
-    (2.0 ** 63, (), 3),       # i.i.d. draws about 2**63: mixed steps, one lane never
+    (1e19, (0.3,), 4),
+    (5e18, (0.9,), 4),
+    (2.0 ** 63, (), 3),
 ])
 def test_counts_beyond_int64_overflow_lanes(nu, kernel, T):
-    # A count of 2**63 or more ends its lane as an intensity overflow does,
-    # at the step simulate_path's Overflow names; earlier counts are kept.
+    # Rates whose counts may pass 2**63 pass a cap of 1e300 but not the
+    # bound: every lane ends at step 1 as an intensity overflow, as the
+    # scalar loop under the bound does, and simulate_path names the bound.
     params = ModelParams(nu=nu, kernel=kernel)
-    counts, overflow_at = simulate_lanes(params, T, 3, range(12), 1e300)
-    for j in range(12):
-        step = int(overflow_at[j])
-        if step < 0:
-            path = inar.simulate_path(params, T, RngStream(3, j), 1e300)
-            assert np.array_equal(counts[:, j], path.counts)
-            continue
-        with pytest.raises(Overflow, match=f"count at step {step + 1} does not fit in int64$"):
-            inar.simulate_path(params, T, RngStream(3, j), 1e300)
-        x, _ = scalar_path(params, T, 3, j, 1e300)
-        assert np.array_equal(counts[:step, j], x[:step])
-        assert not counts[step:, j].any()
-    assert np.count_nonzero(overflow_at >= 0) >= 11
-    if nu == 2.0 ** 63:
-        assert len(set(overflow_at.tolist())) == 4
+    overflow_at = assert_lanes_match(params, T, 3, range(12), 1e300)
+    assert np.all(overflow_at == 0)
+    with pytest.raises(Overflow, match=BOUND_OVERFLOW.format(1)):
+        inar.simulate_path(params, T, RngStream(3, 0), 1e300)
+
+
+def test_rate_crosses_the_bound_at_step_2():
+    # 3e18 draws about 3e18, so step 2's rate is about 5.7e18, past the
+    # bound: simulate_path, the lanes and the study all stop there.
+    params = ModelParams(nu=3e18, kernel=(0.9,))
+    overflow_at = assert_lanes_match(params, 4, 3, range(12), 1e300)
+    assert np.all(overflow_at == 1)
+    with pytest.raises(Overflow, match=BOUND_OVERFLOW.format(2)):
+        inar.simulate_path(params, 4, RngStream(3, 1), 1e300)
+    study = dict(params=params, p=0, n_experiments=12, base_seed=3, lam_cap=1e300)
+    assert inar.run_experiment(inar.McConfig(T=1, **study)).failures == 0
+    with pytest.raises(inar.AllReplicationsFailed, match="0 singular designs, 12 intensity"):
+        inar.run_experiment(inar.McConfig(T=2, **study))
+
+
+# sha256 prefixes of the counts of a path (T = 200, seed 7, stream 1) and of
+# 200 lanes (T = 50, seed 7, streams 0..199) at rates just below the bound,
+# under a cap of 1e300, recorded with the earlier code that checked each
+# count for int64 instead of bounding the rate: no draw below the bound
+# moved. The kernel-free path is the block sampler's; the other, the scalar
+# loop's, has rates about 4e18.
+BELOW_BOUND_DIGESTS = {
+    "nu=4e18": (ModelParams(nu=4e18), "ae7437f04792a194", "711bd3c7ffc27226"),
+    "nu=4.6e18": (ModelParams(nu=4.6e18), "80da16747e977f64", "e5ff446505a4ee52"),
+    "nu=2e18,lags:[0.5]": (ModelParams(nu=2e18, kernel=(0.5,)),
+                           "4265588c15262901", "7377d0bb58c49172"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BELOW_BOUND_DIGESTS))
+def test_below_bound_digests(case):
+    params, path_digest, lanes_digest = BELOW_BOUND_DIGESTS[case]
+    path = inar.simulate_path(params, 200, RngStream(7, 1), 1e300)
+    counts, overflow_at = simulate_lanes(params, 50, 7, range(200), 1e300)
+    assert np.all(overflow_at == -1)
+    assert hashlib.sha256(path.counts.tobytes()).hexdigest()[:16] == path_digest
+    assert hashlib.sha256(counts.tobytes()).hexdigest()[:16] == lanes_digest
 
 
 def test_poisson_draws_bit_identical():

@@ -326,12 +326,25 @@ def test_simulate_non_finite_rejected(tmp_path, run_cli, flags):
 
 
 def test_simulate_count_beyond_int64(tmp_path, run_cli):
-    # Counts near 1e20 pass a cap of 1e300 but not int64: one error line
-    # naming the step, no numpy cast warning, no file.
+    # A rate of 1e20, whose counts would pass int64, passes a cap of 1e300
+    # but not the bound 2**62: one error line naming the bound and the
+    # step, no numpy cast warning, no file.
     out = tmp_path / "p.csv"
     proc = run_cli(["simulate", "--nu", "1e20", "--kernel", "none", "--T", 3, "--seed", 1,
                     "--lambda-cap", "1e300", "--out", out])
-    assert_one_line_error(proc, "Overflow: count at step 1 does not fit in int64")
+    assert_one_line_error(proc, "Overflow: intensity exceeded cap 4.61169e+18 at step 1")
+    assert proc.stderr.strip().endswith("at step 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ci", [[], ["--ci"]])
+def test_estimate_invalid_level(tmp_path, run_cli, ci):
+    # The level is checked before the path is read (this one does not
+    # exist), with or without --ci: it would go into the provenance.
+    out = tmp_path / "est.json"
+    proc = run_cli(["estimate", "--path", tmp_path / "missing.csv", "--p", 3,
+                    "--level", 7, *ci, "--out", out])
+    assert_one_line_error(proc, "InvalidLevel: level must be in (0, 1), got 7.0")
     assert not out.exists()
 
 

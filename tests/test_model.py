@@ -6,6 +6,7 @@ is exact, because the m-th power has no mass below lag m.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -85,6 +86,19 @@ class TestRenewalSequence:
         with pytest.raises(NonStationaryKernel):
             inar.renewal_sequence((0.6, 0.5), 5)
 
+    # sha256 prefixes of the bytes of A_1..A_4000, recorded with the earlier
+    # loop that summed each A_n on numpy scalars: the recursion's values are
+    # kept bit for bit.
+    @pytest.mark.parametrize("kernel, digest", [
+        (inar.geometric_kernel(0.25), "842562a85b022890"),
+        ((0.8,), "148a022bee700965"),
+        (tuple(np.random.default_rng(2030).dirichlet(np.ones(12)) * 0.95), "1ea4c6ddc8b197e0"),
+        (tuple(np.random.default_rng(2031).dirichlet(np.ones(200)) * 0.9), "651bcc3ca9c45950"),
+    ], ids=["case1", "case2", "random12", "random200"])
+    def test_digest(self, kernel, digest):
+        values = inar.renewal_sequence(kernel, 4000).values
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
+
     def test_container_semantics(self):
         seq = inar.renewal_sequence((0.5,), 4)
         assert len(seq) == 4
@@ -120,6 +134,26 @@ class TestSolveRenewal:
                     if s < n:
                         acc += a * x[n - 1 - s]
                 assert abs(x[n - 1] - acc) <= 1e-12 * scale
+
+    def test_exact_resubstitution(self):
+        # The solution is the recursion itself, summed from y_n in lag
+        # order: resubstituted in that order it holds exactly.
+        rng = np.random.default_rng(5151)
+        for _ in range(200):
+            kern = random_kernel(rng, max_len=12)
+            y = rng.uniform(0.0, 50.0, size=int(rng.integers(1, 60)))
+            x = inar.solve_renewal(y, kern)
+            for n in range(1, len(y) + 1):
+                acc = y[n - 1]
+                for s, a in enumerate(kern, start=1):
+                    if s < n:
+                        acc += a * x[n - 1 - s]
+                assert x[n - 1] == acc
+
+    @pytest.mark.parametrize("y", [3.0, np.ones((4, 2))], ids=["0-d", "2-d"])
+    def test_y_not_a_vector(self, y):
+        with pytest.raises(DimensionMismatch, match="y must be a 1-d vector, got shape"):
+            inar.solve_renewal(y, (0.5,))
 
 
 class TestMomentBounds:

@@ -152,8 +152,14 @@ class TestFailureHandling:
         with pytest.raises(AllReplicationsFailed, match="4 intensity overflows"):
             inar.run_experiment(cfg)
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+    def test_non_finite_cap_rejected_at_build(self, cap):
+        with pytest.raises(ValueError, match="lambda_cap must be finite"):
+            McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=50, p=1,
+                     n_experiments=4, base_seed=3, lam_cap=cap)
+
     def test_counts_beyond_int64_counted_as_overflows(self):
-        # Rates of 1e19 pass a cap of 1e300, but their counts overflow int64.
+        # Rates of 1e19 pass a cap of 1e300, but not the bound 2**62.
         cfg = McConfig(
             params=ModelParams(nu=1e19, kernel=(0.3,)), T=50, p=1,
             n_experiments=4, base_seed=3, lam_cap=1e300,

@@ -197,11 +197,16 @@ class TestSimulatePath:
         with pytest.raises(Overflow, match="at step 1$"):
             inar.simulate_path(ModelParams(nu=500.0), 10, RngStream(2), lam_cap=100.0)
 
-    @pytest.mark.parametrize("nu, kernel, step", [(1e20, (), 1), (5e18, (0.9,), 2)])
+    @pytest.mark.parametrize("nu, kernel, step", [
+        (1e20, (), 1), (5e18, (0.9,), 1), (3e18, (0.9,), 2),
+    ])
     def test_count_beyond_int64(self, nu, kernel, step):
-        # The cap lets the intensity through; the count itself overflows.
+        # The cap lets rates through whose counts may pass int64, but the
+        # bound 2**62 does not: the path ends at the first rate past it,
+        # and the Overflow names the bound in place of the cap.
         params = ModelParams(nu=nu, kernel=kernel)
-        with pytest.raises(Overflow, match=f"count at step {step} does not fit in int64"):
+        message = rf"^intensity exceeded cap 4\.61169e\+18 at step {step}$"
+        with pytest.raises(Overflow, match=message):
             inar.simulate_path(params, 3, RngStream(1), lam_cap=1e300)
 
     @pytest.mark.parametrize("nu, kernel", [(3.0, ()), (150.0, ()), (3.0, (0.3, 0.2))])

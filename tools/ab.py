@@ -23,8 +23,9 @@ and per field), and so are, under ``cli``, the files of
 ``inar estimate --ci`` on it at p = 0, 1, 10 and 20, a constant-rate path
 CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler's rejection
 blocks) and one at ``IID_LOW_NU`` (its inversion blocks), ``inar estimate
---ci`` on each at p = 0 (the iid sandwich), and ``inar normality`` on the
-case-1 ``samples.csv``.
+--ci`` on each at p = 0 (the iid sandwich), the two ``NEAR_BOUND`` path
+CSVs at rates just below the simulators' rate bound 2**62, and ``inar
+normality`` on the case-1 ``samples.csv``.
 ``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``, and
 ``src_file_lines`` each file's ``wc -l``, by name. The
 record (``--out``) is rewritten after every run, so an interrupted session
@@ -60,6 +61,12 @@ ESTIMATE_LAGS = (0, 1, 10, 20)
 IID_NU = 100
 IID_LOW_NU = 3
 IID_T = 20_000
+# Paths of NEAR_BOUND_T steps just below the rate bound 2**62 under a cap of
+# 1e300, which acts as that bound: at nu = 4e18 without a kernel (the block
+# sampler) and at nu = 2e18 with kernel lags:[0.5], whose rates are about
+# 4e18 (the scalar loop). (nu, kernel, file stem) of each.
+NEAR_BOUND = ((4e18, "none", "near_bound_iid"), (2e18, "lags:[0.5]", "near_bound_lags"))
+NEAR_BOUND_T = 1000
 # A lane study at rates just above the PTRS threshold of 10, where a round
 # rejects about one time in four: lanes that reject every round of their
 # step's pass, and finish on the scalar loop, come up on most steps.
@@ -300,8 +307,10 @@ def cli_outputs(side_root, out, samples):
     edge), the path CSVs of ``inar simulate --kernel none`` at ``IID_NU``
     (``iid_path.csv``) and at ``IID_LOW_NU`` (``iid_low_path.csv``), T =
     ``IID_T`` and seed 11, each with ``inar estimate --ci`` JSON on it at
-    p = 0, and ``inar normality`` JSON on the ``samples`` CSV, all run with
-    ``side_root``'s package."""
+    p = 0, the ``NEAR_BOUND`` path CSVs (``<stem>_path.csv``, T =
+    ``NEAR_BOUND_T``, seed 11, ``--lambda-cap 1e300``), and ``inar
+    normality`` JSON on the ``samples`` CSV, all run with ``side_root``'s
+    package."""
     side_root, out = Path(side_root), Path(out)
     out.mkdir(parents=True)
     case1 = json.loads((side_root / "configs" / "case1_T1000.json").read_text())
@@ -315,6 +324,9 @@ def cli_outputs(side_root, out, samples):
               "--seed", MC_SEED, "--out", out / f"{name}_path.csv")
         _inar(side_root, "estimate", "--path", out / f"{name}_path.csv", "--p", 0, "--ci",
               "--out", out / f"{name}_estimate_p0.json")
+    for nu, kernel, name in NEAR_BOUND:
+        _inar(side_root, "simulate", "--nu", nu, "--kernel", kernel, "--T", NEAR_BOUND_T,
+              "--seed", MC_SEED, "--lambda-cap", 1e300, "--out", out / f"{name}_path.csv")
     _inar(side_root, "normality", "--samples", samples, "--out", out / "normality.json")
     return out
 
@@ -377,8 +389,10 @@ def main(argv=None):
                 f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
                 f"constant-rate `inar simulate --kernel none` path CSV at nu = {IID_NU} "
                 f"and at nu = {IID_LOW_NU} (seed 11, T={IID_T}), each with `inar "
-                "estimate --ci` on it at p = 0, and "
-                "`inar normality` on the case-1 samples.csv."
+                "estimate --ci` on it at p = 0, `inar simulate --lambda-cap 1e300` "
+                "path CSVs just below the rate bound 2**62 (seed 11, "
+                f"T={NEAR_BOUND_T}: {', '.join(f'nu = {nu:g} kernel {k}' for nu, k, _ in NEAR_BOUND)}), "
+                "and `inar normality` on the case-1 samples.csv."
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
