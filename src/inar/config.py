@@ -12,7 +12,7 @@ import json
 import math
 
 from .errors import ParseError, ValidationError
-from .model import ModelParams, geometric_kernel
+from .model import ModelParams, _as_float, geometric_kernel
 from .montecarlo import McConfig
 from .simulate import DEFAULT_LAMBDA_CAP
 
@@ -73,10 +73,7 @@ def parse_kernel_spec(spec: str) -> tuple[float, ...]:
 def _require_number(raw, key: str, minimum: float | None = None) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValidationError(f"{key}: expected a number, got {raw!r}")
-    try:
-        val = float(raw)
-    except OverflowError:  # an integer beyond float range
-        val = math.inf
+    val = _as_float(raw)
     if not math.isfinite(val):
         raise ValidationError(f"{key}: must be finite, got {raw!r}")
     if minimum is not None and val < minimum:

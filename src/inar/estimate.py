@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
-from .model import _adopt, _freeze_copies, _frozen_copy
+from .model import _adopt, _as_size, _freeze_copies, _frozen_copy
 from .simulate import CountPath
 
 __all__ = [
@@ -100,7 +100,7 @@ def _counts_of(path) -> np.ndarray:
 
 
 def _check_lag(t: int, p: int) -> int:
-    p = int(p)
+    p = _as_size(p, "p")
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
     if p > t - 1:

@@ -30,7 +30,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimate import RCOND_THRESHOLD, ThetaVector, _check_lag, _counts_of
-from .model import _adopt, _freeze_copies
+from .model import _adopt, _as_float, _freeze_copies
 
 __all__ = [
     "SandwichCovariance",
@@ -130,7 +130,7 @@ def sandwich_covariance(path, theta_hat: ThetaVector, p: int | None = None) -> S
 
 def _checked_level(level) -> float:
     """``level`` as a float, or :class:`InvalidLevel` outside (0, 1)."""
-    level = float(level)
+    level = _as_float(level)
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must be in (0, 1), got {level}")
     return level
@@ -150,10 +150,7 @@ def confidence_intervals(
         raise DimensionMismatch(
             f"covariance dimension {diag.shape[0]} does not match theta {len(values)}"
         )
-    try:
-        t = float(T)
-    except OverflowError:  # an int beyond float range
-        t = math.inf
+    t = _as_float(T)
     if not 1.0 <= t < math.inf:
         raise ValueError(f"T must be >= 1 and finite, got {T}")
     z = normal_quantile(0.5 * (1.0 + level))
@@ -288,7 +285,7 @@ def shapiro_wilk(sample) -> tuple[float, float]:
         mu = _poly(_SW_C5, u)
         sigma = math.exp(_poly(_SW_C6, u))
     z = (y - mu) / sigma
-    return w, 0.5 * math.erfc(z / math.sqrt(2.0))
+    return w, normal_cdf(-z)
 
 
 def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:

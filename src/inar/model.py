@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,22 @@ def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
     for name in names:
         arr = np.array(getattr(record, name), dtype=dtype, order="C", ndmin=1)
         object.__setattr__(record, name, _sealed(arr))
+
+
+def _as_float(value) -> float:
+    """``float(value)``, or inf signed as ``value`` for an int past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_size(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``: no float is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _adopt(cls, **fields):
@@ -251,7 +268,7 @@ def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     kern = _kernel_vector(kernel)
     y = np.zeros(n_max, dtype=np.float64)
     y[: kern.shape[0]] = kern[:n_max]
-    return RenewalSequence(_renewal(y, kern))
+    return _adopt(RenewalSequence, values=_renewal(y, kern))
 
 
 def solve_renewal(y, kernel) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
 from .estimate import fit_lanes
 from .inference import NormalityReport, histogram_data, normality_report, qq_data
-from .model import ModelParams, _freeze_copies
+from .model import ModelParams, _as_size, _freeze_copies
 from .simulate import DEFAULT_LAMBDA_CAP, _check_inputs, simulate_lanes
 
 __all__ = [
@@ -44,6 +44,8 @@ class McConfig:
     case: str | None = None
 
     def __post_init__(self):
+        for name in ("T", "p", "n_experiments"):
+            object.__setattr__(self, name, _as_size(getattr(self, name), name))
         if self.n_experiments < 1:
             raise ValueError("n_experiments must be >= 1")
         if not 0 <= self.p <= self.T - 1:

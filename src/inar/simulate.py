@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import InvalidRate, Overflow
-from .model import ModelParams, _freeze_copies, _require_valid, _sealed
+from .model import (ModelParams, _adopt, _as_float, _as_size, _freeze_copies, _require_valid,
+                    _sealed)
 
 __all__ = [
     "RngStream",
@@ -78,23 +79,17 @@ class CountPath:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if self.counts.min() < 0:
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "_floats", _sealed(self.counts.astype(np.float64)))
 
     def __len__(self) -> int:
         return self.counts.shape[0]
 
     def counts_float(self) -> np.ndarray:
-        """The counts as float64: one read-only array, made on first use
-        (a path from :func:`simulate_path` comes with the simulation's
-        own) and shared by every caller (a fit and its sandwich know their
-        path by it). It is not a field: repr and replace ignore it. Neither
-        it nor ``counts`` can be made writable again, so it never goes
-        stale."""
-        x = self.__dict__.get("_floats")
-        if x is None:
-            x = _sealed(self.counts.astype(np.float64))
-            # Two first uses on two threads keep one array.
-            x = self.__dict__.setdefault("_floats", x)
-        return x
+        """The counts as float64, one read-only array made with the path and
+        shared by every caller (a fit and its sandwich know their path by
+        it). Not a field, so repr and replace ignore it; it and ``counts``
+        stay read-only, so it never goes stale."""
+        return self._floats
 
 
 def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
@@ -108,8 +103,8 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
     bit those of the one-at-a-time scalar loop. Rates at or above 2**62
     raise :class:`InvalidRate`: their draws may not fit in int64.
     """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
+    lam = _as_float(lam)
+    if not math.isfinite(lam) or lam < 0.0:
         raise InvalidRate(f"rate must be finite and >= 0, got {lam}")
     if lam >= _MAX_RATE:
         raise InvalidRate(f"rate must be below 2**62 for int64 draws, got {lam:g}")
@@ -124,13 +119,14 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
 def _check_inputs(params: ModelParams, T, lam_cap) -> tuple[int, float]:
     # T, checked, and the rate bound min(lam_cap, _LARGEST_RATE): a path
     # stops as an intensity overflow at its first rate above it.
-    T = int(T)
+    T = _as_size(T, "T")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    lam_cap = _as_float(lam_cap)
     if not math.isfinite(lam_cap):
         raise ValueError(f"lambda_cap must be finite, got {lam_cap}")
     _require_valid(params)
-    return T, min(float(lam_cap), _LARGEST_RATE)
+    return T, min(lam_cap, _LARGEST_RATE)
 
 
 def simulate_path(
@@ -155,17 +151,10 @@ def simulate_path(
     x, overflow_at = _k.sim_one(params.nu, params.kernel_array(), T, cap, rng.state())
     if overflow_at >= 0:
         raise Overflow(f"intensity exceeded cap {cap:g} at step {overflow_at + 1}")
-    path = CountPath(
-        counts=x,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        params_digest=params.digest(),
-    )
-    # x is the counts as float64 (integers: counts.astype(np.float64) bit
-    # for bit), made here and held by nothing else, so it becomes the
-    # path's float view in place of a copy made on first use.
-    path.__dict__["_floats"] = _sealed(x)
-    return path
+    # x, the counts as float64 (integers: counts.astype(np.float64) bit for
+    # bit), is held by nothing else, so it becomes the path's float view.
+    return _adopt(CountPath, counts=x.astype(np.int64), seed=rng.seed,
+                  stream_id=rng.stream_id, params_digest=params.digest(), _floats=x)
 
 
 def simulate_lanes(

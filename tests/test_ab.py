@@ -175,6 +175,20 @@ def test_src_lines(tmp_path):
     assert ab.src_file_lines(tmp_path) == {"a.py": 3, "b.py": 1}
 
 
+@pytest.mark.parametrize("output, expected", [
+    ("....\nACCEPTANCE 1 x: PASS\n554 passed in 29.50s\n", (554, 0, 0)),
+    ("F.\n3 failed, 551 passed, 1 error in 31.02s\n", (551, 3, 1)),
+    ("E\n2 errors in 0.41s\n", (0, 0, 2)),
+    ("1 failed, 2 passed, 1 xpassed, 3 warnings in 65.00s (0:01:05)\n", (2, 1, 0)),
+    ("no tests ran in 0.01s\n", (0, 0, 0)),
+    ("Traceback (most recent call last):\nKeyboardInterrupt\n", (None, None, None)),
+    ("", (None, None, None)),
+], ids=["passed", "mixed", "errors", "xpassed", "none_ran", "interrupted", "empty"])
+def test_pytest_counts(output, expected):
+    got = ab.pytest_counts(output)
+    assert (got["passed"], got["failed"], got["errors"]) == expected
+
+
 def test_machine_names_the_blas_build():
     # The record names numpy's BLAS build, for which its digests hold.
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -100,6 +100,16 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match="p must be >= 0"):
             inar.intensity_series(path, theta, p=-1)
 
+    # A lag order is an integer (a Python or numpy int); a float is
+    # refused, not truncated.
+    def test_lag_must_be_an_integer(self):
+        path = CountPath(counts=np.arange(1, 6))
+        with pytest.raises(ValueError, match=r"^p must be an integer, got 2\.7$"):
+            inar.build_design(path, 2.7)
+        with pytest.raises(ValueError, match=r"^p must be an integer, got 1\.0$"):
+            inar.fit_lanes(np.ones((5, 2)), 1.0)
+        assert inar.build_design(path, np.int64(2)).p == 2
+
     def test_design_system_shape_check(self):
         with pytest.raises(DimensionMismatch):
             DesignSystem(Y=np.eye(3), b=np.zeros(2), T=10, p=2)

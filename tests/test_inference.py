@@ -97,6 +97,15 @@ class TestConfidenceIntervals:
         with pytest.raises(InvalidLevel):
             inar.confidence_intervals(theta, self._unit_cov(1), T=10, level=level)
 
+    # An int beyond the float range is converted as +-inf, then refused
+    # as any level outside (0, 1) is.
+    @pytest.mark.parametrize("level, shown", [(10**400, "inf"), (-(10**400), "-inf")],
+                             ids=["10**400", "-10**400"])
+    def test_level_beyond_float_range(self, level, shown):
+        theta = ThetaVector(mu=1.0, betas=())
+        with pytest.raises(InvalidLevel, match=rf"^level must be in \(0, 1\), got {shown}$"):
+            inar.confidence_intervals(theta, self._unit_cov(1), T=10, level=level)
+
     @pytest.mark.parametrize("T", [0, -1, 0.5, math.inf, pytest.param(10**400, id="10**400")])
     def test_horizon_below_one(self, T):
         theta = ThetaVector(mu=1.0, betas=())

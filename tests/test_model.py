@@ -377,16 +377,19 @@ def test_records_copy_caller_arrays(build, arrays):
 
 
 def test_package_records_frozen_in_place(case1_params):
-    # The records build_design and sandwich_covariance return hold arrays
-    # the package has just made: read-only, and so is every array they are
-    # views of; no two of them share memory. No array of a record the
-    # package returns, nor the float view, counts or fit kept beside its
-    # fields, can be made writable again.
+    # The records simulate_path, build_design, sandwich_covariance and
+    # renewal_sequence return hold arrays the package has just made:
+    # read-only, and so is every array they are views of; no two of them
+    # share memory. No array of a record the package returns, nor the
+    # float view, counts or fit kept beside its fields, can be made
+    # writable again.
     path = inar.simulate_path(case1_params, 200, inar.RngStream(3))
     system = inar.build_design(path, 4)
     theta = inar.solve_cls(system)
     cov = inar.sandwich_covariance(path, theta, 4)
-    arrays = [system.Y, system.b, cov.J_hat, cov.K_hat, cov.Sigma_hat]
+    renewal = inar.renewal_sequence(case1_params.kernel, 20)
+    arrays = [path.counts, path.counts_float(), system.Y, system.b, cov.J_hat, cov.K_hat,
+              cov.Sigma_hat, renewal.values]
     for i, arr in enumerate(arrays):
         base = arr
         while isinstance(base, np.ndarray):
@@ -394,7 +397,6 @@ def test_package_records_frozen_in_place(case1_params):
             base = base.base
         assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
     summary = inar.summarize(np.arange(6.0).reshape(3, 2), np.zeros(2))
-    renewal = inar.renewal_sequence(case1_params.kernel, 20)
     assert system._counts is path.counts_float() and theta._fit is not None
     for record in (path, system, theta, cov, summary, renewal):
         assert_sealed(record)

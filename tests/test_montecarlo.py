@@ -158,6 +158,29 @@ class TestFailureHandling:
             McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=50, p=1,
                      n_experiments=4, base_seed=3, lam_cap=cap)
 
+    def test_cap_beyond_float_range_rejected_at_build(self):
+        with pytest.raises(ValueError, match=r"^lambda_cap must be finite, got inf$"):
+            McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=50, p=1,
+                     n_experiments=4, base_seed=3, lam_cap=10**400)
+
+    # Sizes are integers: a float T, p or n_experiments is refused when the
+    # config is built, not truncated or left to fail in run_experiment.
+    @pytest.mark.parametrize("size, shown", [
+        ({"T": 50.0}, r"T must be an integer, got 50\.0"),
+        ({"p": 1.0}, r"p must be an integer, got 1\.0"),
+        ({"n_experiments": 4.0}, r"n_experiments must be an integer, got 4\.0"),
+    ], ids=["T", "p", "n_experiments"])
+    def test_sizes_must_be_integers(self, size, shown):
+        sizes = {"T": 50, "p": 1, "n_experiments": 4, **size}
+        with pytest.raises(ValueError, match=rf"^{shown}$"):
+            McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), base_seed=3, **sizes)
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        cfg = McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=np.int64(50),
+                       p=np.int32(1), n_experiments=np.uint8(4), base_seed=3)
+        assert (cfg.T, cfg.p, cfg.n_experiments) == (50, 1, 4)
+        assert all(type(v) is int for v in (cfg.T, cfg.p, cfg.n_experiments))
+
     def test_counts_beyond_int64_counted_as_overflows(self):
         # Rates of 1e19 pass a cap of 1e300, but not the bound 2**62.
         cfg = McConfig(

@@ -57,6 +57,14 @@ class TestPoissonSample:
         with pytest.raises(InvalidRate):
             inar.poisson_sample(lam, RngStream(1))
 
+    # An int beyond the float range is converted as +-inf, then rejected
+    # as any infinite rate is.
+    @pytest.mark.parametrize("lam, shown", [(10**400, "inf"), (-(10**400), "-inf")],
+                             ids=["10**400", "-10**400"])
+    def test_rate_beyond_float_range(self, lam, shown):
+        with pytest.raises(InvalidRate, match=rf"^rate must be finite and >= 0, got {shown}$"):
+            inar.poisson_sample(lam, RngStream(1))
+
     def test_negative_size(self):
         with pytest.raises(ValueError, match="size must be >= 0, got -1"):
             inar.poisson_sample(1.0, RngStream(1), size=-1)
@@ -240,6 +248,33 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="lambda_cap"):
             inar.simulate_path(ModelParams(nu=1.0), 10, RngStream(2), lam_cap=cap)
 
+    # An int cap beyond the float range is converted as +-inf, then
+    # rejected as any infinite cap is, by every simulator.
+    @pytest.mark.parametrize("cap, shown", [(10**400, "inf"), (-(10**400), "-inf")],
+                             ids=["10**400", "-10**400"])
+    def test_cap_beyond_float_range(self, cap, shown):
+        message = rf"^lambda_cap must be finite, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            inar.simulate_path(ModelParams(nu=1.0), 10, RngStream(2), lam_cap=cap)
+        with pytest.raises(ValueError, match=message):
+            inar.simulate_lanes(ModelParams(nu=1.0), 10, 2, [0, 1], lam_cap=cap)
+
+    # A horizon is an integer (a Python or numpy int); a float or a string
+    # is refused, not truncated or parsed.
+    @pytest.mark.parametrize("T, shown", [(10.5, r"10\.5"), (12.0, r"12\.0"), ("12", "'12'")],
+                             ids=["10.5", "12.0", "str"])
+    def test_horizon_must_be_an_integer(self, T, shown):
+        message = rf"^T must be an integer, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            inar.simulate_path(ModelParams(nu=1.0), T, RngStream(2))
+        with pytest.raises(ValueError, match=message):
+            inar.simulate_lanes(ModelParams(nu=1.0), T, 2, [0, 1])
+
+    def test_numpy_integer_horizon(self):
+        a = inar.simulate_path(ModelParams(nu=3.0), np.int64(12), RngStream(2))
+        b = inar.simulate_path(ModelParams(nu=3.0), 12, RngStream(2))
+        assert a.counts.tobytes() == b.counts.tobytes()
+
     def test_determinism_and_provenance(self, case1_params):
         a = inar.simulate_path(case1_params, 256, RngStream(42, 3))
         b = inar.simulate_path(case1_params, 256, RngStream(42, 3))
@@ -294,8 +329,8 @@ class TestCountPath:
             path.counts.flags.writeable = True
 
     def test_one_shared_float_view(self):
-        # counts_float makes one read-only float64 array on first use and
-        # hands it to every caller: the fit and its sandwich share it. It
+        # counts_float is one read-only float64 array, made with the path
+        # and handed to every caller: the fit and its sandwich share it. It
         # is no field: repr and replace ignore it.
         path = CountPath(counts=np.array([4, 0, 7, 2]), seed=3)
         x = path.counts_float()
@@ -308,6 +343,36 @@ class TestCountPath:
         assert repr(CountPath(counts=path.counts, seed=3)) == repr(path)
         again = dataclasses.replace(path)
         assert again.counts_float() is not x and again.counts_float().tolist() == x.tolist()
+
+    # simulate_path adopts the counts it has just drawn and their float64
+    # array, skipping the constructor's checks: its record must equal the
+    # constructor's on the same counts, field by field, with the same
+    # float view.
+    @settings(max_examples=100, deadline=None)
+    @given(nu=st.floats(0.0, 200.0), kernel=st.lists(st.floats(0.0, 0.3), max_size=3),
+           T=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
+           stream=st.integers(0, 2**64 - 1))
+    def test_simulated_path_equals_constructed(self, nu, kernel, T, seed, stream):
+        params = ModelParams(nu=nu, kernel=tuple(kernel))
+        path = inar.simulate_path(params, T, RngStream(seed, stream))
+        built = CountPath(counts=path.counts, seed=seed, stream_id=stream,
+                          params_digest=params.digest())
+        for f in dataclasses.fields(CountPath):
+            mine, theirs = getattr(path, f.name), getattr(built, f.name)
+            if isinstance(theirs, np.ndarray):
+                assert type(mine) is np.ndarray and mine.dtype == theirs.dtype
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            else:
+                assert type(mine) is type(theirs) and mine == theirs
+        counts = path.counts
+        assert counts.dtype == np.int64 and counts.shape == (T,) and counts.flags.c_contiguous
+        x = path.counts_float()
+        assert x is path.counts_float()
+        assert x.dtype == np.float64 and x.shape == (T,) and x.flags.c_contiguous
+        assert x.tobytes() == counts.astype(np.float64).tobytes()
+        for arr in (counts, x):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
 
     def test_csv_roundtrip_file_object(self):
         path = CountPath(counts=np.array([5, 0, 12, 3]), seed=9, stream_id=1)

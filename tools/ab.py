@@ -27,7 +27,11 @@ blocks) and one at ``IID_LOW_NU`` (its inversion blocks), ``inar estimate
 CSVs at rates just below the simulators' rate bound 2**62, and ``inar
 normality`` on the case-1 ``samples.csv``.
 ``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``, and
-``src_file_lines`` each file's ``wc -l``, by name. The
+``src_file_lines`` each file's ``wc -l``, by name. Before the pairs, each
+side runs its own tier-1 suite once (``python -m pytest -q -p
+no:cacheprovider`` with ``PYTHONPATH`` at that side's ``src``), and
+``tier1`` holds its passed, failed and error counts, exit code and wall
+seconds. The
 record (``--out``) is rewritten after every run, so an interrupted session
 keeps what it measured; the temporary directory is removed at exit. Its
 ``notes`` are left empty for the author to fill in.
@@ -41,12 +45,14 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy
@@ -331,6 +337,32 @@ def cli_outputs(side_root, out, samples):
     return out
 
 
+def pytest_counts(output):
+    """The passed, failed and error counts of the summary line that ends
+    pytest's output (``3 failed, 551 passed, 1 error in 29.50s``); a count
+    the line does not name is 0, and all three are None when the output
+    ends without a summary line."""
+    lines = output.strip().splitlines()
+    last = lines[-1] if lines else ""
+    if not re.search(r" in [0-9.]+s", last):
+        return {"passed": None, "failed": None, "errors": None}
+    counts = dict.fromkeys(("passed", "failed", "errors"), 0)
+    for n, word in re.findall(r"([0-9]+) (passed|failed|error)", last):
+        counts["errors" if word == "error" else word] = int(n)
+    return counts
+
+
+def tier1(side_root):
+    """One run of ``side_root``'s tier-1 suite on its own package: its
+    :func:`pytest_counts`, exit code and wall seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(side_root) / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=side_root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    return {**pytest_counts(proc.stdout), "exit": proc.returncode, "wall_s": round(wall, 2)}
+
+
 def machine_facts():
     """The host and build the record's numbers hold for. The golden digests
     and byte-identical outputs hold per BLAS build, so it names numpy's
@@ -392,7 +424,10 @@ def main(argv=None):
                 "estimate --ci` on it at p = 0, `inar simulate --lambda-cap 1e300` "
                 "path CSVs just below the rate bound 2**62 (seed 11, "
                 f"T={NEAR_BOUND_T}: {', '.join(f'nu = {nu:g} kernel {k}' for nu, k, _ in NEAR_BOUND)}), "
-                "and `inar normality` on the case-1 samples.csv."
+                "and `inar normality` on the case-1 samples.csv. `tier1` is one run per "
+                "side, before the pairs, of `python -m pytest -q -p no:cacheprovider` "
+                "on that side's own src: its passed, failed and error counts, exit "
+                "code and wall seconds."
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
@@ -401,10 +436,14 @@ def main(argv=None):
             "sets": {"final": "the change side's files as they stood when the record was made"},
             "notes": "",
             "machine": machine_facts(),
+            "tier1": {},
             "outputs": {},
             "summary": {},
             "runs": [],
         }
+        for side, side_root in (("parent", parent_root), ("change", ROOT)):
+            record["tier1"][side] = tier1(side_root)
+            print(f"ab: tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
         studies = [write_config(scratch, study) for study in (LOW_RATE, MIXED_RATE)]
         change_mc = dict(_mc_outputs(ROOT, scratch / "change_mc", studies))
         parent_mc = dict(_mc_outputs(parent_root, scratch / "parent_mc", studies))
