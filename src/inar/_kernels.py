@@ -9,21 +9,19 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
 
 - the scalar loop itself (``sim_path``) runs one path in plain Python, for
   paths whose rate depends on their past; it is every route's reference.
-- the lane engine (``sim_lanes``) advances many streams one step together;
-  lane i reproduces the scalar loop on key i bit for bit. A PTRS step is
-  one numpy pass of a few rounds on every lane; a lane that rejects them
-  all is finished by the scalar loop on ``_IntStream``, the same stream
-  held as a Python int from the lane's state after the pass.
+- the lane engine (``sim_lanes``) runs many streams, each lane on its own
+  step; lane i reproduces the scalar loop on key i bit for bit. A numpy
+  pass makes one draw attempt on every lane: one inversion draw, or one
+  PTRS round that a rejecting lane tries again on the next pass.
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
   shared by every cell: inversion counts the sums of the sequential search
   that each uniform passes, and ends the sum once the block's largest
-  uniform is not past it; the PTRS round kernel takes per-lane constants
-  or floats, and finds where each lane's log test can decide its draw by
-  a running OR of its squeeze acceptances. A PTRS block holds its rounds
-  as one pass of the lane engine does: a contiguous row of u states over
-  a contiguous row of v states.
+  uniform is not past it; the PTRS round kernel takes one row of rounds,
+  at per-lane constants or floats. A PTRS block holds its rounds as a
+  pass of the lane engine holds its lanes' rounds: a contiguous row of u
+  states over a contiguous row of v states.
   ``sim_one`` sends a path whose kernel is zero here and any other path to
   ``sim_path``.
 
@@ -133,28 +131,6 @@ def _stream_uniforms(key):
         state += _BLOCK_SKIP
 
 
-_GOLDEN_INT, _MIX1_INT, _MIX2_INT = int(_GOLDEN), int(_MIX1), int(_MIX2)
-
-
-class _IntStream:
-    """``_uniforms`` on one state held as a Python int, one uniform per
-    call, with no numpy call: each call steps ``state`` by GOLDEN modulo
-    2**64 and returns the uniform of the new state."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state):
-        self.state = state
-
-    def __call__(self):
-        s = self.state = (self.state + _GOLDEN_INT) & _MASK64
-        z = ((s ^ (s >> 30)) * _MIX1_INT) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
-        # (z' + 1/2) * 2**-52 for the top 52 bits z' of the mix, exactly:
-        # 2 z' + 1 < 2**53 is the mix's top 53 bits with the lowest set.
-        return (((z ^ (z >> 31)) >> 11) | 1) * 2.0 ** -53
-
-
 def _poisson_draw(lam, uniform):
     if lam <= 0.0:
         return 0
@@ -261,10 +237,6 @@ def _log_factorials(k):
     return _LOGFACT(top)[k.astype(np.intp)]
 
 
-# Lane indices 0..n-1 of the lane engine's PTRS pass.
-_LANES = _Grown(np.arange)
-
-
 def _inversion(lam, u):
     # The sequential search's draw for each uniform of u at 0 < lam < 10
     # (a float, or one rate per uniform): the number of k < 200 with
@@ -328,25 +300,6 @@ def _log_test(k, lam, us, v, a, b, inv_alpha):
     return accept
 
 
-# PTRS rounds tried in the one pass of a lane step. Round r of a lane reads
-# the counters 2r+1 (u) and 2r+2 (v) past its state, so one pass draws
-# _PTRS_ROUNDS rounds of every lane at once, and each lane keeps its first
-# accepting round: the draws and the state are those of the scalar loop. A
-# numpy dispatch costs more than the arithmetic of a round, so a pass tries
-# several. The few lanes that reject them all take the scalar loop's next
-# rounds, one Python draw each, rather than another numpy pass: with three
-# rounds, 3e-3 of draws at lam = 100 (one step in ten has none on 1000
-# lanes) and 1.4e-2 at lam = 10.5. Three rounds ran the study faster than
-# four (ROADMAP item 5).
-_PTRS_ROUNDS = 3
-# Counter offsets of one pass, one row each: the u of rounds 0..R-1, then
-# their v. After _uniforms, v row r holds the state advanced by 2(r+1).
-_PASS_OFFSETS = np.concatenate([
-    np.arange(0, 2 * _PTRS_ROUNDS, 2, dtype=np.uint64),
-    np.arange(1, 2 * _PTRS_ROUNDS, 2, dtype=np.uint64),
-])[:, None] * _GOLDEN
-
-
 def _ptrs_constants(lam):
     b = 0.931 + 2.53 * np.sqrt(lam)
     a = -0.059 + 0.02483 * b
@@ -356,96 +309,62 @@ def _ptrs_constants(lam):
 
 
 def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
-    # PTRS rounds on (R, n) grids of uniforms: cell (r, i) is round r of
-    # lane i, with u from wu and v from wv. The constants are (n,) arrays,
-    # one per lane, or floats shared by every lane. Returns the candidate
-    # k and the acceptance of every cell. The cells are indexed flat
-    # (cell = round * n + lane): 2-D masks cost more dispatch. The log test
-    # runs only where it can decide the draw: on rounds before the lane's
-    # first squeeze acceptance, found by a running OR down the rows. Later
-    # rounds may read rejected although they accept.
-    n = wu.shape[1]
+    # One PTRS round on each cell of a row: u from wu and v from wv, at
+    # (n,) constants, one per cell, or floats shared by every cell. Returns
+    # the candidate k and the acceptance of every cell; the log test runs
+    # only on the cells that the squeeze neither accepts nor rejects.
     u = wu - 0.5
     us = 0.5 - np.abs(u)
     k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
     accept = (us >= 0.07) & (wv <= v_r)
-    # One round (a block) is its own mask; accept changes only after slow.
-    seen = _running_or(accept.copy()) if accept.shape[0] > 1 else accept
-    slow = ~seen & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
-    slow = slow.reshape(-1).nonzero()[0]
+    slow = ~accept & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
+    slow = slow.nonzero()[0]
     if slow.size:
         if isinstance(lam, np.ndarray):
-            lane = slow % n
-            lam, a, b, inv_alpha = lam[lane], a[lane], b[lane], inv_alpha[lane]
-        accept.reshape(-1)[slow] = _log_test(
-            k.reshape(-1)[slow], lam, us.reshape(-1)[slow],
-            wv.reshape(-1)[slow], a, b, inv_alpha,
-        )
+            lam, a, b, inv_alpha = lam[slow], a[slow], b[slow], inv_alpha[slow]
+        accept[slow] = _log_test(k[slow], lam, us[slow], wv[slow], a, b, inv_alpha)
     return k, accept
 
 
-def _running_or(mask):
-    # Each row of an (R, n) mask OR-ed, in place, with every row above it.
-    for r in range(1, mask.shape[0]):
-        np.logical_or(mask[r], mask[r - 1], out=mask[r])
-    return mask
+# Counter offsets of one PTRS round of each lane, one row each: after
+# _uniforms, row 0 is the u at counter +1 and row 1 the v at +2, whose
+# state is the lane's state after the round.
+_ROUND_OFFSETS = np.array([[0], [1]], dtype=np.uint64) * _GOLDEN
 
 
-def _first_rounds(accept):
-    # Row of the first true entry of each column of an (R, n) mask, R - 1
-    # where there is none: the number of rows before the first true row of
-    # the mask's running OR, clamped (argmax costs about three times as
-    # much). The running OR is left in the mask; its last row is whether
-    # the column has a true entry.
-    _running_or(accept)
-    first = np.add.reduce(~accept, axis=0)
-    np.minimum(first, accept.shape[0] - 1, out=first)
-    return first
-
-
-def _ptrs_lanes(lam, state):
-    # One pass of _PTRS_ROUNDS rounds (u, v) on every lane: each lane keeps
-    # the k of its first accepting round and the state after that round. A
-    # lane that rejects every round reads round R - 1, whose v row is its
-    # state after the pass; the scalar loop finishes it from there on a
-    # plain-int stream.
-    n = state.shape[0]
-    a, b, inv_alpha, v_r = _ptrs_constants(lam)
-    grid = state + _PASS_OFFSETS
+def _ptrs_attempt(lam, state):
+    # One PTRS round on each lane at its rate lam[i] >= 10: the candidate k
+    # and whether the round accepted it. A round reads two counters, so
+    # state steps by two, accepted or not.
+    grid = state + _ROUND_OFFSETS
     w = _uniforms(grid)
-    k, accept = _ptrs_rounds(w[:_PTRS_ROUNDS], w[_PTRS_ROUNDS:], lam, a, b, inv_alpha, v_r)
-    cell = _first_rounds(accept)
-    cell *= n
-    cell += _LANES(n)
-    out = k.reshape(-1)[cell]
-    state[:] = grid[_PTRS_ROUNDS:].reshape(-1)[cell]
-    pos = (~accept[-1]).nonzero()[0]
-    if pos.size:  # on narrow lane sets most steps have none to gather
-        for i, st, rate in zip(pos.tolist(), grid[-1, pos].tolist(), lam[pos].tolist()):
-            uniform = _IntStream(st)
-            out[i] = _poisson_draw(rate, uniform)
-            state[i] = uniform.state
-    return out
+    k, accept = _ptrs_rounds(w[0], w[1], lam, *_ptrs_constants(lam))
+    state[:] = grid[1]
+    return k, accept
 
 
-def _poisson_lanes(lam, state):
-    # One Poisson(lam[i]) draw on lane i, advancing state[i]; lanes with
-    # lam = 0 draw nothing. When every lane runs PTRS (every step of the
+def _attempt(lam, state):
+    # One draw attempt on each lane at its rate lam[i], from state[i],
+    # which steps past the counters it reads: the draw and whether it was
+    # made. A lane at lam <= 0 draws 0 and reads nothing, and one below 10
+    # draws by inversion from one uniform; one at 10 or more tries one PTRS
+    # round (_ptrs_attempt). When every lane runs PTRS (every pass of the
     # paper's study), state goes to it whole, with no gather or scatter.
     if lam.min() >= 10.0:
-        return _ptrs_lanes(lam, state)
-    out = np.zeros(lam.shape[0])
+        return _ptrs_attempt(lam, state)
+    draw = np.zeros(lam.shape[0])
+    accept = np.ones(lam.shape[0], dtype=bool)
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
     if small.size:
         st = state[small]
-        out[small] = _inversion(lam[small], _uniforms(st))
+        draw[small] = _inversion(lam[small], _uniforms(st))
         state[small] = st
     large = np.flatnonzero(lam >= 10.0)
     if large.size:
         st = state[large]
-        out[large] = _ptrs_lanes(lam[large], st)
+        draw[large], accept[large] = _ptrs_attempt(lam[large], st)
         state[large] = st
-    return out
+    return draw, accept
 
 
 # Block sampler. At a constant rate a stream's draws are a fixed function
@@ -486,7 +405,7 @@ def poisson_stream(lam, out, key):
     # A round accepts with probability 0.75 at lam = 10, rising to 0.89 at
     # large lam: 4/3 rounds per draw still wanted mostly suffice, and a
     # short block is followed by another. A block of R rounds lays out its
-    # states as one pass of the lane engine does (_PASS_OFFSETS): a (2, R)
+    # states as a pass of the lane engine does (_ROUND_OFFSETS): a (2, R)
     # grid, a u row of counters 2r+1 over a v row of counters 2r+2, each
     # row contiguous; the next base is the v row's last state, counter 2R.
     constants = (lam, *(float(c[0]) for c in _ptrs_constants(np.array([lam]))))
@@ -501,7 +420,7 @@ def poisson_stream(lam, out, key):
         w = _uniforms(state)
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
-        k, accept = _ptrs_rounds(w[:1], w[1:], *constants)
+        k, accept = _ptrs_rounds(w[0], w[1], *constants)
         got = k[accept][:need]
         out[done : done + got.size] = got
         base[:] = state[1, -1]
@@ -521,41 +440,91 @@ def sim_one(nu, kern, n_steps, cap, key):
     return x, -1
 
 
+# Passes of the lane engine between two moves of its history window.
+_WINDOW_PASSES = 64
+
+
 def sim_lanes(nu, kern, n_steps, cap, keys):
-    """``sim_path`` on one lane per uint64 key, all lanes stepping together.
+    """``sim_path`` on one lane per uint64 key.
 
     Returns the (n_steps, N) float64 counts, column i being sim_path's path
     on key i, and the 0-based step at which each lane overflowed (-1 for
     none): its intensity exceeded ``cap``. A lane's counts stay 0 from that
     step on.
+
+    Each lane keeps its own step. A pass makes one draw attempt on every
+    lane at its rate (``_attempt``); a lane whose PTRS round rejects tries
+    again at the same rate on the next pass. So each lane reads the
+    counters the scalar loop reads, with its arithmetic. The loop ends when
+    every lane holds n_steps counts or has overflowed.
     """
     n_lanes = keys.shape[0]
-    state = np.array(keys, dtype=np.uint64)
-    x = np.zeros((n_steps, n_lanes), dtype=np.float64)
+    if n_lanes == 1:
+        # numpy sums the lags of a single column pairwise, not in the
+        # scalar order of the rate sum below: one lane is the scalar loop.
+        x, step = sim_path(nu, kern, n_steps, cap, keys)
+        return x[:, None], np.array([step], dtype=np.int64)
+    # Row n_steps takes the draws of the lanes that have stopped: a lane
+    # that has finished goes on drawing there, at the rates of its own
+    # further counts, and one that has overflowed draws 0.
+    x = np.zeros((n_steps + 1, n_lanes), dtype=np.float64)
     overflow_at = np.full(n_lanes, -1, dtype=np.int64)
-    if not n_lanes:  # the steps below take maxima over the lanes
-        return x, overflow_at
-    alive = np.ones(n_lanes, dtype=bool)
-    all_alive = True
+    if not n_lanes:
+        return x[:n_steps], overflow_at
+    state = np.array(keys, dtype=np.uint64)
+    flat = x.reshape(-1)
+    end = n_steps * n_lanes
+    # The flat index into x of each lane's next count, and its last.
+    cell = np.arange(n_lanes)
+    last = cell + end
+    dead = None  # the lanes that have overflowed
+    # History window: the lags 1..klen of lane i at a pass are the column
+    # win[top : top + klen, i], and the pass writes its draws into row top
+    # - 1. A lane that rejects has its column moved down a row, so its lags
+    # stay those of its step. Zeros before the path starts add +0.0 to the
+    # rate, which leaves it as it is.
     klen = kern.shape[0]
-    tmp = np.empty(n_lanes)
-    for n in range(n_steps):
+    weights = kern[:, None]
+    win = np.zeros((klen + _WINDOW_PASSES, n_lanes))
+    top = _WINDOW_PASSES
+    prod = np.empty((klen, n_lanes))
+    lam = np.empty(n_lanes)
+    n_pass = 0
+    while True:
+        if not top:
+            win[_WINDOW_PASSES:] = win[:klen]
+            top = _WINDOW_PASSES
         # The scalar order: nu first, then lag 1, 2, ... (a matmul would
         # reorder the sum and could flip draws).
-        lam = np.full(n_lanes, nu, dtype=np.float64)
-        for k in range(1, min(n, klen) + 1):
-            np.multiply(kern[k - 1], x[n - k], out=tmp)
-            lam += tmp
-        # The overflow masks only once a lane is dead or over the cap (a
-        # NaN maximum counts as over).
-        if not (all_alive and lam.max() <= cap):
-            over = alive & ~(lam <= cap)
-            overflow_at[over] = n
-            alive &= ~over
-            lam[~alive] = 0.0
-            all_alive = bool(alive.all())
-        x[n] = _poisson_lanes(lam, state)
-    return x, overflow_at
+        np.multiply(weights, win[top : top + klen], out=prod)
+        np.add.reduce(prod, axis=0, out=lam, initial=nu)
+        if dead is not None:
+            lam[dead] = 0.0
+        # The cap is checked only on the lanes still on their steps, and
+        # only once some rate is over it (a NaN maximum counts as over).
+        if not lam.max() <= cap:
+            over = (cell < end) & ~(lam <= cap)
+            if over.any():
+                overflow_at[over] = cell[over] // n_lanes
+                cell[over] = last[over]
+                dead = np.flatnonzero(overflow_at >= 0)
+                lam[dead] = 0.0
+        draw, accept = _attempt(lam, state)
+        flat[cell] = draw
+        cell += accept * n_lanes
+        top -= 1
+        win[top] = draw
+        if klen and not accept.all():
+            rejected = (~accept).nonzero()[0]
+            column = win[top : top + klen + 1]
+            column[:-1, rejected] = column[1:, rejected]
+        # No lane stops before pass n_steps - 1 but by overflow.
+        if n_pass >= n_steps - 1 or dead is not None:
+            np.minimum(cell, last, out=cell)
+            if cell.min() >= end:
+                break
+        n_pass += 1
+    return x[:n_steps], overflow_at
 
 
 # Design systems. Every entry of a lane's (Y, b) is a partial sum of one

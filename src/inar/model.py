@@ -263,6 +263,7 @@ def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     convolution), which is exact term by term: A_n depends only on
     alpha_1..alpha_n, so finite kernels need no tail correction.
     """
+    n_max = _as_size(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     kern = _kernel_vector(kernel)
@@ -288,13 +289,17 @@ def moment_bounds(params: ModelParams, horizon_T: int) -> BoundsReport:
     Requires a valid model. The second-moment-based quantities are omitted
     when the squared l2 norm of the kernel reaches 1/2.
     """
+    horizon_T = _as_size(horizon_T, "horizon_T")
     if horizon_T < 1:
         raise ValueError(f"horizon_T must be >= 1, got {horizon_T}")
+    t = _as_float(horizon_T)
+    if t == math.inf:
+        raise ValueError(f"horizon_T must fit in a float, got an integer of "
+                         f"{horizon_T.bit_length()} bits")
     report = _require_valid(params)
     nu = params.nu
     l1 = report.norm_l1
     l2_sq = report.norm_l2_sq
-    t = float(horizon_T)
 
     mean_bound = nu / (1.0 - l1)
 

@@ -4,8 +4,8 @@ CSV writer and checked CSV reader of every table the package reads or writes.
 Randomness is counter-style: an :class:`RngStream` is an immutable
 (seed, stream_id) pair, and every sampling function reads the stream from
 its key afresh, so calls are pure and replication i of a Monte Carlo run
-draws the same path whether it runs alone (:func:`simulate_path`) or in
-lockstep with other replications (:func:`simulate_lanes`).
+draws the same path whether it runs alone (:func:`simulate_path`) or
+beside other replications (:func:`simulate_lanes`).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
         raise InvalidRate(f"rate must be finite and >= 0, got {lam}")
     if lam >= _MAX_RATE:
         raise InvalidRate(f"rate must be below 2**62 for int64 draws, got {lam:g}")
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _as_size(size, "size")
     if n < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     out = np.empty(n, dtype=np.int64)
@@ -165,7 +165,7 @@ def simulate_lanes(
     lam_cap: float = DEFAULT_LAMBDA_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the paths of the streams (seed, i), i in ``stream_ids``,
-    all advancing one step together.
+    together, each lane on its own step.
 
     Returns a (T, N) float64 count array and an (N,) int64 array of the
     0-based step at which each lane overflowed (-1 where it never did):
@@ -174,7 +174,7 @@ def simulate_lanes(
     equals the counts of
     ``simulate_path(params, T, RngStream(seed, stream_ids[j]), lam_cap)``
     bit for bit; an overflowed column is zero from its overflow step on.
-    A step costs numpy dispatch however few the lanes, so a single path
+    A pass costs numpy dispatch however few the lanes, so a single path
     is faster through :func:`simulate_path`.
     """
     T, cap = _check_inputs(params, T, lam_cap)

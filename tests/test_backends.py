@@ -187,25 +187,31 @@ def counted_draws(lam, key, n):
 
 
 def test_ptrs_passes_match_oracle():
-    # Near lam = 10 about 0.4% of PTRS draws reject every round of a
-    # pass, so 500 lanes x 20 steps send some lanes to the scalar finish.
-    # Each lane has its own rate, so a log test on another lane's
-    # parameters shows, and after every step each lane's state must sit
-    # exactly as many counters past its key as the scalar loop has read.
+    # One draw attempt per lane per pass: near lam = 10 a PTRS round
+    # rejects about one time in four, so over 500 lanes x 20 steps some
+    # lane-steps take more than three rounds, each a pass of its own. Each
+    # lane has its own rate, so a log test on another lane's parameters
+    # shows, and after each of its draws a lane's state must sit exactly
+    # as many counters past its key as the scalar loop has read.
     n_lanes, n_steps = 500, 20
     keys = _k.stream_keys(9, range(n_lanes))
     lam = 10.0 + np.arange(n_lanes) / n_lanes
     state = keys.copy()
-    got, states = [], []
-    for _ in range(n_steps):
-        got.append(_k._poisson_lanes(lam, state))
-        states.append(state.copy())
+    got = np.zeros((n_steps, n_lanes))
+    states = np.zeros((n_steps, n_lanes), dtype=np.uint64)
+    step = np.zeros(n_lanes, dtype=np.intp)
+    while step.min() < n_steps:
+        draw, accept = _k._attempt(lam, state)
+        lanes = np.flatnonzero(accept & (step < n_steps))
+        got[step[lanes], lanes] = draw[lanes]
+        states[step[lanes], lanes] = state[lanes]
+        step[lanes] += 1
     want, used = zip(*(counted_draws(lam[j], keys[j : j + 1], n_steps) for j in range(n_lanes)))
-    assert np.array_equal(np.array(got), np.array(want).T)
+    assert np.array_equal(got, np.array(want).T)
     used = np.array(used, dtype=np.uint64).T
-    assert np.array_equal(np.array(states), keys + used * _k._GOLDEN)
+    assert np.array_equal(states, keys + used * _k._GOLDEN)
     rounds = np.diff(used, axis=0, prepend=np.uint64(0)) // 2
-    assert np.count_nonzero(rounds > _k._PTRS_ROUNDS) >= 5
+    assert np.count_nonzero(rounds > 3) >= 5
 
     # The same through the public calls, one rate for every lane.
     counts, _ = simulate_lanes(ModelParams(nu=10.0), n_steps, 9, range(n_lanes))
@@ -213,58 +219,84 @@ def test_ptrs_passes_match_oracle():
         assert np.array_equal(counts[:, j], inar.poisson_sample(10.0, RngStream(9, j), size=n_steps))
 
 
-@settings(max_examples=60, deadline=None)
-@given(key=st.integers(0, 2 ** 64 - 1))
-@example(key=0)
-@example(key=2 ** 64 - 1)
-def test_int_stream_matches_stream_uniforms(key):
-    # The plain-int source that finishes PTRS stragglers reads the stream's
-    # uniforms, over more than one of _stream_uniforms' blocks, and its
-    # state ends as many counters past its start as it has read.
-    n = _k._BLOCK + 40
-    gen = _k._stream_uniforms(np.array([key], dtype=np.uint64))
-    uniform = _k._IntStream(key)
-    assert [uniform() for _ in range(n)] == [next(gen) for _ in range(n)]
-    assert uniform.state == (key + n * int(_k._GOLDEN)) % 2 ** 64
-
-
-def test_ptrs_stragglers_finish_on_scalar_loop(monkeypatch):
+def test_ptrs_retries_match_scalar_loop(monkeypatch):
     # Near lam = 10 a round rejects about one time in four, so on 1000
-    # lanes over 50 steps many lanes reject every round of their pass and
-    # are finished by the scalar loop on a plain-int stream, some after two
-    # or more further rounds. Every lane must still be the scalar path.
-    finishes = []
+    # lanes over 50 steps many lanes retry their step on later passes,
+    # some for three passes or more. Every lane must still be the scalar
+    # path. The passes' acceptances give each lane-step's rounds: the
+    # rates stay above 10, so every pass tries one PTRS round on every
+    # lane, and a lane's first 50 acceptances are its steps.
+    passes = []
+    ptrs_attempt = _k._ptrs_attempt
 
-    class CountingStream(_k._IntStream):
-        def __init__(self, state):
-            super().__init__(state)
-            self.reads = 0
-            finishes.append(self)
+    def attempt(lam, state):
+        draw, accept = ptrs_attempt(lam, state)
+        passes.append(accept)
+        return draw, accept
 
-        def __call__(self):
-            self.reads += 1
-            return super().__call__()
-
-    monkeypatch.setattr(_k, "_IntStream", CountingStream)
+    monkeypatch.setattr(_k, "_ptrs_attempt", attempt)
     overflow_at = assert_lanes_match(ModelParams(nu=10.5, kernel=(0.05,)), 50, 11,
                                      range(1000), 1e9)
     assert np.all(overflow_at == -1)
-    assert len(finishes) >= 100
-    assert sum(f.reads >= 4 for f in finishes) >= 5
+    accepted = np.array(passes)
+    assert accepted.shape[1] == 1000 and np.all(accepted.sum(axis=0) >= 50)
+    rounds = [np.diff(np.flatnonzero(lane)[:50], prepend=-1) for lane in accepted.T]
+    assert max(r.max() for r in rounds) >= 4
+    assert sum(np.count_nonzero(r >= 4) for r in rounds) >= 5
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda rows: st.lists(
-    st.lists(st.booleans(), min_size=rows, max_size=rows), max_size=30)))
-def test_first_rounds_is_clamped_argmax(columns):
-    # The first true row of each column is argmax's; a column with none
-    # reads R - 1, and the mask's last row then says whether it has one.
-    rows = len(columns[0]) if columns else 3
-    mask = np.array(columns, dtype=bool).reshape(len(columns), rows).T
-    want = np.where(mask.any(axis=0), mask.argmax(axis=0), rows - 1)
-    seen = mask.copy()
-    assert _k._first_rounds(seen).tolist() == want.tolist()
-    assert seen[-1].tolist() == mask.any(axis=0).tolist()
+@pytest.mark.parametrize("T, cap", [(50, 400.0), (100, 500.0)])
+def test_finished_lanes_never_flagged(T, cap):
+    # Stationary mean 20 / 0.03 = 667 against a cap of 400 or 500: most
+    # lanes overflow, and the lanes that hold all T counts first go on
+    # drawing past their last step, at rates that cross the cap. Only the
+    # lanes still on their steps are checked against it.
+    overflow_at = assert_lanes_match(ModelParams(nu=20.0, kernel=(0.97,)), T, 11,
+                                     range(1000), cap)
+    assert 0 < np.count_nonzero(overflow_at >= 0) < 1000
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nu=st.floats(0.0, 1e18),
+    kernel=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25),
+    lanes=st.integers(2, 1200),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rate_sum_in_scalar_order(nu, kernel, lanes, seed):
+    # The lane engine's rate is one multiply of the kernel with a block of
+    # its history window and one add.reduce down the lags from nu: the
+    # scalar loop's sum nu + kern[0] x_1 + kern[1] x_2 + ..., in that
+    # order, bit for bit. Counts spanning 18 orders of magnitude make any
+    # other order round differently. numpy sums a single column pairwise,
+    # after the sum and then nu, so one lane runs the scalar loop instead.
+    rng = np.random.default_rng(seed)
+    klen = len(kernel)
+    kern = np.array(kernel)
+    window = np.zeros((klen + 8, lanes))
+    window[3 : 3 + klen] = np.floor(10.0 ** rng.uniform(0.0, 18.0, (klen, lanes)))
+    prod = np.empty((klen, lanes))
+    lam = np.empty(lanes)
+    np.multiply(kern[:, None], window[3 : 3 + klen], out=prod)
+    np.add.reduce(prod, axis=0, out=lam, initial=nu)
+    want = []
+    for i in range(lanes):
+        rate = nu
+        for k in range(klen):
+            rate += kernel[k] * window[3 + k, i]
+        want.append(rate)
+    assert lam.tolist() == want
+
+
+def test_one_lane_is_the_scalar_loop():
+    # Case 1's 19 lags at counts near 1e17, where the order of the rate sum
+    # shows: a set of one lane is the scalar loop's path.
+    params = ModelParams(nu=1e17, kernel=tuple(0.25 ** k for k in range(1, 20)))
+    for sid in range(5):
+        counts, overflow_at = simulate_lanes(params, 30, 11, [sid], 1e300)
+        x, step = scalar_path(params, 30, 11, sid, 1e300)
+        assert overflow_at.tolist() == [step] == [-1]
+        assert counts[:, 0].tolist() == x.tolist()
 
 
 # The uniforms _uniforms makes: (z + 1/2) * 2**-52 for 52-bit z.

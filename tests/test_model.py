@@ -55,6 +55,13 @@ class TestRenewalSequence:
             oracle = brute_renewal(kern, 40)
             assert np.max(np.abs(seq.values - oracle)) <= 1e-10
 
+    def test_n_max_is_a_size(self):
+        with pytest.raises(ValueError, match=r"^n_max must be an integer, got 2\.5$"):
+            inar.renewal_sequence((0.5,), 2.5)
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
+            inar.renewal_sequence((0.5,), 0)
+        assert inar.renewal_sequence((0.5,), np.int64(3)).values.tolist() == [0.5, 0.25, 0.125]
+
     def test_single_lag_closed_form(self):
         # kernel (a,): A_n = a^n
         seq = inar.renewal_sequence((0.5,), 30)
@@ -189,6 +196,17 @@ class TestMomentBounds:
     def test_bad_horizon(self, T):
         with pytest.raises(ValueError, match=f"horizon_T must be >= 1, got {T}"):
             inar.moment_bounds(ModelParams(nu=1.0), horizon_T=T)
+
+    def test_horizon_is_a_size(self):
+        # A horizon is an int: a float is refused rather than truncated or
+        # used as given, and one past the float range ends in a ValueError.
+        with pytest.raises(ValueError, match=r"^horizon_T must be an integer, got 2\.5$"):
+            inar.moment_bounds(ModelParams(nu=1.0), horizon_T=2.5)
+        with pytest.raises(ValueError, match=r"^horizon_T must fit in a float, "
+                                             r"got an integer of 1329 bits$"):
+            inar.moment_bounds(ModelParams(nu=1.0), horizon_T=10**400)
+        rep = inar.moment_bounds(ModelParams(nu=1.0), horizon_T=np.int64(10))
+        assert rep.horizon_T == 10 and type(rep.horizon_T) is int
 
     def test_second_moment_none_past_l2_advisory(self, case2_params):
         # ||alpha||_2^2 = 0.64 >= 1/2: the second-moment machinery does not apply

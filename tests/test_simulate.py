@@ -69,6 +69,13 @@ class TestPoissonSample:
         with pytest.raises(ValueError, match="size must be >= 0, got -1"):
             inar.poisson_sample(1.0, RngStream(1), size=-1)
 
+    def test_size_is_an_integer(self):
+        # A float size is refused, not truncated.
+        with pytest.raises(ValueError, match=r"^size must be an integer, got 2\.5$"):
+            inar.poisson_sample(3.0, RngStream(1), size=2.5)
+        got = inar.poisson_sample(3.0, RngStream(1), size=np.int64(4))
+        assert got.tolist() == inar.poisson_sample(3.0, RngStream(1), size=4).tolist()
+
     def test_largest_rate_draws_fit(self):
         lam = np.nextafter(2.0 ** 62, 0.0)
         x = inar.poisson_sample(lam, RngStream(1, 0), size=8)

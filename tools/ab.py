@@ -14,11 +14,12 @@ Each of the ten pairs runs both sides on one seed, and the side that runs
 first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json``, and on the lane
 studies ``LOW_RATE`` (nu = 10.5, kernel ``lags:[0.05]``, T = 200, 1000
-replications) and ``MIXED_RATE`` (nu = 6, kernel ``lags:[0.5]``, T = 200,
-1000 replications; both configs are written into the temporary directory
-by :func:`write_config`), is compared between the sides (identical,
-or the largest absolute and relative difference of its numbers, overall
-and per field), and so are, under ``cli``, the files of
+replications), ``MIXED_RATE`` (nu = 6, kernel ``lags:[0.5]``, T = 200,
+1000 replications) and ``CAPPED`` (case 2 at T = 200, p = 10, 1000
+replications under ``lambda_cap`` 577; the three configs are written
+into the temporary directory by :func:`write_config`), is compared
+between the sides (identical, or the largest absolute and relative
+difference of its numbers, overall and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV (the scalar loop),
 ``inar estimate --ci`` on it at p = 0, 1, 10 and 20, a constant-rate path
 CSV of ``IID_T`` draws at ``IID_NU`` (the block sampler's rejection
@@ -74,14 +75,20 @@ IID_T = 20_000
 NEAR_BOUND = ((4e18, "none", "near_bound_iid"), (2e18, "lags:[0.5]", "near_bound_lags"))
 NEAR_BOUND_T = 1000
 # A lane study at rates just above the PTRS threshold of 10, where a round
-# rejects about one time in four: lanes that reject every round of their
-# step's pass, and finish on the scalar loop, come up on most steps.
+# rejects about one time in four: on most passes many lanes retry their
+# step, some for three passes or more.
 LOW_RATE = {"nu": 10.5, "kernel": "lags:[0.05]", "T": 200, "p": 1,
             "n_experiments": 1000, "seed": MC_SEED, "case": "low_rate"}
 # A lane study whose rates straddle that threshold (mean 12): on nearly
 # every step some lanes draw by inversion and the rest by PTRS.
 MIXED_RATE = {"nu": 6, "kernel": "lags:[0.5]", "T": 200, "p": 1,
               "n_experiments": 1000, "seed": MC_SEED, "case": "mixed_rate"}
+# Case 2 of the study (stationary mean 500) under a cap it crosses: 495 of
+# the 1000 replications overflow, at steps 32-178 (q10-q90), each lane at
+# its own step, and the study fits the other 505.
+CAPPED = {"nu": 100, "kernel": "lags:[0.8]", "T": 200, "p": 10, "n_experiments": 1000,
+          "seed": MC_SEED, "case": "capped", "lambda_cap": 577}
+STUDIES = (LOW_RATE, MIXED_RATE, CAPPED)
 
 
 def quartiles(values):
@@ -289,7 +296,7 @@ def _inar(side_root, *args):
 
 
 def write_config(directory, study):
-    """Write the config ``study`` (``LOW_RATE`` or ``MIXED_RATE``) into
+    """Write the config ``study`` (one of ``STUDIES``) into
     ``directory`` as ``<case>_T<T>.json`` and return its path."""
     path = Path(directory) / f"{study['case']}_T{study['T']}.json"
     path.write_text(json.dumps(study) + "\n")
@@ -415,8 +422,9 @@ def main(argv=None):
                 "p50 and p99 latency line a fit_sweep run printed, summarised as "
                 "fit_latency_p50_ms and fit_latency_p99_ms. `outputs` compares every file of "
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json, on the "
-                f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}) and on the "
-                f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}) and, under "
+                f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}), on the "
+                f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}) and on the "
+                f"capped study capped_T200 ({json.dumps(CAPPED)}) and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
                 f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
                 f"constant-rate `inar simulate --kernel none` path CSV at nu = {IID_NU} "
@@ -444,7 +452,7 @@ def main(argv=None):
         for side, side_root in (("parent", parent_root), ("change", ROOT)):
             record["tier1"][side] = tier1(side_root)
             print(f"ab: tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
-        studies = [write_config(scratch, study) for study in (LOW_RATE, MIXED_RATE)]
+        studies = [write_config(scratch, study) for study in STUDIES]
         change_mc = dict(_mc_outputs(ROOT, scratch / "change_mc", studies))
         parent_mc = dict(_mc_outputs(parent_root, scratch / "parent_mc", studies))
         record["outputs"] = {
