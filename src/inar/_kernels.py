@@ -12,14 +12,20 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
 - the lane engine (``sim_lanes``) runs many streams, each lane on its own
   step; lane i reproduces the scalar loop on key i bit for bit. A numpy
   pass makes one draw attempt on every lane: one inversion draw, or one
-  PTRS round that a rejecting lane tries again on the next pass.
+  PTRS round that a rejecting lane tries again on the next pass. At nu >=
+  10 no rate is below 10 (the rate adds non-negative products to nu), so
+  until a lane overflows every pass is one PTRS round on every lane,
+  reading its next two counters: a block of passes draws those uniforms
+  at once, with the half of each round that does not depend on the rate
+  (``_round_parts``), and each pass makes the rest (``_ptrs_round``).
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
   shared by every cell: inversion counts the sums of the sequential search
   that each uniform passes, and ends the sum once the block's largest
-  uniform is not past it; the PTRS round kernel takes one row of rounds,
-  at per-lane constants or floats. A PTRS block holds its rounds as a
+  uniform is not past it; the PTRS round kernel (``_round_parts`` and
+  ``_ptrs_round``) takes one row of rounds, at per-lane constants or
+  floats. A PTRS block holds its rounds as a
   pass of the lane engine holds its lanes' rounds: a contiguous row of u
   states over a contiguous row of v states.
   ``sim_one`` sends a path whose kernel is zero here and any other path to
@@ -276,20 +282,36 @@ def _log_sides(k, lam, us, v, a, b, inv_alpha):
     # their terms. There lv < 0 (v < 1), and li, lq (inv_alpha > 1 and b >
     # 8 at lam >= 10), t and lg are >= 0, so li - lv + lq + t + lam + lg is
     # |lv| + |li| + |lq| + |t| + lam + lg, summed in that order, bit for bit.
+    # Each sum is made in place, in the order written.
     lv = np.log(v)
     li = np.log(inv_alpha)
-    lq = np.log(a / (us * us) + b)
-    t = k * np.log(lam)
+    lq = us * us
+    np.divide(a, lq, out=lq)
+    lq += b
+    np.log(lq, out=lq)
+    t = np.log(lam)
+    t *= k
     lg = _log_factorials(k)
-    return lv + li - lq, t - lam - lg, li - lv + lq + t + lam + lg
+    lhs = lv + li
+    lhs -= lq
+    rhs = t - lam
+    rhs -= lg
+    size = li - lv
+    size += lq
+    size += t
+    size += lam
+    size += lg
+    return lhs, rhs, size
 
 
 def _log_test(k, lam, us, v, a, b, inv_alpha):
     # PTRS acceptance test past the squeeze, at per-cell or shared constants.
     lhs, rhs, size = _log_sides(k, lam, us, v, a, b, inv_alpha)
     accept = lhs <= rhs
-    tie = np.abs(lhs - rhs) <= _TIE * size
-    tie = np.flatnonzero(tie).tolist()
+    tie = np.subtract(lhs, rhs, out=lhs)
+    np.abs(tie, out=tie)
+    size *= _TIE
+    tie = (tie <= size).nonzero()[0].tolist()
     if tie:  # float constants as per-cell arrays, indexed like the lanes'
         lam, a, b, inv_alpha = np.broadcast_arrays(lam, a, b, inv_alpha, k)[:4]
     for i in tie:
@@ -300,29 +322,69 @@ def _log_test(k, lam, us, v, a, b, inv_alpha):
     return accept
 
 
+def _inv_alpha(b):
+    return 1.1239 + 1.1328 / (b - 3.4)
+
+
+def _rate_constants(lam, out):
+    # PTRS constants a, b and v_r of each rate of lam, in place in the rows
+    # of ``out`` (3, n): the scalar loop's operations in its order (each of
+    # + and * is commutative bit for bit).
+    a, b, v_r = out
+    np.sqrt(lam, out=b)
+    b *= 2.53
+    b += 0.931
+    np.multiply(b, 0.02483, out=a)
+    a += -0.059
+    np.subtract(b, 2.0, out=v_r)
+    np.divide(3.6224, v_r, out=v_r)
+    np.subtract(0.9277, v_r, out=v_r)
+    return a, b, v_r
+
+
 def _ptrs_constants(lam):
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    return a, b, inv_alpha, v_r
+    a, b, v_r = _rate_constants(lam, np.empty((3, *np.shape(lam))))
+    return a, b, _inv_alpha(b), v_r
 
 
-def _ptrs_rounds(wu, wv, lam, a, b, inv_alpha, v_r):
-    # One PTRS round on each cell of a row: u from wu and v from wv, at
+def _round_parts(w):
+    # The rate-free half of the PTRS rounds whose uniforms are the rows
+    # w[0] (u) and w[1] (v), in place of w[0]: u - 1/2, us = 1/2 - |u -
+    # 1/2|, the squeeze's us >= 0.07 and the log test's gate (us >= 0.013)
+    # | (v <= us).
+    u, v = w[0], w[1]
+    u -= 0.5
+    us = np.abs(u)
+    np.subtract(0.5, us, out=us)
+    gate = us >= 0.013
+    gate |= v <= us
+    return u, us, v, us >= 0.07, gate
+
+
+def _ptrs_round(u, us, v, fast, gate, lam, a, b, v_r):
+    # One PTRS round on each cell of a row, from its _round_parts and at
     # (n,) constants, one per cell, or floats shared by every cell. Returns
     # the candidate k and the acceptance of every cell; the log test runs
-    # only on the cells that the squeeze neither accepts nor rejects.
-    u = wu - 0.5
-    us = 0.5 - np.abs(u)
-    k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-    accept = (us >= 0.07) & (wv <= v_r)
-    slow = ~accept & (k >= 0.0) & ((us >= 0.013) | (wv <= us))
+    # only on the cells that the squeeze neither accepts nor rejects, and
+    # inv_alpha is made for those cells alone.
+    k = 2.0 * a / us
+    k += b
+    k *= u
+    k += lam
+    k += 0.43
+    np.floor(k, out=k)
+    accept = v <= v_r
+    accept &= fast
+    # The cells past the squeeze: k >= 0, gated, and not accepted (for
+    # booleans, slow > accept is slow and not accept).
+    slow = k >= 0.0
+    slow &= gate
+    np.greater(slow, accept, out=slow)
     slow = slow.nonzero()[0]
     if slow.size:
         if isinstance(lam, np.ndarray):
-            lam, a, b, inv_alpha = lam[slow], a[slow], b[slow], inv_alpha[slow]
-        accept[slow] = _log_test(k[slow], lam, us[slow], wv[slow], a, b, inv_alpha)
+            lam, a, b = lam[slow], a[slow], b[slow]
+        accept[slow] = _log_test(k[slow], lam, us[slow], v[slow], a, b, _inv_alpha(b))
     return k, accept
 
 
@@ -337,8 +399,8 @@ def _ptrs_attempt(lam, state):
     # and whether the round accepted it. A round reads two counters, so
     # state steps by two, accepted or not.
     grid = state + _ROUND_OFFSETS
-    w = _uniforms(grid)
-    k, accept = _ptrs_rounds(w[0], w[1], lam, *_ptrs_constants(lam))
+    constants = _rate_constants(lam, np.empty((3, lam.shape[0])))
+    k, accept = _ptrs_round(*_round_parts(_uniforms(grid)), lam, *constants)
     state[:] = grid[1]
     return k, accept
 
@@ -348,8 +410,8 @@ def _attempt(lam, state):
     # which steps past the counters it reads: the draw and whether it was
     # made. A lane at lam <= 0 draws 0 and reads nothing, and one below 10
     # draws by inversion from one uniform; one at 10 or more tries one PTRS
-    # round (_ptrs_attempt). When every lane runs PTRS (every pass of the
-    # paper's study), state goes to it whole, with no gather or scatter.
+    # round (_ptrs_attempt). When every lane runs PTRS, state goes to it
+    # whole, with no gather or scatter.
     if lam.min() >= 10.0:
         return _ptrs_attempt(lam, state)
     draw = np.zeros(lam.shape[0])
@@ -408,7 +470,7 @@ def poisson_stream(lam, out, key):
     # states as a pass of the lane engine does (_ROUND_OFFSETS): a (2, R)
     # grid, a u row of counters 2r+1 over a v row of counters 2r+2, each
     # row contiguous; the next base is the v row's last state, counter 2R.
-    constants = (lam, *(float(c[0]) for c in _ptrs_constants(np.array([lam]))))
+    a, b, _, v_r = (float(c[0]) for c in _ptrs_constants(np.array([lam])))
     rounds = min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8)
     offsets = np.arange(0, 2 * rounds, 2, dtype=np.uint64) + np.arange(2, dtype=np.uint64)[:, None]
     offsets *= _GOLDEN
@@ -417,10 +479,9 @@ def poisson_stream(lam, out, key):
         need = n_draws - done
         rounds = min(_STREAM_BLOCK, need + need // 3 + 8)
         state = np.add(base, offsets[:, :rounds], out=buf[: 2 * rounds].reshape(2, rounds))
-        w = _uniforms(state)
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
-        k, accept = _ptrs_rounds(w[0], w[1], *constants)
+        k, accept = _ptrs_round(*_round_parts(_uniforms(state)), lam, a, b, v_r)
         got = k[accept][:need]
         out[done : done + got.size] = got
         base[:] = state[1, -1]
@@ -442,6 +503,11 @@ def sim_one(nu, kern, n_steps, cap, key):
 
 # Passes of the lane engine between two moves of its history window.
 _WINDOW_PASSES = 64
+# Uniforms per block of the lane engine's block route: one _uniforms call
+# makes the two uniforms of every lane for up to _PASS_BLOCK_VALUES // (2
+# N) passes (4 at 1000 lanes). Of 2**11..2**15, 2**13 and 2**14 ran 1000
+# lanes of either study case fastest at T = 200; 2**15 ran slower.
+_PASS_BLOCK_VALUES = 1 << 13
 
 
 def sim_lanes(nu, kern, n_steps, cap, keys):
@@ -453,10 +519,21 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     step on.
 
     Each lane keeps its own step. A pass makes one draw attempt on every
-    lane at its rate (``_attempt``); a lane whose PTRS round rejects tries
-    again at the same rate on the next pass. So each lane reads the
-    counters the scalar loop reads, with its arithmetic. The loop ends when
-    every lane holds n_steps counts or has overflowed.
+    lane at its rate; a lane whose PTRS round rejects tries again at the
+    same rate on the next pass. So each lane reads the counters the scalar
+    loop reads, with its arithmetic. The loop ends when every lane holds
+    n_steps counts or has overflowed.
+
+    Block route: at nu >= 10, every rate is at least nu, since the kernel
+    and the counts are >= 0 and the rate sum adds only non-negative
+    products to nu (rounding cannot take a sum of them below nu). So until
+    a lane overflows, pass j of a block tries one PTRS round on every lane,
+    at the block's counters 2j + 1 (u) and 2j + 2 (v) past its state. A
+    block draws the uniforms of its passes in one call and makes their
+    rate-free half (``_round_parts``) at once; each pass makes the rest of
+    its round (``_ptrs_round``) at its rates. At the first overflow the
+    state steps to the block's grid row of the last pass made, and every
+    pass from then on draws by ``_attempt``, as every pass does at nu < 10.
     """
     n_lanes = keys.shape[0]
     if n_lanes == 1:
@@ -484,11 +561,23 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     # stay those of its step. Zeros before the path starts add +0.0 to the
     # rate, which leaves it as it is.
     klen = kern.shape[0]
-    weights = kern[:, None]
+    # The kernel repeated across the lanes: a multiply by its broadcast
+    # (klen, 1) column took 1.7 times as long at 19 lags and 1000 lanes.
+    weights = np.repeat(kern[:, None], n_lanes, axis=1)
     win = np.zeros((klen + _WINDOW_PASSES, n_lanes))
     top = _WINDOW_PASSES
     prod = np.empty((klen, n_lanes))
     lam = np.empty(n_lanes)
+    # Block route: pass j of a block of ``rows`` passes reads the (2, rows,
+    # n) grid's states grid[0, j] (u) and grid[1, j] (v), offsets[:, j] past
+    # the block's state; after _uniforms, grid[1, j] is the state after
+    # pass j. ``row`` passes of the block are made.
+    blocked = nu >= 10.0
+    if blocked:
+        most = max(1, _PASS_BLOCK_VALUES // (2 * n_lanes))
+        offsets = np.arange(2 * most, dtype=np.uint64).reshape(most, 2).T[:, :, None] * _GOLDEN
+        constants = np.empty((3, n_lanes))
+    row = rows = 0
     n_pass = 0
     while True:
         if not top:
@@ -509,7 +598,23 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
                 cell[over] = last[over]
                 dead = np.flatnonzero(overflow_at >= 0)
                 lam[dead] = 0.0
-        draw, accept = _attempt(lam, state)
+        if blocked and dead is None:
+            if row == rows:
+                if row:
+                    state[:] = grid[1, row - 1]
+                # No block is longer than the passes the slowest lane still
+                # needs at least.
+                rows = min(most, n_steps - int(cell.min()) // n_lanes)
+                grid = state + offsets[:, :rows]
+                rounds = list(zip(*_round_parts(_uniforms(grid))))
+                row = 0
+            draw, accept = _ptrs_round(*rounds[row], lam, *_rate_constants(lam, constants))
+            row += 1
+        else:
+            if row:
+                state[:] = grid[1, row - 1]
+                row = rows = 0
+            draw, accept = _attempt(lam, state)
         flat[cell] = draw
         cell += accept * n_lanes
         top -= 1

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .config import parse_config, parse_kernel_spec, require_seed, require_stream_id
-from .errors import InarError
+from .errors import InarError, ValidationError
 from .estimate import build_design, rcond, residual_norm, solve_cls
 from .inference import _checked_level, confidence_intervals, normality_report, sandwich_covariance
 from .model import ModelParams
-from .montecarlo import component_label, normality_suite, run_experiment
+from .montecarlo import _MIN_NORMALITY_N, component_label, normality_suite, run_experiment
 from .simulate import (
     DEFAULT_LAMBDA_CAP,
     RngStream,
@@ -110,6 +110,13 @@ def _cmd_mc(args) -> int:
         config = parse_config(fh.read())
     if args.seed is not None:
         config = replace(config, base_seed=require_seed(args.seed))
+    # The study ends in the normality suite: a size it cannot take fails
+    # here, before anything is simulated.
+    if config.n_experiments < _MIN_NORMALITY_N:
+        raise ValidationError(
+            f"n_experiments: inar mc needs >= {_MIN_NORMALITY_N} for its normality suite, "
+            f"got {config.n_experiments}"
+        )
     summary = run_experiment(config)
     diagnostics = normality_suite(summary)
 

@@ -70,12 +70,13 @@ class SandwichCovariance:
 
 @dataclass(frozen=True)
 class NormalityReport:
-    """Jarque-Bera and Shapiro-Wilk results for one sample."""
+    """Jarque-Bera and Shapiro-Wilk results for one sample. Past n = 5000,
+    where Shapiro-Wilk's approximation does not hold, its fields are None."""
 
     jb_stat: float
     jb_p: float
-    sw_stat: float
-    sw_p: float
+    sw_stat: float | None
+    sw_p: float | None
     sample_size: int
 
 
@@ -159,10 +160,13 @@ def confidence_intervals(
 
 
 def normality_report(sample) -> NormalityReport:
-    """Jarque-Bera and Shapiro-Wilk on one sample."""
+    """Jarque-Bera and Shapiro-Wilk on one sample; past n = 5000 only
+    Jarque-Bera, and the Shapiro-Wilk fields are None."""
     x = np.asarray(sample, dtype=np.float64).ravel()
     jb_stat, jb_p = jarque_bera(x)
-    sw_stat, sw_p = shapiro_wilk(x)
+    sw_stat = sw_p = None
+    if x.shape[0] <= _SW_MAX_N:
+        sw_stat, sw_p = shapiro_wilk(x)
     return NormalityReport(
         jb_stat=jb_stat, jb_p=jb_p, sw_stat=sw_stat, sw_p=sw_p, sample_size=x.shape[0]
     )
@@ -210,6 +214,9 @@ def jarque_bera(sample) -> tuple[float, float]:
     return stat, math.exp(-0.5 * stat)
 
 
+# Largest sample of Royston's Shapiro-Wilk approximation.
+_SW_MAX_N = 5000
+
 # Royston (1995) AS R94 polynomial corrections for the Shapiro-Wilk
 # weights and the normalizing transformation of W.
 _SW_C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
@@ -233,8 +240,8 @@ def shapiro_wilk(sample) -> tuple[float, float]:
     valid for 3 <= n <= 5000. Ties are handled by a stable sort."""
     x = _finite_sample(sample)
     n = x.shape[0]
-    if n < 3 or n > 5000:
-        raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
+    if n < 3 or n > _SW_MAX_N:
+        raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= {_SW_MAX_N}, got {n}")
     x = np.sort(_unit_scale(x)[0], kind="stable")
     if x[-1] == x[0]:
         raise ZeroVariance("all sample values are equal")

@@ -200,15 +200,19 @@ def run_experiment(config: McConfig) -> McSummary:
                      failures=int(n - ok.sum()), rep_ids=np.nonzero(ok)[0] + 1)
 
 
+# Fewest samples the normality suite takes: Jarque-Bera's least n.
+_MIN_NORMALITY_N = 8
+
+
 def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagnostics, ...]:
     """Jarque-Bera/Shapiro-Wilk plus Q-Q pairs and a 30-bin histogram for
     each requested component (default: the first three), computed on the
     raw uncapped samples."""
     samples = summary.per_component_samples
     n, m = samples.shape
-    if n < 8:
+    if n < _MIN_NORMALITY_N:
         raise SampleSizeOutOfRange(
-            f"normality suite needs >= 8 successful replications, got {n}"
+            f"normality suite needs >= {_MIN_NORMALITY_N} successful replications, got {n}"
         )
     if components is None:
         components = [j for j in (0, 1, 2) if j < m]

@@ -199,6 +199,17 @@ def test_machine_names_the_blas_build():
     json.dumps(facts)
 
 
+def test_child_env_writes_bytecode(monkeypatch, tmp_path):
+    # Every child runs with bytecode writes on, and a side's children
+    # import that side's package.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    assert "PYTHONDONTWRITEBYTECODE" not in ab.child_env()
+    assert ab.child_env()["PYTHONPATH"] == "elsewhere"
+    env = ab.child_env(tmp_path)
+    assert "PYTHONDONTWRITEBYTECODE" not in env and env["PYTHONPATH"] == str(tmp_path / "src")
+
+
 def test_cli_outputs(tmp_path):
     # The simulate, estimate --ci (p = 0, 1, 10, 20) and normality files of
     # one side, with this checkout's package, and the constant-rate paths

@@ -224,17 +224,17 @@ def test_ptrs_retries_match_scalar_loop(monkeypatch):
     # lanes over 50 steps many lanes retry their step on later passes,
     # some for three passes or more. Every lane must still be the scalar
     # path. The passes' acceptances give each lane-step's rounds: the
-    # rates stay above 10, so every pass tries one PTRS round on every
+    # rates stay above 10, so every pass makes one PTRS round on every
     # lane, and a lane's first 50 acceptances are its steps.
     passes = []
-    ptrs_attempt = _k._ptrs_attempt
+    ptrs_round = _k._ptrs_round
 
-    def attempt(lam, state):
-        draw, accept = ptrs_attempt(lam, state)
+    def round_(*args):
+        draw, accept = ptrs_round(*args)
         passes.append(accept)
         return draw, accept
 
-    monkeypatch.setattr(_k, "_ptrs_attempt", attempt)
+    monkeypatch.setattr(_k, "_ptrs_round", round_)
     overflow_at = assert_lanes_match(ModelParams(nu=10.5, kernel=(0.05,)), 50, 11,
                                      range(1000), 1e9)
     assert np.all(overflow_at == -1)
@@ -243,6 +243,46 @@ def test_ptrs_retries_match_scalar_loop(monkeypatch):
     rounds = [np.diff(np.flatnonzero(lane)[:50], prepend=-1) for lane in accepted.T]
     assert max(r.max() for r in rounds) >= 4
     assert sum(np.count_nonzero(r >= 4) for r in rounds) >= 5
+
+
+# Kernels of no lag (a constant rate), one lag, and up to 19 lags.
+block_kernels = st.one_of(
+    st.just([]),
+    st.lists(st.floats(0.0, 0.9), min_size=1, max_size=1),
+    st.lists(st.floats(0.0, 0.06), min_size=2, max_size=19).filter(lambda k: sum(k) < 0.95),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.sampled_from([9.99, 10.0]) | st.floats(10.0, 400.0),
+    kernel=block_kernels,
+    lanes=st.integers(2, 60),
+    T=st.integers(1, 150),
+    cap_at=st.none() | st.floats(0.0, 1.0),
+    passes=st.integers(1, 9),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_block_route_matches_scalar_loop(nu, kernel, lanes, T, cap_at, passes, seed):
+    # At nu >= 10 the lanes draw their rounds' uniforms in blocks of passes;
+    # the budget is patched down to ``passes`` passes per block, so a path
+    # spans many blocks. The cap is the cap_at quantile of the lanes' peak
+    # rates on their uncapped paths, so the lanes above it stop at the
+    # first step their rate crosses it, most of them in the middle of a
+    # block, where the lanes leave the block route; the others go on. 9.99
+    # never takes the block route, and 10.0 does.
+    params = ModelParams(nu=nu, kernel=tuple(kernel))
+    cap = 1e300
+    if cap_at is not None:
+        # The rate at step n is nu + sum_k kernel[k-1] x[n-k], nu at n = 0
+        # (a zero lag appended, so that no kernel is empty).
+        kern = np.append(params.kernel_array(), 0.0)
+        paths = (scalar_path(params, T, seed, sid, cap)[0] for sid in range(lanes))
+        peaks = [nu + np.convolve(x, kern)[: T - 1].max(initial=0.0) for x in paths]
+        cap = float(np.quantile(peaks, cap_at))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "_PASS_BLOCK_VALUES", 2 * lanes * passes)
+        assert_lanes_match(params, T, seed, range(lanes), cap)
 
 
 @pytest.mark.parametrize("T, cap", [(50, 400.0), (100, 500.0)])

@@ -171,6 +171,41 @@ def test_normality_subcommand_matches_summary(tmp_path, run_cli):
             assert doc["normality"][label][key] == summary["normality"][label][key]
 
 
+def test_mc_past_shapiro_wilk_range(tmp_path, run_cli):
+    # 5001 replications are past Shapiro-Wilk's n <= 5000: the study is
+    # written with sw_stat and sw_p null and Jarque-Bera kept, and inar
+    # normality on its samples.csv gives the same.
+    cfg = write_config(tmp_path, T=30, p=1, n_experiments=5001)
+    out = tmp_path / "out"
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", out])
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert summary["n_success"] == 5001
+    proc = run_cli(["normality", "--samples", out / "samples.csv"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    for label in ("mu_hat", "beta_1"):
+        block = summary["normality"][label]
+        assert block["sw_stat"] is None and block["sw_p"] is None
+        assert 0.0 <= block["jb_p"] <= 1.0
+        assert doc["normality"][label] == {**block, "sample_size": 5001}
+
+
+def test_mc_too_few_replications_fails_first(tmp_path, run_cli, monkeypatch):
+    # Fewer than 8 replications are too few for the normality suite that
+    # ends the study: inar mc fails before it simulates, and writes nothing.
+    def never(config):
+        raise AssertionError("the study was run")
+
+    monkeypatch.setattr(inar.cli, "run_experiment", never)
+    out = tmp_path / "out"
+    proc = run_cli(["mc", "--config", write_config(tmp_path, n_experiments=7), "--out-dir", out])
+    assert_one_error_line(proc)
+    assert proc.stderr == ("inar: error: ValidationError: n_experiments: inar mc needs >= 8 "
+                           "for its normality suite, got 7\n")
+    assert not out.exists()
+
+
 def test_normality_component_selection(tmp_path, run_cli):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

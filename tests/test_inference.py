@@ -207,6 +207,17 @@ class TestShapiroWilk:
         w, p = inar.shapiro_wilk(np.array([1.0, 2.0, 4.0]))
         assert 0.0 < w <= 1.0 and 0.0 <= p <= 1.0
 
+    def test_report_past_the_limit_keeps_jarque_bera(self):
+        # Past n = 5000 the report leaves Shapiro-Wilk out (None) and keeps
+        # Jarque-Bera; at n = 5000 it has both.
+        x = np.random.default_rng(29).normal(size=5001)
+        report = inar.inference.normality_report(x)
+        assert report.sw_stat is None and report.sw_p is None
+        assert (report.jb_stat, report.jb_p) == inar.jarque_bera(x)
+        assert report.sample_size == 5001
+        report = inar.inference.normality_report(x[:5000])
+        assert (report.sw_stat, report.sw_p) == inar.shapiro_wilk(x[:5000])
+
     def test_affine_invariance(self):
         x = np.random.default_rng(23).normal(size=100)
         w0, _ = inar.shapiro_wilk(x)

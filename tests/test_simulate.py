@@ -16,6 +16,7 @@ import inar
 from inar import _kernels as _k
 from inar.simulate import (
     _CSV_BLOCK_ROWS,
+    simulate_lanes,
     _csv_column,
     _write_csv,
     read_samples_csv,
@@ -128,6 +129,59 @@ def test_poisson_sample_matches_pmf(lam):
     got = np.bincount(np.clip(x, lo, hi) - lo, minlength=hi - lo + 1)
     stat = float(((got - expected) ** 2 / expected).sum())
     assert scipy.stats.chi2.sf(stat, got.shape[0] - 1) >= 1e-3 / len(GOF_RATES)
+
+
+def population_moments(params, max_lag, n_terms=4000):
+    """The stationary mean mu = nu / (1 - |alpha|_1) and autocovariances
+    gamma(0..max_lag) of the process with ``params``. As a linear process
+    in its martingale-difference innovations (variance mu), X_n = mu +
+    sum_j psi_j eps_{n-j} with psi_0 = 1 and psi_j = A_j of
+    ``renewal_sequence``, so gamma(h) = mu sum_j psi_j psi_{j+h}; the sum
+    runs over the first ``n_terms`` psi."""
+    kern = params.kernel_array()
+    mu = params.nu / (1.0 - kern.sum())
+    psi = np.concatenate(([1.0], inar.renewal_sequence(kern, n_terms).values))
+    gamma = [mu * float(psi[: psi.size - h] @ psi[h:]) for h in range(max_lag + 1)]
+    return mu, np.array(gamma)
+
+
+# Paths against their population law: the mean and gamma(0..5) of 400
+# lanes over T = 1200 steps, the first 200 dropped, against the closed
+# forms above. The lanes are independent, so each statistic's SE is the
+# spread of its per-lane value across lanes over sqrt(400); the window, 4
+# SE, the lanes, T, the burn-in and the seed were fixed before the first
+# run. Bit-equality with the scalar loop cannot catch a wrong constant the
+# two routes share; this can.
+LAW_LANES, LAW_T, LAW_BURN, LAW_LAGS = 400, 1200, 200, 5
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_paths_match_population_law(case, request):
+    params = request.getfixturevalue(f"{case}_params")
+    mu, gamma = population_moments(params, LAW_LAGS)
+    counts, overflow_at = simulate_lanes(params, LAW_T, 11, range(1, LAW_LANES + 1))
+    assert np.all(overflow_at == -1)
+    x = counts[LAW_BURN:] - mu
+    n = x.shape[0]
+    # Per lane: the mean and, with the known mu, gamma_hat(h) = mean over t
+    # of (x_t - mu)(x_{t+h} - mu), whose expectation is gamma(h).
+    stats = [x.mean(axis=0)] + [(x[: n - h] * x[h:]).mean(axis=0) for h in range(LAW_LAGS + 1)]
+    names = ["mean - mu", *(f"gamma({h})" for h in range(LAW_LAGS + 1))]
+    for name, per_lane, target in zip(names, stats, [0.0, *gamma]):
+        se = per_lane.std(ddof=1) / math.sqrt(LAW_LANES)
+        z = (per_lane.mean() - target) / se
+        assert abs(z) <= 4.0, f"{case} {name}: {per_lane.mean():.4g} vs {target:.4g}, z = {z:.2f}"
+
+
+def test_population_moments_closed_forms(case1_params, case2_params):
+    # Case 1: mu = 150, gamma(0) = 162.5, gamma(1) = 43.75; case 2 (one
+    # lag, psi_j = 0.8**j): mu = 500, gamma(h) = 500 * 0.8**h / 0.36.
+    mu, gamma = population_moments(case1_params, 1)
+    assert mu == pytest.approx(150.0, rel=1e-9)
+    assert gamma == pytest.approx([162.5, 43.75], rel=1e-9)
+    mu, gamma = population_moments(case2_params, 5)
+    assert mu == pytest.approx(500.0, rel=1e-12)
+    assert gamma == pytest.approx(500.0 * 0.8 ** np.arange(6) / 0.36, rel=1e-9)
 
 
 class TestPinnedDraws:

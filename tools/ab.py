@@ -32,7 +32,13 @@ normality`` on the case-1 ``samples.csv``.
 side runs its own tier-1 suite once (``python -m pytest -q -p
 no:cacheprovider`` with ``PYTHONPATH`` at that side's ``src``), and
 ``tier1`` holds its passed, failed and error counts, exit code and wall
-seconds. The
+seconds. Every child process (the tier-1 runs, ``inar`` and the
+benchmark) runs without ``PYTHONDONTWRITEBYTECODE`` (:func:`child_env`):
+the parent side is a ``git archive`` extract with no ``__pycache__``, so
+each side's tier-1 run writes its own fresh bytecode before the pairs,
+and no pair runs one side from stale bytecode, compiled again at every
+import, and the other from fresh: the gap would show in ``setup_s``,
+whose bound is 25%. The
 record (``--out``) is rewritten after every run, so an interrupted session
 keeps what it measured; the temporary directory is removed at exit. Its
 ``notes`` are left empty for the author to fill in.
@@ -282,17 +288,27 @@ def bench_record(returncode, stdout, stderr):
     }
 
 
+def child_env(side_root=None):
+    """The environment of a child process: this one's, without
+    ``PYTHONDONTWRITEBYTECODE``, and with ``PYTHONPATH`` at
+    ``side_root``'s ``src`` when a side is given."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if side_root is not None:
+        env["PYTHONPATH"] = str(Path(side_root) / "src")
+    return env
+
+
 def _bench(side_root, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=side_root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=side_root, env=child_env(), capture_output=True, text=True)
     return bench_record(proc.returncode, proc.stdout, proc.stderr)
 
 
 def _inar(side_root, *args):
-    env = dict(os.environ, PYTHONPATH=str(side_root / "src"))
     subprocess.run([sys.executable, "-m", "inar", *map(str, args)],
-                   cwd=side_root, env=env, check=True, capture_output=True)
+                   cwd=side_root, env=child_env(side_root), check=True, capture_output=True)
 
 
 def write_config(directory, study):
@@ -362,10 +378,9 @@ def pytest_counts(output):
 def tier1(side_root):
     """One run of ``side_root``'s tier-1 suite on its own package: its
     :func:`pytest_counts`, exit code and wall seconds."""
-    env = dict(os.environ, PYTHONPATH=str(Path(side_root) / "src"))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                          cwd=side_root, env=env, capture_output=True, text=True)
+                          cwd=side_root, env=child_env(side_root), capture_output=True, text=True)
     wall = time.perf_counter() - start
     return {**pytest_counts(proc.stdout), "exit": proc.returncode, "wall_s": round(wall, 2)}
 
