@@ -13,11 +13,12 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   step; lane i reproduces the scalar loop on key i bit for bit. A numpy
   pass makes one draw attempt on every lane: one inversion draw, or one
   PTRS round that a rejecting lane tries again on the next pass. At nu >=
-  10 no rate is below 10 (the rate adds non-negative products to nu), so
-  until a lane overflows every pass is one PTRS round on every lane,
-  reading its next two counters: a block of passes draws those uniforms
-  at once, with the half of each round that does not depend on the rate
-  (``_round_parts``), and each pass makes the rest (``_ptrs_round``).
+  10 no rate is below 10 (the rate adds non-negative products to nu, and
+  a lane that overflows draws on at nu), so every pass is one PTRS round
+  on every lane, reading its next two counters: a block of passes draws
+  those uniforms at once, with the half of each round that does not
+  depend on the rate (``_round_parts``), and each pass makes the rest
+  (``_ptrs_round``).
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
@@ -408,10 +409,11 @@ def _ptrs_attempt(lam, state):
 def _attempt(lam, state):
     # One draw attempt on each lane at its rate lam[i], from state[i],
     # which steps past the counters it reads: the draw and whether it was
-    # made. A lane at lam <= 0 draws 0 and reads nothing, and one below 10
-    # draws by inversion from one uniform; one at 10 or more tries one PTRS
-    # round (_ptrs_attempt). When every lane runs PTRS, state goes to it
-    # whole, with no gather or scatter.
+    # made. A lane at lam <= 0 (only at nu = 0: no rate is below nu) draws
+    # 0 and reads nothing, and one below 10 draws by inversion from one
+    # uniform; one at 10 or more tries one PTRS round (_ptrs_attempt). When
+    # every lane runs PTRS, state goes to it whole, with no gather or
+    # scatter.
     if lam.min() >= 10.0:
         return _ptrs_attempt(lam, state)
     draw = np.zeros(lam.shape[0])
@@ -526,14 +528,18 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
 
     Block route: at nu >= 10, every rate is at least nu, since the kernel
     and the counts are >= 0 and the rate sum adds only non-negative
-    products to nu (rounding cannot take a sum of them below nu). So until
-    a lane overflows, pass j of a block tries one PTRS round on every lane,
-    at the block's counters 2j + 1 (u) and 2j + 2 (v) past its state. A
-    block draws the uniforms of its passes in one call and makes their
-    rate-free half (``_round_parts``) at once; each pass makes the rest of
-    its round (``_ptrs_round``) at its rates. At the first overflow the
-    state steps to the block's grid row of the last pass made, and every
-    pass from then on draws by ``_attempt``, as every pass does at nu < 10.
+    products to nu (rounding cannot take a sum of them below nu). So pass
+    j of a block tries one PTRS round on every lane, at the block's
+    counters 2j + 1 (u) and 2j + 2 (v) past its state. A block draws the
+    uniforms of its passes in one call and makes their rate-free half
+    (``_round_parts``) at once; each pass makes the rest of its round
+    (``_ptrs_round``) at its rates. At nu < 10 every pass draws by
+    ``_attempt``.
+
+    A lane that overflows stops as a finished lane does, drawing on into a
+    sink row; its kernel column is zeroed, so it draws at nu <= cap and is
+    never flagged again. So no rate falls below nu, and nu alone fixes the
+    route for the whole run.
     """
     n_lanes = keys.shape[0]
     if n_lanes == 1:
@@ -543,10 +549,11 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
         return x[:, None], np.array([step], dtype=np.int64)
     # Row n_steps takes the draws of the lanes that have stopped: a lane
     # that has finished goes on drawing there, at the rates of its own
-    # further counts, and one that has overflowed draws 0.
+    # further counts, and one that has overflowed at nu <= cap. At nu > cap
+    # every lane overflows at step 0, as in sim_one.
     x = np.zeros((n_steps + 1, n_lanes), dtype=np.float64)
-    overflow_at = np.full(n_lanes, -1, dtype=np.int64)
-    if not n_lanes:
+    overflow_at = np.full(n_lanes, -1 if nu <= cap else 0, dtype=np.int64)
+    if not n_lanes or not nu <= cap:
         return x[:n_steps], overflow_at
     state = np.array(keys, dtype=np.uint64)
     flat = x.reshape(-1)
@@ -554,7 +561,7 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     # The flat index into x of each lane's next count, and its last.
     cell = np.arange(n_lanes)
     last = cell + end
-    dead = None  # the lanes that have overflowed
+    overflowed = False
     # History window: the lags 1..klen of lane i at a pass are the column
     # win[top : top + klen, i], and the pass writes its draws into row top
     # - 1. A lane that rejects has its column moved down a row, so its lags
@@ -571,7 +578,8 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     # Block route: pass j of a block of ``rows`` passes reads the (2, rows,
     # n) grid's states grid[0, j] (u) and grid[1, j] (v), offsets[:, j] past
     # the block's state; after _uniforms, grid[1, j] is the state after
-    # pass j. ``row`` passes of the block are made.
+    # pass j, and ``state`` is the state after the block. ``row`` passes of
+    # the block are made.
     blocked = nu >= 10.0
     if blocked:
         most = max(1, _PASS_BLOCK_VALUES // (2 * n_lanes))
@@ -587,8 +595,6 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
         # reorder the sum and could flip draws).
         np.multiply(weights, win[top : top + klen], out=prod)
         np.add.reduce(prod, axis=0, out=lam, initial=nu)
-        if dead is not None:
-            lam[dead] = 0.0
         # The cap is checked only on the lanes still on their steps, and
         # only once some rate is over it (a NaN maximum counts as over).
         if not lam.max() <= cap:
@@ -596,24 +602,22 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
             if over.any():
                 overflow_at[over] = cell[over] // n_lanes
                 cell[over] = last[over]
-                dead = np.flatnonzero(overflow_at >= 0)
-                lam[dead] = 0.0
-        if blocked and dead is None:
+                weights[:, over] = 0.0
+                lam[over] = nu
+                overflowed = True
+        if blocked:
             if row == rows:
-                if row:
-                    state[:] = grid[1, row - 1]
                 # No block is longer than the passes the slowest lane still
-                # needs at least.
-                rows = min(most, n_steps - int(cell.min()) // n_lanes)
+                # needs at least, and none is empty (the last lanes on their
+                # steps may all have overflowed on this pass).
+                rows = max(1, min(most, n_steps - int(cell.min()) // n_lanes))
                 grid = state + offsets[:, :rows]
                 rounds = list(zip(*_round_parts(_uniforms(grid))))
+                state = grid[1, -1]
                 row = 0
             draw, accept = _ptrs_round(*rounds[row], lam, *_rate_constants(lam, constants))
             row += 1
         else:
-            if row:
-                state[:] = grid[1, row - 1]
-                row = rows = 0
             draw, accept = _attempt(lam, state)
         flat[cell] = draw
         cell += accept * n_lanes
@@ -624,7 +628,7 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
             column = win[top : top + klen + 1]
             column[:-1, rejected] = column[1:, rejected]
         # No lane stops before pass n_steps - 1 but by overflow.
-        if n_pass >= n_steps - 1 or dead is not None:
+        if n_pass >= n_steps - 1 or overflowed:
             np.minimum(cell, last, out=cell)
             if cell.min() >= end:
                 break

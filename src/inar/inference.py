@@ -70,11 +70,12 @@ class SandwichCovariance:
 
 @dataclass(frozen=True)
 class NormalityReport:
-    """Jarque-Bera and Shapiro-Wilk results for one sample. Past n = 5000,
-    where Shapiro-Wilk's approximation does not hold, its fields are None."""
+    """Jarque-Bera and Shapiro-Wilk results for one sample. A test's fields
+    are None where the sample size is outside its range: n < 8 for
+    Jarque-Bera, n < 3 or n > 5000 for Shapiro-Wilk."""
 
-    jb_stat: float
-    jb_p: float
+    jb_stat: float | None
+    jb_p: float | None
     sw_stat: float | None
     sw_p: float | None
     sample_size: int
@@ -160,16 +161,23 @@ def confidence_intervals(
 
 
 def normality_report(sample) -> NormalityReport:
-    """Jarque-Bera and Shapiro-Wilk on one sample; past n = 5000 only
-    Jarque-Bera, and the Shapiro-Wilk fields are None."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
-    jb_stat, jb_p = jarque_bera(x)
-    sw_stat = sw_p = None
-    if x.shape[0] <= _SW_MAX_N:
-        sw_stat, sw_p = shapiro_wilk(x)
+    """Jarque-Bera and Shapiro-Wilk on one sample. A test's fields are None
+    where its own size rule does not hold: Jarque-Bera below n = 8,
+    Shapiro-Wilk below n = 3 or past n = 5000."""
+    x = _finite_sample(sample)
+    jb_stat, jb_p = _sized(jarque_bera, x)
+    sw_stat, sw_p = _sized(shapiro_wilk, x)
     return NormalityReport(
         jb_stat=jb_stat, jb_p=jb_p, sw_stat=sw_stat, sw_p=sw_p, sample_size=x.shape[0]
     )
+
+
+def _sized(test, x):
+    # test(x), or (None, None) for a size outside the test's range.
+    try:
+        return test(x)
+    except SampleSizeOutOfRange:
+        return None, None
 
 
 def _finite_sample(sample) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllReplicationsFailed, DimensionMismatch, SampleSizeOutOfRange
+from .errors import AllReplicationsFailed, DimensionMismatch
 from .estimate import fit_lanes
 from .inference import NormalityReport, histogram_data, normality_report, qq_data
 from .model import ModelParams, _as_size, _freeze_copies
@@ -200,20 +200,13 @@ def run_experiment(config: McConfig) -> McSummary:
                      failures=int(n - ok.sum()), rep_ids=np.nonzero(ok)[0] + 1)
 
 
-# Fewest samples the normality suite takes: Jarque-Bera's least n.
-_MIN_NORMALITY_N = 8
-
-
 def normality_suite(summary: McSummary, components=None) -> tuple[ComponentDiagnostics, ...]:
     """Jarque-Bera/Shapiro-Wilk plus Q-Q pairs and a 30-bin histogram for
     each requested component (default: the first three), computed on the
-    raw uncapped samples."""
+    raw uncapped samples. A test outside its sample-size range has None
+    fields (:func:`inar.inference.normality_report`)."""
     samples = summary.per_component_samples
-    n, m = samples.shape
-    if n < _MIN_NORMALITY_N:
-        raise SampleSizeOutOfRange(
-            f"normality suite needs >= {_MIN_NORMALITY_N} successful replications, got {n}"
-        )
+    m = samples.shape[1]
     if components is None:
         components = [j for j in (0, 1, 2) if j < m]
     out = []

@@ -249,33 +249,38 @@ def test_cli_outputs(tmp_path):
 
 
 def test_low_rate_study(tmp_path):
-    # The low-rate, mixed-rate and capped lane studies' configs are written
-    # where they are asked for (the record's temporary directory, not
-    # configs/) and parse as the studies they name. `inar mc` runs on a
-    # side's configs/*_T1000.json, then on them; a side compared with
-    # itself is identical. About half of the capped study's replications
-    # overflow.
-    assert ab.STUDIES == (ab.LOW_RATE, ab.MIXED_RATE, ab.CAPPED)
-    path, mixed, capped = (ab.write_config(tmp_path, s) for s in ab.STUDIES)
+    # The low-rate, mixed-rate, capped and capped low-rate lane studies'
+    # configs are written where they are asked for (the record's temporary
+    # directory, not configs/) and parse as the studies they name. `inar
+    # mc` runs on a side's configs/*_T1000.json, then on them; a side
+    # compared with itself is identical. About half of the capped study's
+    # replications overflow, and 63 of the capped low-rate study's.
+    assert ab.STUDIES == (ab.LOW_RATE, ab.MIXED_RATE, ab.CAPPED, ab.CAPPED_LOW)
+    path, mixed, capped, capped_low = (ab.write_config(tmp_path, s) for s in ab.STUDIES)
     for study, want in ((path, (10.5, (0.05,), 1, 1e9)), (mixed, (6.0, (0.5,), 1, 1e9)),
-                        (capped, (100.0, (0.8,), 10, 577.0))):
+                        (capped, (100.0, (0.8,), 10, 577.0)),
+                        (capped_low, (6.0, (0.5,), 1, 20.0))):
         assert study.parent == tmp_path and not (ab.ROOT / "configs" / study.name).exists()
         cfg = inar.parse_config(study.read_text())
         assert (cfg.params.nu, cfg.params.kernel, cfg.p, cfg.lam_cap, cfg.T, cfg.n_experiments,
                 cfg.base_seed) == (*want, 200, 1000, ab.MC_SEED)
-    assert (path.name, mixed.name, capped.name) == (
-        "low_rate_T200.json", "mixed_rate_T200.json", "capped_T200.json")
+    assert (path.name, mixed.name, capped.name, capped_low.name) == (
+        "low_rate_T200.json", "mixed_rate_T200.json", "capped_T200.json",
+        "capped_low_T200.json")
     side = tmp_path / "side"
     (side / "configs").mkdir(parents=True)
     (side / "src").symlink_to(ab.ROOT / "src")
     small = json.loads((ab.ROOT / "configs" / "case2_T1000.json").read_text())
     small.update(T=30, p=1, n_experiments=10)
     (side / "configs" / "small_T1000.json").write_text(json.dumps(small))
-    runs = dict(ab._mc_outputs(side, tmp_path / "mc", [path, capped]))
-    assert list(runs) == ["small_T1000", "low_rate_T200", "capped_T200"]
+    runs = dict(ab._mc_outputs(side, tmp_path / "mc", [path, capped, capped_low]))
+    assert list(runs) == ["small_T1000", "low_rate_T200", "capped_T200", "capped_low_T200"]
     out = runs["low_rate_T200"]
     assert (out / "samples.csv").read_text().count("\n") == 1001
     assert set(ab.diff_outputs(out, out).values()) == {"identical"}
     out = runs["capped_T200"]
     assert json.loads((out / "mc_summary.json").read_text())["failures"] == 495
     assert (out / "samples.csv").read_text().count("\n") == 506
+    out = runs["capped_low_T200"]
+    assert json.loads((out / "mc_summary.json").read_text())["failures"] == 63
+    assert (out / "samples.csv").read_text().count("\n") == 938

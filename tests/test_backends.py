@@ -254,6 +254,10 @@ block_kernels = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
+# Stationary mean 667 against the median peak (687): 30 of the 60 lanes
+# overflow, at steps 40-98, most of them in the middle of a block of 4
+# passes, and the other 30 finish on the block route after them.
+@example(nu=20.0, kernel=[0.97], lanes=60, T=100, cap_at=0.5, passes=4, seed=11)
 @given(
     nu=st.sampled_from([9.99, 10.0]) | st.floats(10.0, 400.0),
     kernel=block_kernels,
@@ -269,8 +273,9 @@ def test_block_route_matches_scalar_loop(nu, kernel, lanes, T, cap_at, passes, s
     # spans many blocks. The cap is the cap_at quantile of the lanes' peak
     # rates on their uncapped paths, so the lanes above it stop at the
     # first step their rate crosses it, most of them in the middle of a
-    # block, where the lanes leave the block route; the others go on. 9.99
-    # never takes the block route, and 10.0 does.
+    # block, and draw on at nu, still on the block route, while the others
+    # go on to their last step. 9.99 never takes the block route, and 10.0
+    # does.
     params = ModelParams(nu=nu, kernel=tuple(kernel))
     cap = 1e300
     if cap_at is not None:
@@ -283,6 +288,31 @@ def test_block_route_matches_scalar_loop(nu, kernel, lanes, T, cap_at, passes, s
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_k, "_PASS_BLOCK_VALUES", 2 * lanes * passes)
         assert_lanes_match(params, T, seed, range(lanes), cap)
+
+
+@pytest.mark.parametrize("nu, kernel, cap", [
+    (300.0, (), 200.0),  # nu >= 10, a constant rate
+    (6.0, (0.5,), 5.0),  # nu < 10
+    (1e308, (0.5,), 1e9),  # a rate at which no PTRS round can be made
+])
+def test_every_lane_overflows_at_step_0(nu, kernel, cap):
+    # At nu > cap the first rate of every lane is over the cap, on either
+    # side of nu = 10: every lane overflows at step 0, and its counts are
+    # all 0.
+    overflow_at = assert_lanes_match(ModelParams(nu=nu, kernel=kernel), 20, 11, range(50), cap)
+    assert np.all(overflow_at == 0)
+
+
+def test_last_lanes_stop_by_overflow():
+    # Stationary mean 667 against a cap of 500: all 10 lanes overflow, at
+    # steps 34-78, so the last lane on its steps stops by overflow. With one
+    # pass per block, the block after that pass has no pass that a lane
+    # still needs, and still gets one row.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "_PASS_BLOCK_VALUES", 2 * 10)
+        overflow_at = assert_lanes_match(ModelParams(nu=20.0, kernel=(0.97,)), 100, 11,
+                                         range(10), 500.0)
+    assert np.all(overflow_at > 0)
 
 
 @pytest.mark.parametrize("T, cap", [(50, 400.0), (100, 500.0)])

@@ -191,19 +191,38 @@ def test_mc_past_shapiro_wilk_range(tmp_path, run_cli):
         assert doc["normality"][label] == {**block, "sample_size": 5001}
 
 
-def test_mc_too_few_replications_fails_first(tmp_path, run_cli, monkeypatch):
-    # Fewer than 8 replications are too few for the normality suite that
-    # ends the study: inar mc fails before it simulates, and writes nothing.
-    def never(config):
-        raise AssertionError("the study was run")
-
-    monkeypatch.setattr(inar.cli, "run_experiment", never)
+def test_mc_too_few_replications_for_jarque_bera(tmp_path, run_cli):
+    # 7 replications are too few for Jarque-Bera (n >= 8) but not for
+    # Shapiro-Wilk (n >= 3): the study is written with jb_stat and jb_p
+    # null, and inar normality on its samples.csv gives the same.
     out = tmp_path / "out"
     proc = run_cli(["mc", "--config", write_config(tmp_path, n_experiments=7), "--out-dir", out])
-    assert_one_error_line(proc)
-    assert proc.stderr == ("inar: error: ValidationError: n_experiments: inar mc needs >= 8 "
-                           "for its normality suite, got 7\n")
-    assert not out.exists()
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert summary["n_success"] == 7
+    proc = run_cli(["normality", "--samples", out / "samples.csv"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    for label in ("mu_hat", "beta_1", "beta_2"):
+        block = summary["normality"][label]
+        assert block["jb_stat"] is None and block["jb_p"] is None
+        assert 0.0 < block["sw_stat"] <= 1.0 and 0.0 <= block["sw_p"] <= 1.0
+        assert doc["normality"][label] == {**block, "sample_size": 7}
+
+
+def test_mc_few_successes_still_written(tmp_path, run_cli):
+    # Case 2 under a cap most of its replications cross: 3 of 12 succeed.
+    # The finished study is written in full, with Jarque-Bera null.
+    cfg = write_config(tmp_path, kernel="lags:[0.8]", T=200, p=1, n_experiments=12, seed=11,
+                       lambda_cap=560)
+    out = tmp_path / "out"
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", out])
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert (summary["n_success"], summary["failures"]) == (3, 9)
+    assert len(read_rows(out / "samples.csv")) == 4
+    for block in summary["normality"].values():
+        assert block["jb_stat"] is None and block["jb_p"] is None
 
 
 def test_normality_component_selection(tmp_path, run_cli):

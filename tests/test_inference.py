@@ -218,6 +218,18 @@ class TestShapiroWilk:
         report = inar.inference.normality_report(x[:5000])
         assert (report.sw_stat, report.sw_p) == inar.shapiro_wilk(x[:5000])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+    @pytest.mark.filterwarnings("ignore:Jarque-Bera on n=")
+    def test_report_below_the_limits(self, n):
+        # Below n = 8 the report leaves Jarque-Bera out (None), and below
+        # n = 3 Shapiro-Wilk too.
+        x = np.random.default_rng(31).normal(size=n)
+        report = inar.inference.normality_report(x)
+        jb = inar.jarque_bera(x) if n >= 8 else (None, None)
+        sw = inar.shapiro_wilk(x) if n >= 3 else (None, None)
+        assert (report.jb_stat, report.jb_p, report.sw_stat, report.sw_p) == (*jb, *sw)
+        assert report.sample_size == n
+
     def test_affine_invariance(self):
         x = np.random.default_rng(23).normal(size=100)
         w0, _ = inar.shapiro_wilk(x)

@@ -11,7 +11,6 @@ from inar import (
     ModelParams,
     Overflow,
     RngStream,
-    SampleSizeOutOfRange,
     SingularDesign,
 )
 
@@ -259,11 +258,17 @@ class TestNormalitySuite:
         later = inar.normality_suite(summary, components=(0,))[0]
         assert later.qq_z.tobytes() == again[0].qq_z.tobytes()
 
-    def test_small_run_rejected(self, case1_params):
-        cfg = small_config(case1_params, n=5)
-        summary = inar.run_experiment(cfg)
-        with pytest.raises(SampleSizeOutOfRange):
-            inar.normality_suite(summary)
+    def test_small_run_leaves_jarque_bera_out(self, case1_params):
+        # 5 replications are below Jarque-Bera's n = 8: its fields are None
+        # and the rest of the suite is made as for any other size.
+        summary = inar.run_experiment(small_config(case1_params, n=5))
+        for j, diag in enumerate(inar.normality_suite(summary)):
+            col = summary.per_component_samples[:, j]
+            assert (diag.report.jb_stat, diag.report.jb_p) == (None, None)
+            assert (diag.report.sw_stat, diag.report.sw_p) == inar.shapiro_wilk(col)
+            assert diag.report.sample_size == 5
+            assert np.array_equal(diag.qq_value, inar.qq_data(col)[1])
+            assert diag.hist_count.sum() == 5
 
 
 class TestConfigValidation:

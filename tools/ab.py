@@ -15,9 +15,10 @@ first alternates from pair to pair. In the same run, every output file of
 ``inar mc --seed 11`` on each ``configs/*_T1000.json``, and on the lane
 studies ``LOW_RATE`` (nu = 10.5, kernel ``lags:[0.05]``, T = 200, 1000
 replications), ``MIXED_RATE`` (nu = 6, kernel ``lags:[0.5]``, T = 200,
-1000 replications) and ``CAPPED`` (case 2 at T = 200, p = 10, 1000
-replications under ``lambda_cap`` 577; the three configs are written
-into the temporary directory by :func:`write_config`), is compared
+1000 replications), ``CAPPED`` (case 2 at T = 200, p = 10, 1000
+replications under ``lambda_cap`` 577) and ``CAPPED_LOW`` (``MIXED_RATE``
+under ``lambda_cap`` 20; the four configs are written into the
+temporary directory by :func:`write_config`), is compared
 between the sides (identical, or the largest absolute and relative
 difference of its numbers, overall and per field), and so are, under ``cli``, the files of
 :func:`cli_outputs`: a case-1 ``inar simulate`` path CSV (the scalar loop),
@@ -94,7 +95,12 @@ MIXED_RATE = {"nu": 6, "kernel": "lags:[0.5]", "T": 200, "p": 1,
 # its own step, and the study fits the other 505.
 CAPPED = {"nu": 100, "kernel": "lags:[0.8]", "T": 200, "p": 10, "n_experiments": 1000,
           "seed": MC_SEED, "case": "capped", "lambda_cap": 577}
-STUDIES = (LOW_RATE, MIXED_RATE, CAPPED)
+# The mixed-rate study under a cap it crosses, so that stopped lanes are
+# drawn on the per-pass route (nu < 10): 63 of the 1000 replications
+# overflow.
+CAPPED_LOW = {"nu": 6, "kernel": "lags:[0.5]", "T": 200, "p": 1, "n_experiments": 1000,
+              "seed": MC_SEED, "case": "capped_low", "lambda_cap": 20}
+STUDIES = (LOW_RATE, MIXED_RATE, CAPPED, CAPPED_LOW)
 
 
 def quartiles(values):
@@ -438,8 +444,9 @@ def main(argv=None):
                 "fit_latency_p50_ms and fit_latency_p99_ms. `outputs` compares every file of "
                 f"`inar mc --seed {MC_SEED}` on each configs/*_T1000.json, on the "
                 f"low-rate study low_rate_T200 ({json.dumps(LOW_RATE)}), on the "
-                f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}) and on the "
-                f"capped study capped_T200 ({json.dumps(CAPPED)}) and, under "
+                f"mixed-rate study mixed_rate_T200 ({json.dumps(MIXED_RATE)}), on the "
+                f"capped study capped_T200 ({json.dumps(CAPPED)}) and on the capped "
+                f"low-rate study capped_low_T200 ({json.dumps(CAPPED_LOW)}) and, under "
                 "`cli`, a case-1 `inar simulate` path CSV (seed 11, T=1000), `inar "
                 f"estimate --ci` on it at p = {', '.join(map(str, ESTIMATE_LAGS))}, a "
                 f"constant-rate `inar simulate --kernel none` path CSV at nu = {IID_NU} "
