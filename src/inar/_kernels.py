@@ -3,22 +3,27 @@ and the design build, solve and score variance of conditional least squares.
 
 Every sampler reads counter-based splitmix64 streams (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11) from ``_uniforms``:
-the k-th uniform of the stream with key c is mix64(c + k * GOLDEN). The
-draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
-``_stream_uniforms``); three routes make them:
+the k-th uniform of the stream with key c is mix64(c + k * GOLDEN). Every
+block of counters is laid out from two read-only tables of offsets,
+``_STEPS`` (one uniform per counter) and ``_ROUNDS`` (PTRS round r reads
+its u at counter 2r + 1 and its v at 2r + 2). The draws of a stream are
+fixed by the scalar loop (``_poisson_draw`` reading ``_stream_uniforms``);
+three routes make them, and ``sim_lanes`` is the one entry to all three,
+for any number of paths:
 
 - the scalar loop itself (``sim_path``) runs one path in plain Python, for
   paths whose rate depends on their past; it is every route's reference.
-- the lane engine (``sim_lanes``) runs many streams, each lane on its own
-  step; lane i reproduces the scalar loop on key i bit for bit. A numpy
-  pass makes one draw attempt on every lane: one inversion draw, or one
-  PTRS round that a rejecting lane tries again on the next pass. At nu >=
-  10 no rate is below 10 (the rate adds non-negative products to nu, and
-  a lane that overflows draws on at nu), so every pass is one PTRS round
-  on every lane, reading its next two counters: a block of passes draws
-  those uniforms at once, with the half of each round that does not
-  depend on the rate (``_round_parts``), and each pass makes the rest
-  (``_ptrs_round``).
+  ``sim_lanes`` runs it on a single path with a kernel.
+- the lane engine (the body of ``sim_lanes``) runs two or more streams,
+  each lane on its own step; lane i reproduces the scalar loop on key i
+  bit for bit. A numpy pass makes one draw attempt on every lane: one
+  inversion draw, or one PTRS round that a rejecting lane tries again on
+  the next pass. At nu >= 10 no rate is below 10 (the rate adds
+  non-negative products to nu, and a lane that overflows draws on at nu),
+  so every pass is one PTRS round on every lane, reading its next two
+  counters: a block of passes draws those uniforms at once, with the half
+  of each round that does not depend on the rate (``_round_parts``), and
+  each pass makes the rest (``_ptrs_round``).
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
@@ -26,11 +31,7 @@ draws of a stream are fixed by the scalar loop (``_poisson_draw`` reading
   that each uniform passes, and ends the sum once the block's largest
   uniform is not past it; the PTRS round kernel (``_round_parts`` and
   ``_ptrs_round``) takes one row of rounds, at per-lane constants or
-  floats. A PTRS block holds its rounds as a
-  pass of the lane engine holds its lanes' rounds: a contiguous row of u
-  states over a contiguous row of v states.
-  ``sim_one`` sends a path whose kernel is zero here and any other path to
-  ``sim_path``.
+  floats. ``sim_lanes`` runs it on a single path whose kernel is zero.
 
 The two vectorised routes take log k! from one module-level table,
 ``_LOGFACT``, grown on demand and safe to share between threads.
@@ -48,6 +49,7 @@ bit for bit.
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +58,6 @@ __all__ = [
     "stream_keys",
     "poisson_stream",
     "sim_path",
-    "sim_one",
     "sim_lanes",
     "design_build",
     "score_variance",
@@ -91,10 +92,11 @@ def _mix64(z):
 
 def stream_keys(seed, stream_ids):
     """uint64 generator key of each stream (seed, i), i in ``stream_ids``;
-    seeds and ids wrap modulo 2**64."""
-    ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
+    seeds and ids are integers (read by ``operator.index``: no float is
+    truncated) and wrap modulo 2**64."""
+    ids = np.array([operator.index(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
     # Full avalanche on both inputs so nearby (seed, stream) pairs decorrelate.
-    a = _mix64(np.full_like(ids, int(seed) & _MASK64) ^ _SEED_TAG)
+    a = _mix64(np.full_like(ids, operator.index(seed) & _MASK64) ^ _SEED_TAG)
     b = _mix64(ids ^ _STREAM_TAG)
     return _mix64(a + b)
 
@@ -122,20 +124,33 @@ def _uniforms(state):
     return u
 
 
-# Uniforms per block of one stream. A block steps counters j..j+B-1 to
-# j+1..j+B; the skip adds B-1 (as an array: numpy scalars warn on wrap).
+# Uniforms per block of the scalar loop's stream (_stream_uniforms), and
+# draws or PTRS rounds per block of the block sampler (poisson_stream).
+# 2**13 already spreads a block's dispatch thinly (2**14 draws no faster)
+# and holds half the temporary arrays of 2**14.
 _BLOCK = 512
-_BLOCK_OFFSETS = np.arange(_BLOCK, dtype=np.uint64) * _GOLDEN
-_BLOCK_SKIP = np.array([_BLOCK - 1], dtype=np.uint64) * _GOLDEN
+_STREAM_BLOCK = 1 << 13
+
+# The counter layout of every block of a stream's counters, as offsets
+# from the block's base state. State j of a block of uniforms is base +
+# _STEPS[j] = base + j * GOLDEN; _uniforms steps it to counter j + 1, so
+# the block's last state is the next block's base. State r of a block of
+# PTRS rounds is base + _ROUNDS[:, r]: a contiguous row of u states over a
+# contiguous row of v states, so round r reads its u at counter 2r + 1 and
+# its v at 2r + 2, and the v row's last state is the next base. _uniforms
+# steps its argument in place, so both tables are read-only.
+_STEPS = np.arange(2 * _STREAM_BLOCK, dtype=np.uint64) * _GOLDEN
+_ROUNDS = np.ascontiguousarray(_STEPS.reshape(-1, 2).T)
+_STEPS.flags.writeable = _ROUNDS.flags.writeable = False
 
 
 def _stream_uniforms(key):
     """The uniforms of the stream with uint64 ``key``, in order, as Python
     floats: the k-th (k = 1, 2, ...) is mix64(key + k * GOLDEN)."""
-    state = key + _BLOCK_OFFSETS
+    state = key + _STEPS[:_BLOCK]
     while True:
         yield from _uniforms(state).tolist()
-        state += _BLOCK_SKIP
+        state += _STEPS[_BLOCK - 1]
 
 
 def _poisson_draw(lam, uniform):
@@ -323,10 +338,6 @@ def _log_test(k, lam, us, v, a, b, inv_alpha):
     return accept
 
 
-def _inv_alpha(b):
-    return 1.1239 + 1.1328 / (b - 3.4)
-
-
 def _rate_constants(lam, out):
     # PTRS constants a, b and v_r of each rate of lam, in place in the rows
     # of ``out`` (3, n): the scalar loop's operations in its order (each of
@@ -341,11 +352,6 @@ def _rate_constants(lam, out):
     np.divide(3.6224, v_r, out=v_r)
     np.subtract(0.9277, v_r, out=v_r)
     return a, b, v_r
-
-
-def _ptrs_constants(lam):
-    a, b, v_r = _rate_constants(lam, np.empty((3, *np.shape(lam))))
-    return a, b, _inv_alpha(b), v_r
 
 
 def _round_parts(w):
@@ -385,21 +391,17 @@ def _ptrs_round(u, us, v, fast, gate, lam, a, b, v_r):
     if slow.size:
         if isinstance(lam, np.ndarray):
             lam, a, b = lam[slow], a[slow], b[slow]
-        accept[slow] = _log_test(k[slow], lam, us[slow], v[slow], a, b, _inv_alpha(b))
+        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+        accept[slow] = _log_test(k[slow], lam, us[slow], v[slow], a, b, inv_alpha)
     return k, accept
-
-
-# Counter offsets of one PTRS round of each lane, one row each: after
-# _uniforms, row 0 is the u at counter +1 and row 1 the v at +2, whose
-# state is the lane's state after the round.
-_ROUND_OFFSETS = np.array([[0], [1]], dtype=np.uint64) * _GOLDEN
 
 
 def _ptrs_attempt(lam, state):
     # One PTRS round on each lane at its rate lam[i] >= 10: the candidate k
-    # and whether the round accepted it. A round reads two counters, so
-    # state steps by two, accepted or not.
-    grid = state + _ROUND_OFFSETS
+    # and whether the round accepted it. The (2, n) grid holds the lanes'
+    # u states over their v states, as a block of rounds does; the v state
+    # is the state after the round, accepted or not.
+    grid = state + _ROUNDS[:, :1]
     constants = _rate_constants(lam, np.empty((3, lam.shape[0])))
     k, accept = _ptrs_round(*_round_parts(_uniforms(grid)), lam, *constants)
     state[:] = grid[1]
@@ -432,14 +434,11 @@ def _attempt(lam, state):
 
 
 # Block sampler. At a constant rate a stream's draws are a fixed function
-# of its uniforms: inversion reads one uniform per draw, so draw j reads
-# counter j + 1; PTRS round r reads counters 2r + 1 (u) and 2r + 2 (v), so
-# the draws are the k of the accepting rounds, in order. A block evaluates
-# up to _STREAM_BLOCK draws or rounds at once with the lane engine's
-# kernels, on a float rate (inversion) or float constants (PTRS). 2**13
-# already spreads a block's dispatch thinly (2**14 draws no faster) and
-# holds half the temporary arrays of 2**14.
-_STREAM_BLOCK = 1 << 13
+# of its uniforms: draw j of inversion reads counter j + 1 (_STEPS), and
+# the PTRS draws are the k of the accepting rounds (_ROUNDS), in order. A
+# block evaluates up to _STREAM_BLOCK draws or rounds at once with the
+# lane engine's kernels, on a float rate (inversion) or float constants
+# (PTRS).
 
 
 def poisson_stream(lam, out, key):
@@ -450,37 +449,28 @@ def poisson_stream(lam, out, key):
     if lam <= 0.0:
         out[:] = 0
         return
-    # The counter before the next block. State j of a block is its base
-    # plus offsets[j]. Blocks shrink as draws are made, so the first
-    # block's buffer holds the states of every block; _uniforms steps them
-    # in place, and the last is the next base.
+    # The counter before the next block. Blocks shrink as draws are made,
+    # so the first block's buffer holds the states of every block.
     base = key.copy()
     done = 0
     if lam < 10.0:
-        offsets = np.arange(min(_STREAM_BLOCK, n_draws), dtype=np.uint64) * _GOLDEN
-        buf = np.empty_like(offsets)
+        buf = np.empty(min(_STREAM_BLOCK, n_draws), dtype=np.uint64)
         while done < n_draws:
             size = min(_STREAM_BLOCK, n_draws - done)
-            state = np.add(base, offsets[:size], out=buf[:size])
+            state = np.add(base, _STEPS[:size], out=buf[:size])
             out[done : done + size] = _inversion(lam, _uniforms(state))
             base[:] = state[-1]
             done += size
         return
     # A round accepts with probability 0.75 at lam = 10, rising to 0.89 at
     # large lam: 4/3 rounds per draw still wanted mostly suffice, and a
-    # short block is followed by another. A block of R rounds lays out its
-    # states as a pass of the lane engine does (_ROUND_OFFSETS): a (2, R)
-    # grid, a u row of counters 2r+1 over a v row of counters 2r+2, each
-    # row contiguous; the next base is the v row's last state, counter 2R.
-    a, b, _, v_r = (float(c[0]) for c in _ptrs_constants(np.array([lam])))
-    rounds = min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8)
-    offsets = np.arange(0, 2 * rounds, 2, dtype=np.uint64) + np.arange(2, dtype=np.uint64)[:, None]
-    offsets *= _GOLDEN
-    buf = np.empty(2 * rounds, dtype=np.uint64)
+    # short block is followed by another.
+    a, b, v_r = (float(c[0]) for c in _rate_constants(np.array([lam]), np.empty((3, 1))))
+    buf = np.empty(2 * min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8), dtype=np.uint64)
     while done < n_draws:
         need = n_draws - done
         rounds = min(_STREAM_BLOCK, need + need // 3 + 8)
-        state = np.add(base, offsets[:, :rounds], out=buf[: 2 * rounds].reshape(2, rounds))
+        state = np.add(base, _ROUNDS[:, :rounds], out=buf[: 2 * rounds].reshape(2, rounds))
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
         k, accept = _ptrs_round(*_round_parts(_uniforms(state)), lam, a, b, v_r)
@@ -490,35 +480,25 @@ def poisson_stream(lam, out, key):
         done += got.size
 
 
-def sim_one(nu, kern, n_steps, cap, key):
-    """``sim_path(nu, kern, n_steps, cap, key)``'s counts and overflow
-    step, n_steps >= 1. A zero kernel is the constant rate nu, whose counts
-    the block sampler draws; any other kernel runs ``sim_path``."""
-    if kern.any():
-        return sim_path(nu, kern, n_steps, cap, key)
-    if not (nu <= cap):
-        return np.zeros(n_steps), 0
-    x = np.empty(n_steps)
-    poisson_stream(nu, x, key)
-    return x, -1
-
-
 # Passes of the lane engine between two moves of its history window.
 _WINDOW_PASSES = 64
 # Uniforms per block of the lane engine's block route: one _uniforms call
 # makes the two uniforms of every lane for up to _PASS_BLOCK_VALUES // (2
-# N) passes (4 at 1000 lanes). Of 2**11..2**15, 2**13 and 2**14 ran 1000
-# lanes of either study case fastest at T = 200; 2**15 ran slower.
+# N) passes (4 at 1000 lanes), each a column of _ROUNDS, so it is at most
+# 4 _STREAM_BLOCK. Of 2**11..2**15, 2**13 and 2**14 ran 1000 lanes of
+# either study case fastest at T = 200; 2**15 ran slower.
 _PASS_BLOCK_VALUES = 1 << 13
 
 
 def sim_lanes(nu, kern, n_steps, cap, keys):
-    """``sim_path`` on one lane per uint64 key.
+    """``sim_path`` on one lane per uint64 key: the one entry to the
+    simulators, for any number of paths, n_steps >= 1.
 
     Returns the (n_steps, N) float64 counts, column i being sim_path's path
     on key i, and the 0-based step at which each lane overflowed (-1 for
     none): its intensity exceeded ``cap``. A lane's counts stay 0 from that
-    step on.
+    step on. A single path runs ``sim_path``, or at a zero kernel the block
+    sampler (``poisson_stream``); two or more run on the lane engine.
 
     Each lane keeps its own step. A pass makes one draw attempt on every
     lane at its rate; a lane whose PTRS round rejects tries again at the
@@ -542,19 +522,25 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     route for the whole run.
     """
     n_lanes = keys.shape[0]
+    # No lanes, or nu > cap: every lane overflows at step 0, no draw made.
+    if not (n_lanes and nu <= cap):
+        return np.zeros((n_steps, n_lanes)), np.zeros(n_lanes, dtype=np.int64)
     if n_lanes == 1:
-        # numpy sums the lags of a single column pairwise, not in the
-        # scalar order of the rate sum below: one lane is the scalar loop.
-        x, step = sim_path(nu, kern, n_steps, cap, keys)
+        # One path: at a zero kernel its constant rate nu is the block
+        # sampler's. numpy sums the lags of a single column pairwise, not
+        # in the scalar order of the rate sum below, so any other kernel
+        # runs the scalar loop.
+        if kern.any():
+            x, step = sim_path(nu, kern, n_steps, cap, keys)
+        else:
+            x, step = np.empty(n_steps), -1
+            poisson_stream(nu, x, keys)
         return x[:, None], np.array([step], dtype=np.int64)
     # Row n_steps takes the draws of the lanes that have stopped: a lane
     # that has finished goes on drawing there, at the rates of its own
-    # further counts, and one that has overflowed at nu <= cap. At nu > cap
-    # every lane overflows at step 0, as in sim_one.
+    # further counts, and one that has overflowed at nu <= cap.
     x = np.zeros((n_steps + 1, n_lanes), dtype=np.float64)
-    overflow_at = np.full(n_lanes, -1 if nu <= cap else 0, dtype=np.int64)
-    if not n_lanes or not nu <= cap:
-        return x[:n_steps], overflow_at
+    overflow_at = np.full(n_lanes, -1, dtype=np.int64)
     state = np.array(keys, dtype=np.uint64)
     flat = x.reshape(-1)
     end = n_steps * n_lanes
@@ -575,15 +561,14 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     top = _WINDOW_PASSES
     prod = np.empty((klen, n_lanes))
     lam = np.empty(n_lanes)
-    # Block route: pass j of a block of ``rows`` passes reads the (2, rows,
-    # n) grid's states grid[0, j] (u) and grid[1, j] (v), offsets[:, j] past
-    # the block's state; after _uniforms, grid[1, j] is the state after
-    # pass j, and ``state`` is the state after the block. ``row`` passes of
-    # the block are made.
+    # Block route: pass j of a block of ``rows`` passes is round j of a
+    # block of rounds on every lane, the (2, rows, n) grid's states grid[0,
+    # j] (u) and grid[1, j] (v), _ROUNDS[:, j] past the block's state;
+    # after _uniforms, grid[1, j] is the state after pass j, and ``state``
+    # is the state after the block. ``row`` passes of the block are made.
     blocked = nu >= 10.0
     if blocked:
         most = max(1, _PASS_BLOCK_VALUES // (2 * n_lanes))
-        offsets = np.arange(2 * most, dtype=np.uint64).reshape(most, 2).T[:, :, None] * _GOLDEN
         constants = np.empty((3, n_lanes))
     row = rows = 0
     n_pass = 0
@@ -611,7 +596,7 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
                 # needs at least, and none is empty (the last lanes on their
                 # steps may all have overflowed on this pass).
                 rows = max(1, min(most, n_steps - int(cell.min()) // n_lanes))
-                grid = state + offsets[:, :rows]
+                grid = state + _ROUNDS[:, :rows, None]
                 rounds = list(zip(*_round_parts(_uniforms(grid))))
                 state = grid[1, -1]
                 row = 0

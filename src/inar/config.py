@@ -136,8 +136,6 @@ def parse_config(text: str) -> McConfig:
             f"cap_negatives: expected true/false, got {cap_negatives!r}"
         )
     lam_cap = _require_number(doc.get("lambda_cap", DEFAULT_LAMBDA_CAP), "lambda_cap")
-    if lam_cap <= 0.0:
-        raise ValidationError(f"lambda_cap: must be > 0, got {lam_cap!r}")
     case = doc.get("case", doc["kernel"])
     if not isinstance(case, str):
         raise ValidationError(f"case: expected a string label, got {case!r}")

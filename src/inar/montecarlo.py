@@ -44,7 +44,7 @@ class McConfig:
     case: str | None = None
 
     def __post_init__(self):
-        for name in ("T", "p", "n_experiments"):
+        for name in ("T", "p", "n_experiments", "base_seed"):
             object.__setattr__(self, name, _as_size(getattr(self, name), name))
         if self.n_experiments < 1:
             raise ValueError("n_experiments must be >= 1")

@@ -56,6 +56,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # Integers, by operator.index: a float is refused, not truncated.
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, _as_size(getattr(self, name), name))
+
     def state(self) -> np.ndarray:
         """This stream's generator key, a (1,) uint64 array nothing mutates."""
         return _k.stream_keys(self.seed, [self.stream_id])
@@ -125,6 +130,8 @@ def _check_inputs(params: ModelParams, T, lam_cap) -> tuple[int, float]:
     lam_cap = _as_float(lam_cap)
     if not math.isfinite(lam_cap):
         raise ValueError(f"lambda_cap must be finite, got {lam_cap}")
+    if not lam_cap > 0.0:
+        raise ValueError(f"lambda_cap must be > 0, got {lam_cap}")
     _require_valid(params)
     return T, min(lam_cap, _LARGEST_RATE)
 
@@ -143,16 +150,18 @@ def simulate_path(
     whose draws may not fit in int64, and :class:`NonStationaryKernel` if
     the parameters fail validation.
 
-    A path whose kernel is zero has the constant rate nu: its counts are
+    It is :func:`simulate_lanes` on its one stream. A path whose kernel
+    is zero has the constant rate nu: its counts are
     :func:`poisson_sample`'s draws, made in numpy blocks. Any other path is
     simulated one step at a time in plain Python.
     """
     T, cap = _check_inputs(params, T, lam_cap)
-    x, overflow_at = _k.sim_one(params.nu, params.kernel_array(), T, cap, rng.state())
-    if overflow_at >= 0:
-        raise Overflow(f"intensity exceeded cap {cap:g} at step {overflow_at + 1}")
+    x, (step,) = _k.sim_lanes(params.nu, params.kernel_array(), T, cap, rng.state())
+    if step >= 0:
+        raise Overflow(f"intensity exceeded cap {cap:g} at step {step + 1}")
     # x, the counts as float64 (integers: counts.astype(np.float64) bit for
     # bit), is held by nothing else, so it becomes the path's float view.
+    x = x[:, 0]
     return _adopt(CountPath, counts=x.astype(np.int64), seed=rng.seed,
                   stream_id=rng.stream_id, params_digest=params.digest(), _floats=x)
 
@@ -174,8 +183,10 @@ def simulate_lanes(
     equals the counts of
     ``simulate_path(params, T, RngStream(seed, stream_ids[j]), lam_cap)``
     bit for bit; an overflowed column is zero from its overflow step on.
-    A pass costs numpy dispatch however few the lanes, so a single path
-    is faster through :func:`simulate_path`.
+    Seeds and stream ids are integers (a float raises ``TypeError``) and
+    wrap modulo 2**64. It is the one entry to the simulators for any
+    number of streams: a single stream takes the route
+    :func:`simulate_path` takes, two or more run on the lane engine.
     """
     T, cap = _check_inputs(params, T, lam_cap)
     keys = _k.stream_keys(seed, stream_ids)

@@ -175,6 +175,22 @@ def test_src_lines(tmp_path):
     assert ab.src_file_lines(tmp_path) == {"a.py": 3, "b.py": 1}
 
 
+def test_src_code_lines(tmp_path):
+    # Blank lines and lines that start with # after their indentation (a
+    # comment, or such a line in a docstring) are left out; code with a
+    # trailing comment and the other docstring lines count, and only
+    # src/inar/*.py is read.
+    pkg = tmp_path / "src" / "inar"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text('# head\n\n"""Doc.\n\n# in a docstring\n"""\nx = 1  # one\n'
+                              '   \nif x:\n    # why\n    y = "#"\n')
+    (pkg / "b.py").write_text("z = 3")
+    (pkg / "notes.txt").write_text("1\n")
+    (pkg / "sub" / "c.py").write_text("1\n")
+    assert ab.src_code_lines(tmp_path) == 6
+    assert ab.src_lines(tmp_path) == 11
+
+
 @pytest.mark.parametrize("output, expected", [
     ("....\nACCEPTANCE 1 x: PASS\n554 passed in 29.50s\n", (554, 0, 0)),
     ("F.\n3 failed, 551 passed, 1 error in 31.02s\n", (551, 3, 1)),

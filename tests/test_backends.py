@@ -73,7 +73,7 @@ rates = st.one_of(
     nu=rates,
     kernel=kernels,
     T=st.integers(1, 40),
-    cap=st.floats(0.0, 600.0),
+    cap=st.floats(0.0, 600.0, exclude_min=True),
 )
 def test_paths_bit_identical(seed, ids, nu, kernel, T, cap):
     assert_lanes_match(ModelParams(nu=nu, kernel=tuple(kernel)), T, seed, ids, cap)
@@ -358,6 +358,45 @@ def test_rate_sum_in_scalar_order(nu, kernel, lanes, seed):
     assert lam.tolist() == want
 
 
+def test_one_kernel_free_lane_is_the_block_sampler(monkeypatch):
+    # A single kernel-free path takes the block sampler through every
+    # entry: simulate_lanes on one stream and a one-replication study
+    # match simulate_path and poisson_sample bit for bit, with the scalar
+    # loop hooked to raise. Zero lags are a zero kernel.
+    def scalar_loop(*args):
+        raise AssertionError("the scalar loop ran")
+
+    monkeypatch.setattr(_k, "sim_path", scalar_loop)
+    for nu, kernel in ((3.0, ()), (150.0, (0.0, 0.0))):
+        params = ModelParams(nu=nu, kernel=kernel)
+        draws = inar.poisson_sample(nu, RngStream(7, 1), size=300)
+        path = inar.simulate_path(params, 300, RngStream(7, 1))
+        counts, overflow_at = simulate_lanes(params, 300, 7, [1])
+        assert overflow_at.tolist() == [-1]
+        assert path.counts.tobytes() == draws.tobytes()
+        assert counts[:, 0].tobytes() == path.counts_float().tobytes()
+        summary = inar.run_experiment(
+            inar.McConfig(params=params, T=300, p=2, n_experiments=1, base_seed=7))
+        theta = inar.solve_cls(inar.build_design(draws, 2)).to_array()
+        assert summary.per_component_samples.tobytes() == theta.tobytes()
+
+
+def test_counter_tables():
+    # Offset j of _STEPS is j * GOLDEN modulo 2**64, and _ROUNDS holds the
+    # even offsets (u) over the odd ones (v), each row contiguous. Both are
+    # shared and _uniforms steps its argument in place, so neither, nor a
+    # slice of either, can be written.
+    golden = int(_k._GOLDEN)
+    steps = _k._STEPS.tolist()
+    assert steps == [j * golden & _MASK for j in range(len(steps))]
+    assert _k._ROUNDS.tolist() == [steps[0::2], steps[1::2]]
+    assert _k._ROUNDS.flags.c_contiguous
+    for table in (_k._STEPS, _k._ROUNDS, _k._STEPS[:4], _k._ROUNDS[:, :4]):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            _k._uniforms(table)
+
+
 def test_one_lane_is_the_scalar_loop():
     # Case 1's 19 lags at counts near 1e17, where the order of the rate sum
     # shows: a set of one lane is the scalar loop's path.
@@ -386,10 +425,12 @@ def test_tie_bound_without_abs(cells):
     # On slow cells (k >= 0) the log test's bound, summed from the terms'
     # known signs, is the sum of their magnitudes bit for bit: at one rate
     # per cell (lanes) and at the first cell's rate as floats (blocks).
+    # inv_alpha is made from b as _ptrs_round makes it.
     lam, wu, wv = (np.array(c) for c in zip(*cells))
-    per_cell = _k._ptrs_constants(lam)
-    shared = [float(c[0]) for c in _k._ptrs_constants(lam[:1])]
-    for rate, (a, b, inv_alpha, _) in ((lam, per_cell), (float(lam[0]), shared)):
+    per_cell = _k._rate_constants(lam, np.empty((3, lam.shape[0])))
+    shared = [float(c[0]) for c in _k._rate_constants(lam[:1], np.empty((3, 1)))]
+    for rate, (a, b, _) in ((lam, per_cell), (float(lam[0]), shared)):
+        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
         u = wu - 0.5
         us = 0.5 - np.abs(u)
         k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
@@ -548,7 +589,7 @@ def test_shared_log_factorials_across_threads(monkeypatch):
     T=st.one_of(st.integers(1, 40), st.sampled_from([B, B + 1])),
     seed=st.integers(-(2 ** 63), 2 ** 64 - 1),
     stream_id=st.integers(0, 2 ** 64 - 1),
-    cap=st.floats(0.0, 3e5),
+    cap=st.floats(0.0, 3e5, exclude_min=True),
 )
 @example(nu=3.0, kernel=(), T=2 * B + 1, seed=1, stream_id=2, cap=1e9)
 @example(nu=150.0, kernel=(0.0,), T=2 * B + 1, seed=1, stream_id=2, cap=1e9)

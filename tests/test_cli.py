@@ -379,6 +379,17 @@ def test_simulate_non_finite_rejected(tmp_path, run_cli, flags):
     assert_one_line_error(proc, "finite")
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_simulate_cap_must_be_positive(tmp_path, run_cli, cap):
+    # A cap of 0 or less is refused before anything is simulated, not
+    # reported as an intensity overflow at step 1; no file is written.
+    out = tmp_path / "p.csv"
+    proc = run_cli(["simulate", "--nu", 0, "--kernel", "none", "--T", 5, "--seed", 1,
+                    "--lambda-cap", cap, "--out", out])
+    assert_one_line_error(proc, f"ValueError: lambda_cap must be > 0, got {float(cap)}")
+    assert not out.exists()
+
+
 def test_simulate_count_beyond_int64(tmp_path, run_cli):
     # A rate of 1e20, whose counts would pass int64, passes a cap of 1e300
     # but not the bound 2**62: one error line naming the bound and the

@@ -174,6 +174,17 @@ class TestFailureHandling:
         with pytest.raises(ValueError, match=rf"^{shown}$"):
             McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), base_seed=3, **sizes)
 
+    # The base seed too: a float or a string is refused when the config is
+    # built, not at its first simulated block.
+    @pytest.mark.parametrize("seed, shown", [(3.0, r"3\.0"), ("x", "'x'")], ids=["float", "str"])
+    def test_base_seed_must_be_an_integer(self, seed, shown):
+        with pytest.raises(ValueError, match=rf"^base_seed must be an integer, got {shown}$"):
+            McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=50, p=1, n_experiments=4,
+                     base_seed=seed)
+        cfg = McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=50, p=1, n_experiments=4,
+                       base_seed=np.uint64(3))
+        assert type(cfg.base_seed) is int and cfg.base_seed == 3
+
     def test_numpy_integer_sizes_stored_as_int(self):
         cfg = McConfig(params=ModelParams(nu=100.0, kernel=(0.5,)), T=np.int64(50),
                        p=np.int32(1), n_experiments=np.uint8(4), base_seed=3)

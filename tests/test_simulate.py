@@ -320,6 +320,43 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match=message):
             inar.simulate_lanes(ModelParams(nu=1.0), 10, 2, [0, 1], lam_cap=cap)
 
+    # A cap is positive: one of 0 or below, which would stop a path at its
+    # first positive rate, is refused before anything is simulated, by
+    # every simulator and by a study's config.
+    @pytest.mark.parametrize("cap, shown", [(0.0, "0.0"), (-0.0, "-0.0"), (0, "0.0"),
+                                            (-1, "-1.0"), (-1e300, r"-1e\+300")])
+    def test_cap_must_be_positive(self, cap, shown):
+        message = rf"^lambda_cap must be > 0, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            inar.simulate_path(ModelParams(nu=0.0), 10, RngStream(2), lam_cap=cap)
+        with pytest.raises(ValueError, match=message):
+            inar.simulate_lanes(ModelParams(nu=0.0), 10, 2, [0, 1], lam_cap=cap)
+        with pytest.raises(ValueError, match=message):
+            inar.McConfig(params=ModelParams(nu=1.0), T=10, p=0, n_experiments=2,
+                          base_seed=2, lam_cap=cap)
+
+    # Seeds and stream ids are integers: a float is refused, not truncated
+    # to another stream. A numpy integer is read as its int, and every int
+    # wraps modulo 2**64.
+    def test_seeds_and_stream_ids_must_be_integers(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            RngStream(1.5)
+        with pytest.raises(ValueError, match=r"^stream_id must be an integer, got 2\.0$"):
+            RngStream(1, 2.0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got '1'$"):
+            RngStream("1")
+        for seed, ids in ((7.7, [1, 2]), (7, [1.2, 2.8]), (7, [1, np.float64(2.0)])):
+            with pytest.raises(TypeError):
+                inar.simulate_lanes(ModelParams(nu=3.0), 5, seed, ids)
+        rng = RngStream(np.int64(7), np.uint64(2))
+        assert type(rng.seed) is int and type(rng.stream_id) is int
+        assert rng == RngStream(7, 2)
+        wrapped = RngStream(7 - 2 ** 64, 2 + 2 ** 64)
+        assert wrapped.state().tolist() == rng.state().tolist()
+        params = ModelParams(nu=3.0)
+        counts, _ = inar.simulate_lanes(params, 5, np.int64(7), [np.uint64(2), 3])
+        assert counts[:, 0].tolist() == inar.simulate_path(params, 5, rng).counts.tolist()
+
     # A horizon is an integer (a Python or numpy int); a float or a string
     # is refused, not truncated or parsed.
     @pytest.mark.parametrize("T, shown", [(10.5, r"10\.5"), (12.0, r"12\.0"), ("12", "'12'")],

@@ -28,7 +28,9 @@ blocks) and one at ``IID_LOW_NU`` (its inversion blocks), ``inar estimate
 --ci`` on each at p = 0 (the iid sandwich), the two ``NEAR_BOUND`` path
 CSVs at rates just below the simulators' rate bound 2**62, and ``inar
 normality`` on the case-1 ``samples.csv``.
-``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``, and
+``src_lines`` holds each side's ``wc -l`` total of ``src/inar/*.py``,
+``src_code_lines`` its lines that are neither blank nor comments (so a
+change that only deletes comments shows there as no change), and
 ``src_file_lines`` each file's ``wc -l``, by name. Before the pairs, each
 side runs its own tier-1 suite once (``python -m pytest -q -p
 no:cacheprovider`` with ``PYTHONPATH`` at that side's ``src``), and
@@ -262,6 +264,16 @@ def src_lines(root):
     return sum(src_file_lines(root).values())
 
 
+def src_code_lines(root):
+    """The lines of ``src/inar/*.py`` under ``root`` that are neither blank
+    nor start with ``#`` after their indentation (a comment alone, or such
+    a line inside a string); docstrings and code with a trailing comment
+    count."""
+    return sum(1 for p in Path(root).glob("src/inar/*.py")
+               for line in p.read_text().splitlines()
+               if line.strip() and not line.lstrip().startswith("#"))
+
+
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -461,6 +473,8 @@ def main(argv=None):
             ),
             "parent": parent,
             "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
+            "src_code_lines": {"parent": src_code_lines(parent_root),
+                               "change": src_code_lines(ROOT)},
             "src_file_lines": {"parent": src_file_lines(parent_root),
                                "change": src_file_lines(ROOT)},
             "sets": {"final": "the change side's files as they stood when the record was made"},
