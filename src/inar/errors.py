@@ -54,4 +54,5 @@ class ParseError(InarError):
 
 
 class ValidationError(InarError):
-    """Configuration value violates a field constraint."""
+    """Config value of the wrong type for its key, or a seed or stream id
+    outside its 64-bit range."""

@@ -100,9 +100,7 @@ def _counts_of(path) -> np.ndarray:
 
 
 def _check_lag(t: int, p: int) -> int:
-    p = _as_size(p, "p")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    p = _as_size(p, "p", 0)
     if p > t - 1:
         raise LagTooLarge(f"p = {p} exceeds T - 1 = {t - 1}")
     return p

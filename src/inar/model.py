@@ -71,12 +71,16 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _as_size(value, name: str) -> int:
-    """``value`` as an int by ``operator.index``: no float is truncated."""
+def _as_size(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int by ``operator.index``: no float is truncated.
+    With a ``minimum``, a smaller value is refused."""
     try:
-        return operator.index(value)
+        size = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and size < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {size}")
+    return size
 
 
 def _adopt(cls, **fields):
@@ -107,8 +111,8 @@ class ModelParams:
     kernel_tail: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "kernel", tuple(float(a) for a in self.kernel))
+        object.__setattr__(self, "nu", _as_float(self.nu))
+        object.__setattr__(self, "kernel", tuple(map(_as_float, self.kernel)))
 
     # A finite kernel whose norm passes the float range has norm inf.
     @property
@@ -263,9 +267,7 @@ def renewal_sequence(kernel, n_max: int) -> RenewalSequence:
     convolution), which is exact term by term: A_n depends only on
     alpha_1..alpha_n, so finite kernels need no tail correction.
     """
-    n_max = _as_size(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _as_size(n_max, "n_max", 1)
     kern = _kernel_vector(kernel)
     y = np.zeros(n_max, dtype=np.float64)
     y[: kern.shape[0]] = kern[:n_max]
@@ -289,9 +291,7 @@ def moment_bounds(params: ModelParams, horizon_T: int) -> BoundsReport:
     Requires a valid model. The second-moment-based quantities are omitted
     when the squared l2 norm of the kernel reaches 1/2.
     """
-    horizon_T = _as_size(horizon_T, "horizon_T")
-    if horizon_T < 1:
-        raise ValueError(f"horizon_T must be >= 1, got {horizon_T}")
+    horizon_T = _as_size(horizon_T, "horizon_T", 1)
     t = _as_float(horizon_T)
     if t == math.inf:
         raise ValueError(f"horizon_T must fit in a float, got an integer of "

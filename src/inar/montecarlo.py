@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllReplicationsFailed, DimensionMismatch
-from .estimate import fit_lanes
+from .estimate import _check_lag, fit_lanes
 from .inference import NormalityReport, histogram_data, normality_report, qq_data
 from .model import ModelParams, _as_size, _freeze_copies
 from .simulate import DEFAULT_LAMBDA_CAP, _check_inputs, simulate_lanes
@@ -44,13 +44,14 @@ class McConfig:
     case: str | None = None
 
     def __post_init__(self):
-        for name in ("T", "p", "n_experiments", "base_seed"):
-            object.__setattr__(self, name, _as_size(getattr(self, name), name))
-        if self.n_experiments < 1:
-            raise ValueError("n_experiments must be >= 1")
-        if not 0 <= self.p <= self.T - 1:
-            raise ValueError(f"need 0 <= p <= T-1, got p={self.p}, T={self.T}")
-        _check_inputs(self.params, self.T, self.lam_cap)
+        # Each value is checked by the function that owns its rule, so a
+        # config refuses it as a simulation or a fit would.
+        T, _ = _check_inputs(self.params, self.T, self.lam_cap)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "p", _check_lag(T, self.p))
+        object.__setattr__(self, "n_experiments",
+                           _as_size(self.n_experiments, "n_experiments", 1))
+        object.__setattr__(self, "base_seed", _as_size(self.base_seed, "base_seed"))
 
 
 @dataclass(frozen=True)

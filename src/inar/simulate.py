@@ -84,6 +84,8 @@ class CountPath:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if self.counts.min() < 0:
             raise ValueError("counts must be nonnegative")
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, _as_size(getattr(self, name), name))
         object.__setattr__(self, "_floats", _sealed(self.counts.astype(np.float64)))
 
     def __len__(self) -> int:
@@ -113,9 +115,7 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
         raise InvalidRate(f"rate must be finite and >= 0, got {lam}")
     if lam >= _MAX_RATE:
         raise InvalidRate(f"rate must be below 2**62 for int64 draws, got {lam:g}")
-    n = 1 if size is None else _as_size(size, "size")
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    n = 1 if size is None else _as_size(size, "size", 0)
     out = np.empty(n, dtype=np.int64)
     _k.poisson_stream(lam, out, rng.state())
     return int(out[0]) if size is None else out
@@ -124,9 +124,7 @@ def poisson_sample(lam: float, rng: RngStream, size: int | None = None):
 def _check_inputs(params: ModelParams, T, lam_cap) -> tuple[int, float]:
     # T, checked, and the rate bound min(lam_cap, _LARGEST_RATE): a path
     # stops as an intensity overflow at its first rate above it.
-    T = _as_size(T, "T")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _as_size(T, "T", 1)
     lam_cap = _as_float(lam_cap)
     if not math.isfinite(lam_cap):
         raise ValueError(f"lambda_cap must be finite, got {lam_cap}")

@@ -282,10 +282,11 @@ def test_unknown_config_key(tmp_path, run_cli):
 
 
 def test_invalid_nu_named(tmp_path, run_cli):
+    # A config's nu is refused by the model check, as a simulation's is.
     cfg = write_config(tmp_path, nu=-1.0)
     proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "x"])
     assert proc.returncode == 1
-    assert "ValidationError" in proc.stderr
+    assert "NonStationaryKernel" in proc.stderr
     assert "nu" in proc.stderr
 
 
@@ -311,9 +312,9 @@ def test_kernel_grammar_accepted(tmp_path, run_cli, spec):
     "spec,err",
     [
         ("banana", "ParseError"),
-        ("geometric:1.5", "ValidationError"),
+        ("geometric:1.5", "ValueError"),
         ("geometric:abc", "ParseError"),
-        ("lags:[0.5,-0.1]", "ValidationError"),
+        ("lags:[0.5,-0.1]", "NonStationaryKernel"),
         ("lags:[0.5,oops]", "ParseError"),
     ],
 )
@@ -413,17 +414,22 @@ def test_estimate_invalid_level(tmp_path, run_cli, ci):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "text", ['"nu": Infinity', '"nu": NaN', '"lambda_cap": Infinity',
-             '"kernel": "lags:[0.5,NaN]"']
-)
-def test_config_non_finite_rejected(tmp_path, run_cli, text):
+@pytest.mark.parametrize("text, shown", [
+    pytest.param(text, shown, id=text) for text, shown in [
+        ('"nu": Infinity', "NonStationaryKernel: nu and all kernel entries must be finite"),
+        ('"nu": NaN', "NonStationaryKernel: nu and all kernel entries must be finite"),
+        ('"lambda_cap": Infinity', "ValueError: lambda_cap must be finite, got inf"),
+        ('"kernel": "lags:[0.5,NaN]"',
+         "NonStationaryKernel: nu and all kernel entries must be finite"),
+    ]
+])
+def test_config_non_finite_rejected(tmp_path, run_cli, text, shown):
     doc = {"nu": 100.0, "kernel": "none", "T": 20, "p": 1, "n_experiments": 10, "seed": 1}
     body = ", ".join(f'"{k}": {json.dumps(v)}' for k, v in doc.items() if f'"{k}"' not in text)
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{" + body + ", " + text + "}")
     proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "x"])
-    assert_one_line_error(proc, "ValidationError")
+    assert_one_line_error(proc, shown)
 
 
 def test_mc_summary_strict_json_zero_kernel(tmp_path, run_cli):
@@ -681,6 +687,62 @@ def test_malformed_config_one_error_line(tmp_path, run_cli, text):
     out_dir = tmp_path / "out"
     assert_one_error_line(run_cli(["mc", "--config", cfg, "--out-dir", out_dir]))
     assert not out_dir.exists()
+
+
+# A value out of range has one owner in the library, and it reads the same
+# on every route: a config (read for format only), a flag, or Python. Each
+# rule: the config key and its bad value, the CLI flags that carry the same
+# value (None where no flag does), and the call to its owner.
+
+def _simulate(nu=100.0, kernel=inar.geometric_kernel(0.25), T=150, lam_cap=1e9):
+    return inar.simulate_path(inar.ModelParams(nu, kernel), T, inar.RngStream(7), lam_cap)
+
+
+VALUE_RULES = {
+    "nu_finite": (("nu", math.inf), ["simulate", "--nu", "inf"],
+                  lambda: _simulate(nu=math.inf)),
+    "nu_nonnegative": (("nu", -1.0), ["simulate", "--nu", "-1"], lambda: _simulate(nu=-1.0)),
+    "lambda_cap_finite": (("lambda_cap", math.inf), ["simulate", "--lambda-cap", "inf"],
+                          lambda: _simulate(lam_cap=math.inf)),
+    "T_positive": (("T", 0), ["simulate", "--T", "0"], lambda: _simulate(T=0)),
+    "p_nonnegative": (("p", -1), ["estimate", "--p", "-1"],
+                      lambda: inar.build_design(_simulate(), -1)),
+    "p_below_T": (("p", 150), ["estimate", "--p", "150"],
+                  lambda: inar.build_design(_simulate(), 150)),
+    "n_experiments_positive": (
+        ("n_experiments", 0), None,
+        lambda: inar.McConfig(inar.ModelParams(100.0, inar.geometric_kernel(0.25)), T=150,
+                              p=3, n_experiments=0, base_seed=7)),
+    "geometric_ratio": (("kernel", "geometric:1.5"), ["simulate", "--kernel", "geometric:1.5"],
+                        lambda: inar.geometric_kernel(1.5)),
+    "lag_entries": (("kernel", "lags:[0.5,-0.1]"), ["simulate", "--kernel", "lags:[0.5,-0.1]"],
+                    lambda: _simulate(kernel=(0.5, -0.1))),
+}
+
+
+@pytest.mark.parametrize("rule", list(VALUE_RULES))
+def test_value_rule_same_line_on_every_route(tmp_path, run_cli, rule):
+    (key, value), flags, owner = VALUE_RULES[rule]
+    with pytest.raises((inar.InarError, ValueError)) as info:
+        owner()
+    line = f"inar: error: {info.typename}: {info.value}\n"
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with(key, value)))
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", tmp_path / "out"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
+
+    if flags is not None:
+        command, flag, text = flags
+        if command == "simulate":
+            given = {"--nu": "100", "--kernel": "geometric:0.25", "--T": "150", "--seed": "7",
+                     flag: text}
+            args = ["simulate", *sum(given.items(), ()), "--out", tmp_path / "p.csv"]
+        else:
+            inar.write_path_csv(_simulate(), tmp_path / "p.csv")
+            args = ["estimate", "--path", tmp_path / "p.csv", flag, text]
+        proc = run_cli(args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
 
 
 def _path_rows(counts):

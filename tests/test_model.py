@@ -7,6 +7,7 @@ is exact, because the m-th power has no mass below lag m.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -341,6 +342,20 @@ class TestModelParams:
         assert p.kernel_array().dtype == np.float64
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.nu = 3.0
+
+    # An integer past the float range is inf by its sign, as every number
+    # from outside is, and the model check then refuses it.
+    @pytest.mark.parametrize("nu, kernel, read", [
+        (10**400, (), (math.inf, ())),
+        (1.0, (10**400,), (1.0, (math.inf,))),
+        (1.0, (0.5, -(10**400)), (1.0, (0.5, -math.inf))),
+    ], ids=["nu", "kernel", "negative_lag"])
+    def test_beyond_float_range(self, nu, kernel, read):
+        params = ModelParams(nu=nu, kernel=kernel)
+        assert (params.nu, params.kernel) == read
+        with pytest.raises(NonStationaryKernel,
+                           match="^nu and all kernel entries must be finite$"):
+            inar.simulate_path(params, 5, inar.RngStream(1))
 
     def test_digest_stable(self):
         a = ModelParams(nu=100.0, kernel=(0.25, 0.0625))

@@ -7,6 +7,7 @@ import inar
 from inar import (
     AllReplicationsFailed,
     DimensionMismatch,
+    LagTooLarge,
     McConfig,
     ModelParams,
     Overflow,
@@ -286,9 +287,9 @@ class TestConfigValidation:
     def test_bad_values(self, case1_params):
         with pytest.raises(ValueError):
             McConfig(params=case1_params, T=0, p=0, n_experiments=1, base_seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(LagTooLarge, match=r"^p = 10 exceeds T - 1 = 9$"):
             McConfig(params=case1_params, T=10, p=10, n_experiments=1, base_seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_experiments must be >= 1, got 0$"):
             McConfig(params=case1_params, T=10, p=1, n_experiments=0, base_seed=1)
 
     def test_seed_wraps_like_rng_stream(self, case1_params):

@@ -418,6 +418,17 @@ class TestCountPath:
             with pytest.raises(ValueError, match="^counts must be nonnegative$"):
                 CountPath(counts=np.array(counts))
 
+    # The provenance is a stream's: integers, checked as RngStream checks
+    # them, a numpy integer stored as its int.
+    def test_provenance_is_integers(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            CountPath(counts=[1, 2], seed=1.5)
+        with pytest.raises(ValueError, match=r"^stream_id must be an integer, got 'x'$"):
+            CountPath(counts=[1, 2], stream_id="x")
+        path = CountPath(counts=[1, 2], seed=np.int64(7), stream_id=np.uint64(2))
+        assert type(path.seed) is int and type(path.stream_id) is int
+        assert (path.seed, path.stream_id) == (7, 2)
+
     def test_counts_read_only(self):
         # For good: writes to the counts cannot be turned back on.
         path = CountPath(counts=np.array([1, 2, 3]))
