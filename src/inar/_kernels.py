@@ -22,14 +22,15 @@ for any number of paths:
   non-negative products to nu, and a lane that overflows draws on at nu),
   so every pass is one PTRS round on every lane, reading its next two
   counters: a block of passes draws those uniforms at once, with the half
-  of each round that does not depend on the rate (``_round_parts``), and
-  each pass makes the rest (``_ptrs_round``).
+  of each round that does not depend on the rate (``_round_rows``), and
+  each pass makes the rest (``_ptrs_round``). Below nu = 10 a pass's PTRS
+  lanes take a block of one round.
 - the block sampler (``poisson_stream``) draws one constant-rate stream in
   blocks of counters: at a fixed rate a draw's uniforms do not depend on
   the draws before it. It runs the lane engine's kernels on a float rate
   shared by every cell: inversion counts the sums of the sequential search
   that each uniform passes, and ends the sum once the block's largest
-  uniform is not past it; the PTRS round kernel (``_round_parts`` and
+  uniform is not past it; the PTRS round kernel (``_round_rows`` and
   ``_ptrs_round``) takes one row of rounds, at per-lane constants or
   floats. ``sim_lanes`` runs it on a single path whose kernel is zero.
 
@@ -135,10 +136,11 @@ _STREAM_BLOCK = 1 << 13
 # from the block's base state. State j of a block of uniforms is base +
 # _STEPS[j] = base + j * GOLDEN; _uniforms steps it to counter j + 1, so
 # the block's last state is the next block's base. State r of a block of
-# PTRS rounds is base + _ROUNDS[:, r]: a contiguous row of u states over a
-# contiguous row of v states, so round r reads its u at counter 2r + 1 and
-# its v at 2r + 2, and the v row's last state is the next base. _uniforms
-# steps its argument in place, so both tables are read-only. _ROUNDS is a
+# PTRS rounds (_round_rows, the one reader of _ROUNDS) is base +
+# _ROUNDS[:, r]: a contiguous row of u states over a contiguous row of v
+# states, so round r reads its u at counter 2r + 1 and its v at 2r + 2,
+# and the v row's last state is the next base. _uniforms steps its
+# argument in place, so both tables are read-only. _ROUNDS is a
 # copy (128 KB) rather than the strided view _STEPS.reshape(-1, 2).T: the
 # view gives the same draws, but the block adds read from it run slower
 # (poisson_sample at 150, 1e5 draws: 2.95 -> 3.03 ms; both study cases at
@@ -343,11 +345,11 @@ def _log_test(k, lam, us, v, a, b, inv_alpha):
     return accept
 
 
-def _rate_constants(lam, out):
+def _rate_constants(lam, out=None):
     # PTRS constants a, b and v_r of each rate of lam, in place in the rows
-    # of ``out`` (3, n): the scalar loop's operations in its order (each of
-    # + and * is commutative bit for bit).
-    a, b, v_r = out
+    # of ``out`` (3, n), a new array by default: the scalar loop's
+    # operations in its order (each of + and * is commutative bit for bit).
+    a, b, v_r = np.empty((3,) + lam.shape) if out is None else out
     np.sqrt(lam, out=b)
     b *= 2.53
     b += 0.931
@@ -359,12 +361,20 @@ def _rate_constants(lam, out):
     return a, b, v_r
 
 
-def _round_parts(w):
-    # The rate-free half of the PTRS rounds whose uniforms are the rows
-    # w[0] (u) and w[1] (v), in place of w[0]: u - 1/2, us = 1/2 - |u -
-    # 1/2|, the squeeze's us >= 0.07 and the log test's gate (us >= 0.013)
-    # | (v <= us).
-    u, v = w[0], w[1]
+def _round_rows(state, rows, out=None):
+    # The rate-free half of ``rows`` PTRS rounds on each stream of
+    # ``state`` (a uint64 array of any shape), the one reader of _ROUNDS:
+    # round r reads its u at counter 2r + 1 and its v at 2r + 2 past the
+    # stream's state, which steps in place to the last round's v state. The
+    # parts, each shaped (rows,) + state.shape, are u - 1/2, us = 1/2 - |u -
+    # 1/2|, v, the squeeze's us >= 0.07 and the log test's gate (us >=
+    # 0.013) | (v <= us). ``out``, a flat uint64 buffer of at least 2 *
+    # rows * state.size values, holds the states.
+    if out is not None:
+        out = out[: 2 * rows * state.size].reshape((2, rows) + state.shape)
+    grid = np.add(state, _ROUNDS[:, :rows].reshape((2, rows) + (1,) * state.ndim), out=out)
+    u, v = _uniforms(grid)
+    state[...] = grid[1, -1]
     u -= 0.5
     us = np.abs(u)
     np.subtract(0.5, us, out=us)
@@ -374,11 +384,11 @@ def _round_parts(w):
 
 
 def _ptrs_round(u, us, v, fast, gate, lam, a, b, v_r):
-    # One PTRS round on each cell of a row, from its _round_parts and at
-    # (n,) constants, one per cell, or floats shared by every cell. Returns
-    # the candidate k and the acceptance of every cell; the log test runs
-    # only on the cells that the squeeze neither accepts nor rejects, and
-    # inv_alpha is made for those cells alone.
+    # One PTRS round on each cell of a row, from its parts (_round_rows)
+    # and at (n,) constants, one per cell, or floats shared by every cell.
+    # Returns the candidate k and the acceptance of every cell; the log test
+    # runs only on the cells that the squeeze neither accepts nor rejects,
+    # and inv_alpha is made for those cells alone.
     k = 2.0 * a / us
     k += b
     k *= u
@@ -401,28 +411,13 @@ def _ptrs_round(u, us, v, fast, gate, lam, a, b, v_r):
     return k, accept
 
 
-def _ptrs_attempt(lam, state):
-    # One PTRS round on each lane at its rate lam[i] >= 10: the candidate k
-    # and whether the round accepted it. The (2, n) grid holds the lanes'
-    # u states over their v states, as a block of rounds does; the v state
-    # is the state after the round, accepted or not.
-    grid = state + _ROUNDS[:, :1]
-    constants = _rate_constants(lam, np.empty((3, lam.shape[0])))
-    k, accept = _ptrs_round(*_round_parts(_uniforms(grid)), lam, *constants)
-    state[:] = grid[1]
-    return k, accept
-
-
 def _attempt(lam, state):
     # One draw attempt on each lane at its rate lam[i], from state[i],
     # which steps past the counters it reads: the draw and whether it was
     # made. A lane at lam <= 0 (only at nu = 0: no rate is below nu) draws
     # 0 and reads nothing, and one below 10 draws by inversion from one
-    # uniform; one at 10 or more tries one PTRS round (_ptrs_attempt). When
-    # every lane runs PTRS, state goes to it whole, with no gather or
-    # scatter.
-    if lam.min() >= 10.0:
-        return _ptrs_attempt(lam, state)
+    # uniform; one at 10 or more tries one PTRS round, whose v state is the
+    # state after the round, accepted or not.
     draw = np.zeros(lam.shape[0])
     accept = np.ones(lam.shape[0], dtype=bool)
     small = np.flatnonzero((lam > 0.0) & (lam < 10.0))
@@ -432,8 +427,9 @@ def _attempt(lam, state):
         state[small] = st
     large = np.flatnonzero(lam >= 10.0)
     if large.size:
-        st = state[large]
-        draw[large], accept[large] = _ptrs_attempt(lam[large], st)
+        st, rate = state[large], lam[large]
+        parts = [p[0] for p in _round_rows(st, 1)]
+        draw[large], accept[large] = _ptrs_round(*parts, rate, *_rate_constants(rate))
         state[large] = st
     return draw, accept
 
@@ -454,9 +450,9 @@ def poisson_stream(lam, out, key):
     if lam <= 0.0:
         out[:] = 0
         return
-    # The counter before the next block. Blocks shrink as draws are made,
-    # so the first block's buffer holds the states of every block.
-    base = key.copy()
+    # The counter before the next block, 0-d. Blocks shrink as draws are
+    # made, so the first block's buffer holds the states of every block.
+    base = key.reshape(()).copy()
     done = 0
     if lam < 10.0:
         buf = np.empty(min(_STREAM_BLOCK, n_draws), dtype=np.uint64)
@@ -464,24 +460,22 @@ def poisson_stream(lam, out, key):
             size = min(_STREAM_BLOCK, n_draws - done)
             state = np.add(base, _STEPS[:size], out=buf[:size])
             out[done : done + size] = _inversion(lam, _uniforms(state))
-            base[:] = state[-1]
+            base[...] = state[-1]
             done += size
         return
     # A round accepts with probability 0.75 at lam = 10, rising to 0.89 at
     # large lam: 4/3 rounds per draw still wanted mostly suffice, and a
     # short block is followed by another.
-    a, b, v_r = (float(c[0]) for c in _rate_constants(np.array([lam]), np.empty((3, 1))))
+    a, b, v_r = (float(c[0]) for c in _rate_constants(np.array([lam])))
     buf = np.empty(2 * min(_STREAM_BLOCK, n_draws + n_draws // 3 + 8), dtype=np.uint64)
     while done < n_draws:
         need = n_draws - done
         rounds = min(_STREAM_BLOCK, need + need // 3 + 8)
-        state = np.add(base, _ROUNDS[:, :rounds], out=buf[: 2 * rounds].reshape(2, rounds))
         # The block's rounds as one round of ``rounds`` lanes at one rate:
         # every round is decided.
-        k, accept = _ptrs_round(*_round_parts(_uniforms(state)), lam, a, b, v_r)
+        k, accept = _ptrs_round(*_round_rows(base, rounds, buf), lam, a, b, v_r)
         got = k[accept][:need]
         out[done : done + got.size] = got
-        base[:] = state[1, -1]
         done += got.size
 
 
@@ -517,9 +511,9 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     j of a block tries one PTRS round on every lane, at the block's
     counters 2j + 1 (u) and 2j + 2 (v) past its state. A block draws the
     uniforms of its passes in one call and makes their rate-free half
-    (``_round_parts``) at once; each pass makes the rest of its round
+    (``_round_rows``) at once; each pass makes the rest of its round
     (``_ptrs_round``) at its rates. At nu < 10 every pass draws by
-    ``_attempt``.
+    ``_attempt``, whose PTRS lanes take a block of one round.
 
     A lane that overflows stops as a finished lane does, drawing on into a
     sink row; its kernel column is zeroed, so it draws at nu <= cap and is
@@ -567,16 +561,12 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
     prod = np.empty((klen, n_lanes))
     lam = np.empty(n_lanes)
     # Block route: pass j of a block of ``rows`` passes is round j of a
-    # block of rounds on every lane, the (2, rows, n) grid's states grid[0,
-    # j] (u) and grid[1, j] (v), _ROUNDS[:, j] past the block's state;
-    # after _uniforms, grid[1, j] is the state after pass j, and ``state``
-    # is the state after the block. ``row`` passes of the block are made.
+    # block of rounds on every lane (_round_rows), and ``state`` steps to
+    # the state after the block. ``row`` passes of the block are made.
     blocked = nu >= 10.0
-    if blocked:
-        most = max(1, _PASS_BLOCK_VALUES // (2 * n_lanes))
-        constants = np.empty((3, n_lanes))
-    row = rows = 0
-    n_pass = 0
+    most = max(1, _PASS_BLOCK_VALUES // (2 * n_lanes))
+    constants = np.empty((3, n_lanes))
+    row = rows = n_pass = 0
     while True:
         if not top:
             win[_WINDOW_PASSES:] = win[:klen]
@@ -601,9 +591,7 @@ def sim_lanes(nu, kern, n_steps, cap, keys):
                 # needs at least, and none is empty (the last lanes on their
                 # steps may all have overflowed on this pass).
                 rows = max(1, min(most, n_steps - int(cell.min()) // n_lanes))
-                grid = state + _ROUNDS[:, :rows, None]
-                rounds = list(zip(*_round_parts(_uniforms(grid))))
-                state = grid[1, -1]
+                rounds = list(zip(*_round_rows(state, rows)))
                 row = 0
             draw, accept = _ptrs_round(*rounds[row], lam, *_rate_constants(lam, constants))
             row += 1
@@ -821,17 +809,15 @@ def eigh_rcond(y):
 def _inverses(y):
     # Y^-1 of each lane of a (N, m, m) stack from one batched LU. That call
     # raises for the whole stack when LAPACK finds any lane exactly
-    # singular; the lanes are then inverted one at a time, and a singular
-    # lane's inverse is NaN.
+    # singular; the lanes whose LU (slogdet's, the same factorisation) has
+    # no zero pivot are then inverted in one more batched call, and a
+    # singular lane's inverse is NaN.
     try:
         return np.linalg.inv(y)
     except np.linalg.LinAlgError:
         g = np.full_like(y, np.nan)
-        for j in range(y.shape[0]):
-            try:
-                g[j] = np.linalg.inv(y[j])
-            except np.linalg.LinAlgError:
-                pass
+        regular = np.linalg.slogdet(y)[0] != 0.0
+        g[regular] = np.linalg.inv(y[regular])
         return g
 
 

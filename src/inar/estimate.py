@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionMismatch, LagTooLarge, SingularDesign
-from .model import _adopt, _as_size, _freeze_copies, _frozen_copy
+from .model import _adopt, _as_float, _as_size, _freeze_copies, _frozen_copy
 from .simulate import CountPath
 
 __all__ = [
@@ -69,8 +69,8 @@ class ThetaVector:
     _fit = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
+        object.__setattr__(self, "mu", _as_float(self.mu))
+        object.__setattr__(self, "betas", tuple(map(_as_float, self.betas)))
 
     @property
     def p(self) -> int:

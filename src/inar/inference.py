@@ -30,7 +30,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimate import RCOND_THRESHOLD, ThetaVector, _check_lag, _counts_of
-from .model import _adopt, _as_float, _freeze_copies
+from .model import _adopt, _as_float, _as_size, _freeze_copies
 
 __all__ = [
     "SandwichCovariance",
@@ -144,7 +144,8 @@ def confidence_intervals(
     T: int,
     level: float = 0.95,
 ) -> list[tuple[float, float]]:
-    """Per-coordinate intervals theta_j +/- z_{(1+level)/2} sqrt(Sigma_jj/T)."""
+    """Per-coordinate intervals theta_j +/- z_{(1+level)/2} sqrt(Sigma_jj/T).
+    T is a size: an integer >= 1 that fits in a float."""
     level = _checked_level(level)
     values = (theta_hat.mu, *theta_hat.betas)
     diag = cov.Sigma_hat.diagonal()
@@ -152,9 +153,10 @@ def confidence_intervals(
         raise DimensionMismatch(
             f"covariance dimension {diag.shape[0]} does not match theta {len(values)}"
         )
+    T = _as_size(T, "T", 1)
     t = _as_float(T)
-    if not 1.0 <= t < math.inf:
-        raise ValueError(f"T must be >= 1 and finite, got {T}")
+    if t == math.inf:
+        raise ValueError(f"T must fit in a float, got an integer of {T.bit_length()} bits")
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(np.maximum(diag, 0.0) / t)
     return [(v - h, v + h) for v, h in zip(values, half.tolist())]

@@ -64,7 +64,9 @@ def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
 
 
 def _as_float(value) -> float:
-    """``float(value)``, or inf signed as ``value`` for an int past the float range."""
+    """``float(value)`` of a number, not of text; inf signed as ``value`` past the float range."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ValueError(f"expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import InvalidRate, Overflow
-from .model import (ModelParams, _adopt, _as_float, _as_size, _freeze_copies, _require_valid,
-                    _sealed)
+from .model import ModelParams, _adopt, _as_float, _as_size, _require_valid, _sealed
 
 __all__ = [
     "RngStream",
@@ -79,7 +78,16 @@ class CountPath:
     params_digest: str = ""
 
     def __post_init__(self):
-        _freeze_copies(self, "counts", dtype=np.int64)
+        # A C-contiguous int64 copy of integers, or of floats that are
+        # integers, each within int64: nothing is truncated or parsed.
+        counts = np.array(self.counts, order="C", ndmin=1)
+        if counts.dtype.kind not in "biuf":
+            raise ValueError(f"counts must be integers, got an array of dtype {counts.dtype}")
+        if counts.dtype.kind in "uf":
+            fits = (np.floor(counts) == counts) & (counts >= -(2**63)) & (counts < 2**63)
+            if not fits.all():
+                raise ValueError(f"counts must be integers within int64, got {counts[~fits][0]}")
+        object.__setattr__(self, "counts", _sealed(counts.astype(np.int64, copy=False)))
         if self.counts.ndim != 1 or self.counts.shape[0] < 1:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if self.counts.min() < 0:

@@ -777,7 +777,7 @@ def test_non_finite_lanes_anywhere(data):
     # NaN, +inf or -inf written into some lanes' Y or b: those lanes are
     # FIT_NONFINITE, and every lane's LaneFits fields are its one-lane
     # solve's bytes. lane_counts draws all-zero lanes too, whose exactly
-    # singular Y (p >= 1) sends the stack to _inverses' one-lane fallback.
+    # singular Y (p >= 1) sends the stack to _inverses' masked fallback.
     T = data.draw(st.integers(1, 30), label="T")
     p = data.draw(st.integers(0, T - 1), label="p")
     lanes = data.draw(st.lists(lane_counts(T), min_size=1, max_size=12), label="lanes")
@@ -874,6 +874,25 @@ def test_singular_lanes_anywhere_in_the_stack():
             assert np.isnan(g[j]).all()
         else:
             assert g[j].tobytes() == want[j].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_inverses_match_one_lane_inv(data):
+    # Small-integer stacks, many of them with exactly singular lanes: each
+    # lane's inverse is its own np.linalg.inv's bytes, NaN where that call
+    # raises.
+    m = data.draw(st.integers(1, 5), label="m")
+    n = data.draw(st.integers(1, 10), label="n")
+    entries = st.lists(st.integers(-2, 2), min_size=n * m * m, max_size=n * m * m)
+    y = np.array(data.draw(entries, label="entries"), dtype=np.float64).reshape(n, m, m)
+    want = np.full_like(y, np.nan)
+    for j in range(n):
+        try:
+            want[j] = np.linalg.inv(y[j])
+        except np.linalg.LinAlgError:
+            pass
+    assert _k._inverses(y).tobytes() == want.tobytes()
 
 
 _MASK = (1 << 64) - 1

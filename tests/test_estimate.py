@@ -5,6 +5,7 @@ algebra is checked against naive double-loop implementations of the defining
 sums on simulated paths.
 """
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -290,6 +291,12 @@ class TestThetaVector:
     def test_from_array_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             ThetaVector.from_array(np.array([]))
+
+    # Its numbers are read as every number from outside is: an integer past
+    # the float range is inf by its sign (text: test_model.py).
+    def test_beyond_float_range(self):
+        theta = ThetaVector(mu=10**400, betas=(0.5, -(10**400)))
+        assert (theta.mu, theta.betas) == (math.inf, (0.5, -math.inf))
 
 
 def test_consistency_trend(case1_params):

@@ -106,11 +106,30 @@ class TestConfidenceIntervals:
         with pytest.raises(InvalidLevel, match=rf"^level must be in \(0, 1\), got {shown}$"):
             inar.confidence_intervals(theta, self._unit_cov(1), T=10, level=level)
 
-    @pytest.mark.parametrize("T", [0, -1, 0.5, math.inf, pytest.param(10**400, id="10**400")])
-    def test_horizon_below_one(self, T):
+    # T is a size, read as moment_bounds reads horizon_T: an integer >= 1
+    # that fits in a float.
+    @pytest.mark.parametrize("T, message", [
+        (0, "T must be >= 1, got 0"),
+        (-1, "T must be >= 1, got -1"),
+        (0.5, "T must be an integer, got 0.5"),
+        (math.inf, "T must be an integer, got inf"),
+        (10**400, "T must fit in a float, got an integer of 1329 bits"),
+    ], ids=["0", "-1", "0.5", "inf", "10**400"])
+    def test_horizon_below_one(self, T, message):
         theta = ThetaVector(mu=1.0, betas=())
-        with pytest.raises(ValueError, match="T must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             inar.confidence_intervals(theta, self._unit_cov(1), T=T)
+
+    def test_horizon_is_a_size(self):
+        # Text is not parsed and a float is not used as it stands; a numpy
+        # integer is its int.
+        theta = ThetaVector(mu=1.0, betas=())
+        cov = self._unit_cov(1)
+        for T, shown in (("50", "'50'"), (10.5, "10.5"), (50.0, "50.0")):
+            with pytest.raises(ValueError, match=f"^T must be an integer, got {shown}$"):
+                inar.confidence_intervals(theta, cov, T=T)
+        want = inar.confidence_intervals(theta, cov, T=50)
+        assert inar.confidence_intervals(theta, cov, T=np.int64(50)) == want
 
     def test_theta_covariance_mismatch(self):
         theta = ThetaVector(mu=1.0, betas=(0.5,))

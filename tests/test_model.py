@@ -8,6 +8,7 @@ is exact, because the m-th power has no mass below lag m.
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,27 @@ class TestGeometricKernel:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 inar.geometric_kernel(bad)
+
+
+# A number from outside is never parsed from text, as a config refuses
+# text for the same keys.
+@pytest.mark.parametrize("build, shown", [
+    (lambda: ModelParams(nu=" 1_0 "), "' 1_0 '"),
+    (lambda: ModelParams(nu=1.0, kernel=("0.5",)), "'0.5'"),
+    (lambda: ModelParams(nu=b"10"), "b'10'"),
+    (lambda: inar.ThetaVector(mu=" 5 "), "' 5 '"),
+    (lambda: inar.ThetaVector(mu=1.0, betas=("0.1",)), "'0.1'"),
+    (lambda: inar.poisson_sample("3.5", inar.RngStream(1)), "'3.5'"),
+    (lambda: inar.simulate_path(ModelParams(nu=1.0), 5, inar.RngStream(1), lam_cap="1e9"),
+     "'1e9'"),
+    (lambda: inar.confidence_intervals(
+        inar.ThetaVector(mu=1.0), inar.SandwichCovariance(
+            J_hat=np.eye(1), K_hat=np.eye(1), Sigma_hat=np.eye(1)), T=10, level="0.9"),
+     "'0.9'"),
+], ids=["nu", "kernel", "bytes", "mu", "beta", "rate", "lambda_cap", "level"])
+def test_text_refused_as_a_number(build, shown):
+    with pytest.raises(ValueError, match=f"^expected a number, got {re.escape(shown)}$"):
+        build()
 
 
 class TestModelParams:

@@ -418,6 +418,28 @@ class TestCountPath:
             with pytest.raises(ValueError, match="^counts must be nonnegative$"):
                 CountPath(counts=np.array(counts))
 
+    # Counts are integers within int64: integral floats are taken as their
+    # integers, and nothing is truncated, parsed from text or overflowed.
+    @pytest.mark.parametrize("counts, message", [
+        ([1.5, 2.7], "integers within int64, got 1.5"),
+        ([2.0, np.nan], "integers within int64, got nan"),
+        ([np.inf], "integers within int64, got inf"),
+        ([1e19], "integers within int64, got 1e+19"),
+        (np.array([2**63], dtype=np.uint64), "integers within int64, got 9223372036854775808"),
+        (["3", "4"], "integers, got an array of dtype <U1"),
+        ([b"3"], "integers, got an array of dtype |S1"),
+        ([1, 2**70], "integers, got an array of dtype object"),
+    ], ids=["fraction", "nan", "inf", "1e19", "uint64", "text", "bytes", "big_int"])
+    def test_counts_are_integers(self, counts, message):
+        with pytest.raises(ValueError, match=f"^counts must be {re.escape(message)}$"):
+            CountPath(counts=counts)
+
+    @pytest.mark.parametrize("counts", [
+        [1.0, 2.0, 2.0**62], np.array([1, 2, 2**62], dtype=np.uint64), [1, 2, 2**62],
+    ], ids=["floats", "uint64", "ints"])
+    def test_integral_counts_accepted(self, counts):
+        assert CountPath(counts=counts).counts.tolist() == [1, 2, 2**62]
+
     # The provenance is a stream's: integers, checked as RngStream checks
     # them, a numpy integer stored as its int.
     def test_provenance_is_integers(self):
