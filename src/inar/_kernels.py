@@ -46,6 +46,11 @@ of the sandwich by the BLAS calls of a one-lane stack, so a lane's results
 do not depend on the other lanes it is stacked with; the refinement
 residual of each solve is a long double vecdot, numpy's long double matmul
 bit for bit.
+
+``csv_text`` renders a block of CSV rows in one vectorised pass, each
+number as its ``repr``: a float's digits come from exact integer
+arithmetic on its bits, the same digits as the shortest round-trip
+conversion of ``repr`` (Gay 1990).
 """
 
 import functools
@@ -67,6 +72,7 @@ __all__ = [
     "inverse_rcond",
     "inverse_solve",
     "cls_solve",
+    "csv_text",
 ]
 
 # splitmix64 constants (Steele, Lea, Flood 2014 finalizer, variant 13)
@@ -919,3 +925,190 @@ def cls_solve(y, b):
         rc[~finite] = np.nan
         g[~finite] = np.nan
     return LaneFits(theta[:, :, 0], status, rc, resid, g)
+
+
+# CSV text. repr writes a float x without an exponent exactly when 1e-4 <=
+# |x| < 1e16. For such x, with x = f 2**q (f the 53-bit significand) and
+# k = 16 - floor(log10 |x|) in [1, 20], V = x 10**k = 4 f 5**k / 2**s with
+# s = 2 - q - k >= 0 lies in [1e16, 1e17); its numerator is one 55 x 47-bit
+# product, held in two uint64 words. The floats that read back as x are
+# those within V +- 2 * 5**k / 2**s (below: 5**k when f = 2**52, where the
+# gap below x is half the gap above), ends included when f is even. repr's
+# digits are those of the multiple of 10**d in that interval nearest V
+# (ties to the even multiplier) for the largest such d, as in Ryu (Adams
+# 2018, PLDI): the text keeps 17 - d digits. Every other value
+# (non-finite, zero, subnormal, |x| < 1e-4 or >= 1e16, and the int64
+# -2**63) takes repr one cell at a time.
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+_TEN = (_POW5[:19] << np.arange(19, dtype=np.uint64)).view(np.int64)  # 10**e, e < 19
+# 10**e for e = -4..16 as Python reads it, the float nearest the power;
+# those below 1 lie above it, so |x| >= 10**e exactly when floor(log10
+# |x|) >= e.
+_TEN_FLOAT = np.array([float(f"1e{e}") for e in range(-4, 17)])
+_U1, _U2, _U32, _U52, _U64 = (np.uint64(v) for v in (1, 2, 32, 52, 64))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_FRACTION = np.uint64((1 << 52) - 1)
+_HIDDEN = np.uint64(1 << 52)
+# Each cell is laid out in a slot: 20 places before the point, the point,
+# 20 places after it, and the separator, "," or (after a row's last cell)
+# CRLF, padded to a whole number of uint32 words. Its text is the places
+# [start, end) of the slot.
+_POINT = 20
+_SEP = 41
+_SLOT = 44
+_DIGIT, _DOT, _MINUS = ord("0"), ord("."), ord("-")
+
+
+@functools.cache
+def _text_tables():
+    # The text of 0000..9999, four digits per uint32 word in memory order;
+    # and row start * (_SEP + 1) + end of the slot places a cell keeps
+    # (the second separator place is kept only after a row's last cell).
+    t = np.arange(10000)
+    quads = np.stack([t // 1000, t // 100 % 10, t // 10 % 10, t % 10], axis=1) + _DIGIT
+    place = np.arange(_SLOT)
+    bound = np.arange(_SEP + 1)
+    keep = (place >= bound[:, None, None]) & (place < bound[None, :, None])
+    keep[:, :, _SEP] = True
+    return quads.astype(np.uint8).view(np.uint32).ravel(), keep.reshape(-1, _SLOT)
+
+
+def _digits(v, out):
+    # The decimal digits of each nonnegative int64 of v, right-aligned with
+    # leading zeros, as text in the uint32 words of out, four per word.
+    quads = _text_tables()[0]
+    for j in range(out.shape[1] - 1, -1, -1):
+        q = v // 10000
+        out[:, j] = quads[v - q * 10000]
+        v = q
+
+
+def _by_repr(values, fast, slots, start, end):
+    # repr, cell by cell, on the cells where fast is False.
+    if not fast.all():
+        rows = np.flatnonzero(~fast)
+        text = list(map(repr, values[rows].tolist()))
+        slots[rows, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        start[rows] = 0
+        end[rows] = list(map(len, text))
+
+
+def _int_cells(v, slots):
+    # int64 cells: the digits right-aligned before the point.
+    fast = v != -(2**63)
+    neg = v < 0
+    a = np.abs(np.where(fast, v, 0))
+    _digits(a, slots.view(np.uint32)[:, : _POINT // 4])
+    start = _POINT - 1 - np.searchsorted(_TEN[1:], a, side="right") - neg
+    end = np.full(v.shape, _POINT)
+    slots[neg, start[neg]] = _MINUS
+    _by_repr(v, fast, slots, start, end)
+    return start, end
+
+
+def _float_cells(x, slots):
+    # float64 cells: the digits of the multiple M of 10**d chosen in V's
+    # interval, placed about the point.
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0  # any value the arithmetic below takes
+    bits = a.view(np.uint64)
+    biased = bits >> _U52  # q = biased - 1075
+    # floor(log10 a) is g or g + 1, g = floor((biased - 1023) log10 2)
+    g = ((biased.view(np.int64) - 1023) * 78913) >> 18
+    k = 16 - g - (a >= _TEN_FLOAT[g + 5])
+    f = (bits & _FRACTION) | _HIDDEN
+    s = (1077 - biased) - k.astype(np.uint64)
+    # The numerator N = 4 f 5**k in words hi, lo, from 32-bit halves.
+    pow5 = _POW5[k]
+    four_f = f << _U2
+    a0, a1 = four_f & _LOW32, four_f >> _U32
+    b0, b1 = pow5 & _LOW32, pow5 >> _U32
+    low = a0 * b0
+    mid = a0 * b1 + a1 * b0 + (low >> _U32)
+    lo = (mid << _U32) | (low & _LOW32)
+    hi = a1 * b1 + (mid >> _U32)
+    # V = Q + R / 2**s (numpy shifts a uint64 by 64 to 0, so s = 0 reads lo)
+    mask = (_U1 << s) - _U1
+    Q = ((hi << (_U64 - s)) | (lo >> s)).view(np.int64)
+    R = (lo & mask).view(np.int64)
+    mask, s = mask.view(np.int64), s.view(np.int64)
+    # [bottom, top]: the integers in the interval
+    above = pow5.view(np.int64) << 1
+    below = np.where(f == _HIDDEN, above >> 1, above)
+    open_ = (f & _U1).view(np.int64)
+    up = R + above
+    top = Q + (up >> s) - (open_ & ((up & mask) == 0))
+    down = below - R
+    bottom = Q - (down >> s) + (open_ & ((down & mask) == 0))
+    # d, largest with a multiple of 10**d in [bottom, top]. The interval
+    # is at most V / f < 23 wide, so for d >= 2 that multiple is top less
+    # its last two digits, and d counts the zeros above them.
+    width = top - bottom
+    tens = top // 10
+    hundreds = tens // 10
+    d = (top - tens * 10 <= width).astype(np.int64)
+    two = top - hundreds * 100 <= width
+    d += two
+    rows = np.flatnonzero(two)
+    rest = hundreds[rows]
+    while rows.size:
+        q = rest // 10
+        zero = rest == q * 10
+        rows, rest = rows[zero], q[zero]
+        d[rows] += 1
+    # M: of F <= Q < C, the multiples of 10**d about V, the one in the
+    # interval, or the nearer (ties to the even multiplier) when both are.
+    # Then 10**d <= width, so F + C - 2 Q lies in (-10, 10] and gap is
+    # exact; elsewhere gap is not read, and may wrap.
+    unit = _TEN[d]
+    m = Q // unit
+    F = m * unit
+    C = F + unit
+    twice = R << 1
+    gap = (F + C - 2 * Q) << s
+    nearer_c = (twice > gap) | ((twice == gap) & (m & 1).astype(bool))
+    M = np.where((F >= bottom) & ~((C <= top) & nearer_c), F, C)
+    # The 17 digits of M, the first at place 23 of 60 zeros, read through a
+    # window whose offset puts digit 17 - k (the first after the point)
+    # right of the point.
+    pad = np.full((x.size, 60), _DIGIT, dtype=np.uint8)
+    _digits(M, pad.view(np.uint32)[:, 5:10])
+    window = np.ndarray((x.size, 20, 40), np.uint8, pad, strides=(60, 1, 1))
+    window = window[np.arange(x.size), _POINT - k]
+    slots[:, :_POINT] = window[:, :_POINT]
+    slots[:, _POINT] = _DOT
+    slots[:, _POINT + 1 : _SEP] = window[:, _POINT:]
+    neg = np.signbit(x)
+    start = np.minimum(k + 3, _POINT - 1) - neg
+    end = _POINT + 1 + np.maximum(k - d, 1)
+    slots[neg, start[neg]] = _MINUS
+    _by_repr(x, fast, slots, start, end)
+    return start, end
+
+
+def csv_text(columns):
+    """The CSV rows of equal-length 1-d int64 or float64 columns: the text
+    ``csv.writer`` writes for them, each number as its ``repr``, fields
+    joined by commas and each row ended by CRLF. All cells are laid out in
+    one uint8 buffer, decoded once."""
+    n, width = len(columns[0]), len(columns)
+    slots = np.empty((n, width, _SLOT), dtype=np.uint8)
+    bounds = np.empty((n, width), dtype=np.intp)
+    done = 0
+    for dtype, cells in ((np.int64, _int_cells), (np.float64, _float_cells)):
+        picked = [j for j, col in enumerate(columns) if col.dtype == dtype]
+        if picked:
+            values = np.stack([columns[j] for j in picked], axis=1).ravel()
+            own = np.empty((values.size, _SLOT), dtype=np.uint8)
+            start, end = cells(values, own)
+            slots[:, picked] = own.reshape(n, len(picked), _SLOT)
+            bounds[:, picked] = (start * (_SEP + 1) + end).reshape(n, len(picked))
+            done += len(picked)
+    if done != width:
+        raise TypeError("CSV columns must be int64 or float64 arrays")
+    keep = _text_tables()[1].take(bounds, axis=0)
+    keep[:, -1, _SEP + 1] = True
+    slots[:, :, _SEP] = ord(",")
+    slots[:, -1, _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
+    return slots[keep].tobytes().decode("ascii")

@@ -9,6 +9,7 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +29,6 @@ from .montecarlo import component_label, normality_suite, run_experiment
 from .simulate import (
     DEFAULT_LAMBDA_CAP,
     RngStream,
-    _csv_column,
     _opened,
     _write_csv,
     read_path_csv,
@@ -159,12 +159,9 @@ def _cmd_mc(args) -> int:
         labels = [component_label(j) for j in range(summary.per_component_samples.shape[1])]
         write_samples_csv(os.path.join(out_dir, "samples.csv"), labels, summary.rep_ids,
                           summary.per_component_samples)
-    # Every component has the same sample size, so the same Q-Q quantiles:
-    # their text is rendered once.
-    qq_z = _csv_column(diagnostics[0].qq_z)
     for diag in diagnostics:
         _write_csv(os.path.join(out_dir, f"qq_{diag.label}.csv"), ["z", "value"],
-                   [qq_z, diag.qq_value])
+                   [diag.qq_z, diag.qq_value])
         _write_csv(os.path.join(out_dir, f"hist_{diag.label}.csv"),
                    ["bin_left", "bin_right", "count"],
                    [diag.hist_left, diag.hist_right, diag.hist_count])
@@ -241,9 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process, built on first use: parsing leaves it as it
+    # was, and building it costs more than a parse.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InarError, ValueError, OSError) as exc:

@@ -64,8 +64,9 @@ def _freeze_copies(record, *names: str, dtype=np.float64) -> None:
 
 
 def _as_float(value) -> float:
-    """``float(value)`` of a number, not of text; inf signed as ``value`` past the float range."""
-    if isinstance(value, (str, bytes, bytearray)):
+    """``float(value)`` of a number, not of text or a bool; inf signed as
+    ``value`` past the float range."""
+    if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
         raise ValueError(f"expected a number, got {value!r}")
     try:
         return float(value)
@@ -74,9 +75,11 @@ def _as_float(value) -> float:
 
 
 def _as_size(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int by ``operator.index``: no float is truncated.
-    With a ``minimum``, a smaller value is refused."""
+    """``value`` as an int by ``operator.index``: no float is truncated,
+    and a bool is refused. With a ``minimum``, a smaller value is refused."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         size = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -199,16 +199,9 @@ def simulate_lanes(
     return _k.sim_lanes(params.nu, params.kernel_array(), T, cap, keys)
 
 
-def _csv_column(values) -> list[str]:
-    """The CSV field of each entry of a 1-d numeric array: the repr of its
-    Python value (for a float, the shortest text that round-trips), the
-    text ``csv.writer`` writes for it."""
-    return list(map(repr, values.tolist()))
-
-
-# Rows rendered per write: a long path is written without holding all of
-# its text at once, and every table of a study is one block.
-_CSV_BLOCK_ROWS = 1 << 14
+# Cells rendered per block of rows: the text of a long table is never held
+# all at once, and the kernel's temporaries stay within the CPU's caches.
+_CSV_BLOCK_CELLS = 1 << 12
 
 
 def _opened(file, mode: str):
@@ -221,18 +214,17 @@ def _opened(file, mode: str):
 
 def _write_csv(file, header: list[str], columns) -> None:
     """Write CSV to a path or an open text file: the header row, then one
-    row per entry of the columns, equal-length 1-d numeric arrays or lists
-    of their field text from :func:`_csv_column` (for a column several
-    files share). Each block of rows is rendered a column at a time and
-    written at once. The bytes are ``csv.writer``'s: fields joined by
-    commas, each row ended by CRLF, and no field quoted, since neither the
-    header names nor numbers hold a comma, a quote or a line break."""
+    row per entry of the columns, equal-length 1-d int64 or float64 arrays,
+    each block of rows rendered by ``_kernels.csv_text`` and written at
+    once. The bytes are ``csv.writer``'s, each number written as its repr:
+    fields joined by commas, each row ended by CRLF, and no field quoted,
+    since neither the header names nor numbers hold a comma, a quote or a
+    line break."""
+    rows = max(1, _CSV_BLOCK_CELLS // len(columns))
     with _opened(file, "w") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
-            text = [b if isinstance(b, list) else _csv_column(b) for b in block]
-            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+        for start in range(0, len(columns[0]), rows):
+            fh.write(_k.csv_text([col[start : start + rows] for col in columns]))
 
 
 def _read_csv(file, what: str, header_ok, header_hint: str, parse_row):
@@ -262,7 +254,7 @@ def _read_csv(file, what: str, header_ok, header_hint: str, parse_row):
 
 def write_path_csv(path: CountPath, file) -> None:
     """Write a path as CSV with header ``n,x``, one row per step, 1-based n."""
-    _write_csv(file, ["n", "x"], [np.arange(1, len(path) + 1), path.counts])
+    _write_csv(file, ["n", "x"], [np.arange(1, len(path) + 1, dtype=np.int64), path.counts])
 
 
 def _path_row(step: int, row: list[str]) -> int:

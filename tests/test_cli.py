@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, exit codes, errors."""
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -40,6 +41,23 @@ def test_version(run_cli_process):
     proc = run_cli_process(["--version"])
     assert proc.returncode == 0
     assert inar.__version__ in proc.stdout
+
+
+def test_main_builds_one_parser(tmp_path, run_cli, monkeypatch):
+    # main parses every call with the parser it built on first use;
+    # build_parser still gives a fresh parser each call.
+    built = []
+    real = inar.cli.build_parser
+    monkeypatch.setattr(inar.cli, "build_parser", lambda: built.append(1) or real())
+    inar.cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            proc = run_cli(["normality", "--samples", tmp_path / "missing.csv"])
+            assert proc.returncode == 1 and "FileNotFoundError" in proc.stderr
+    finally:
+        inar.cli._parser.cache_clear()
+    assert built == [1]
+    assert real() is not real()
 
 
 def test_simulate_zero_nu(tmp_path, run_cli):
@@ -136,6 +154,36 @@ def test_mc_outputs_and_rerun_identical(tmp_path, run_cli, run_cli_process):
     hist = read_rows(out1 / "hist_mu_hat.csv")
     assert hist[0] == ["bin_left", "bin_right", "count"] and len(hist) == 31
     assert sum(int(r[2]) for r in hist[1:]) == 40
+
+
+# sha256 prefixes of every file `inar mc` writes for a small study of each
+# README case (T = 60, p = 3, 200 replications, seed 11). They pin the CSV
+# and JSON text, not only its values, on the build test_inference's
+# GOLDEN_DIGESTS names: numpy 2.4 with OpenBLAS 0.3.31 on x86-64.
+GOLDEN_MC_FILES = {
+    "geometric:0.25": {
+        "hist_beta_1.csv": "0c5b92d6df5e0a4d", "hist_beta_2.csv": "7b7109a684bee3c5",
+        "hist_mu_hat.csv": "0bc2a85237928efe", "mc_summary.json": "01ca575dd62922c1",
+        "qq_beta_1.csv": "5c7fd602b7e306b3", "qq_beta_2.csv": "74df874e2dc25443",
+        "qq_mu_hat.csv": "9cf197dbb40683ae", "samples.csv": "f78cf14ee5f170a6",
+    },
+    "lags:[0.8]": {
+        "hist_beta_1.csv": "1437587c0524e46e", "hist_beta_2.csv": "4ef4f179f7945e00",
+        "hist_mu_hat.csv": "864f6411db071dce", "mc_summary.json": "b93517a3bb3fd1d0",
+        "qq_beta_1.csv": "f22161e469fd46c7", "qq_beta_2.csv": "b166dda57303a0d0",
+        "qq_mu_hat.csv": "34d51d61fe265d06", "samples.csv": "4d9c156d33d7e6d5",
+    },
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(GOLDEN_MC_FILES))
+def test_mc_output_bytes_golden(tmp_path, run_cli, kernel):
+    cfg = write_config(tmp_path, kernel=kernel, T=60, p=3, n_experiments=200, seed=11)
+    out = tmp_path / "out"
+    proc = run_cli(["mc", "--config", cfg, "--out-dir", out])
+    assert proc.returncode == 0 and proc.stderr == ""
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in out.iterdir()}
+    assert got == GOLDEN_MC_FILES[kernel]
 
 
 def test_mc_no_samples(tmp_path, run_cli):

@@ -357,6 +357,26 @@ def test_text_refused_as_a_number(build, shown):
         build()
 
 
+# A bool is neither a number nor a size, as a config refuses true for
+# the same keys.
+@pytest.mark.parametrize("build, message", [
+    (lambda: inar.simulate_path(ModelParams(nu=2.0), True, inar.RngStream(1)),
+     "T must be an integer, got True"),
+    (lambda: ModelParams(nu=True), "expected a number, got True"),
+    (lambda: ModelParams(nu=1.0, kernel=(np.True_,)), "expected a number, got np.True_"),
+    (lambda: inar.moment_bounds(ModelParams(nu=1.0), horizon_T=True),
+     "horizon_T must be an integer, got True"),
+    (lambda: inar.RngStream(True, False), "seed must be an integer, got True"),
+    (lambda: inar.RngStream(1, np.False_), "stream_id must be an integer, got np.False_"),
+    (lambda: inar.poisson_sample(True, inar.RngStream(1)), "expected a number, got True"),
+    (lambda: inar.poisson_sample(3.0, inar.RngStream(1), size=True),
+     "size must be an integer, got True"),
+], ids=["T", "nu", "kernel", "horizon", "seed", "stream_id", "rate", "size"])
+def test_bool_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestModelParams:
     def test_frozen_and_coerced(self):
         p = ModelParams(nu=2, kernel=[0.1, 0.2])

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 import inar
 from inar import _kernels as _k
 from inar.simulate import (
-    _CSV_BLOCK_ROWS,
+    _CSV_BLOCK_CELLS,
     simulate_lanes,
-    _csv_column,
     _write_csv,
     read_samples_csv,
     write_samples_csv,
@@ -536,9 +535,11 @@ class TestCountPath:
         assert back.counts.dtype == np.int64
         assert back.counts.tolist() == counts
 
-    @pytest.mark.parametrize("n", [4, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("n", [4, 1 << 14, (1 << 15) + 3])
     def test_csv_bytes_on_disk_match_csv_writer(self, tmp_path, n):
-        # Paths longer than a block of rows are written block by block.
+        # Paths longer than a block of rows are written block by block:
+        # whole blocks, and whole blocks and a part.
+        assert n == 4 or n > _CSV_BLOCK_CELLS // 2
         counts = np.arange(n, dtype=np.int64) * 7919 % 1000
         counts[-2:] = [2 ** 63 - 1, 0]
         path = CountPath(counts=counts)
@@ -575,25 +576,60 @@ class TestCountPath:
 
 
 # The CSV writer shared by every table the package writes, against
-# csv.writer as the oracle.
-_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
-                2.2250738585072014e-308, 1e-310, 1.8e308, -1.8e308, 0.1, 1e16]
-_EDGE_INTS = [-(2 ** 63), 2 ** 63 - 1, -1, 0, 1]
+# csv.writer as the oracle. The edges of the kernel's exact route: where
+# repr starts to write an exponent (1e-4, 1e16 and their neighbours), one
+# ulp about powers of two and ten (the interval of a power of two is
+# narrower below it), the longest texts, halves, and the integers from
+# 2**52, whose spacing reaches 2.
+_POWERS = [2.0 ** e for e in range(-14, 54)] + [float(f"1e{e}") for e in range(-5, 17)]
+_EDGE_FLOATS = sorted({
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-310, 1.8e308, -1.8e308, 0.1, 1e16,
+    *_POWERS, *(math.nextafter(p, 0.0) for p in _POWERS),
+    *(math.nextafter(p, math.inf) for p in _POWERS),
+    9999999999999998.0, 0.9999999999999999, 9.9999999999999995e-05, -1e-4,
+    0.5, 1.5, 2.5, 1e6 + 0.5, 2.0 ** 51 + 0.5, 2.0 ** 52 - 0.5,
+    2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53 + 2, 9007199254740993.0, 1e16 - 2,
+    1234567890123456.0, 0.00012345678901234567, -0.00012345678901234567,
+}, key=repr)
+_EDGE_INTS = [-(2 ** 63), 2 ** 63 - 1, -1, 0, 1, 9, 10, 10 ** 18, -(10 ** 18) + 1]
+_floats_near_edges = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True),
+    st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4),
+    st.integers(2 ** 52, 10 ** 16 - 1).map(float),
+    st.integers(-(10 ** 6), 10 ** 6).map(lambda n: n + 0.5),
+)
+_ints_near_edges = st.one_of(st.sampled_from(_EDGE_INTS), st.integers(-(2 ** 63), 2 ** 63 - 1))
 
 
 @st.composite
 def _csv_columns(draw):
-    n_rows = draw(st.integers(0, 50))
+    # Small tables of drawn cells, and tables shaped like samples.csv (a few
+    # hundred rows of up to 12 columns, over several blocks of the writer)
+    # of generated cells with drawn cells among them.
+    big = draw(st.booleans())
+    if big:
+        n_rows, n_cols = draw(st.integers(100, 400)), draw(st.integers(2, 12))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    else:
+        n_rows, n_cols = draw(st.integers(0, 50)), draw(st.integers(1, 4))
     columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            value = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True))
-            dtype = np.float64
+    for _ in range(n_cols):
+        floats = draw(st.booleans())
+        value = _floats_near_edges if floats else _ints_near_edges
+        if not big:
+            columns.append(np.array(draw(st.lists(value, min_size=n_rows, max_size=n_rows)),
+                                    dtype=np.float64 if floats else np.int64))
+            continue
+        if floats:  # any bits, and values about every power of ten
+            col = np.where(rng.random(n_rows) < 0.5,
+                           rng.integers(0, 2 ** 64, n_rows, dtype=np.uint64).view(np.float64),
+                           rng.standard_normal(n_rows) * 10.0 ** rng.integers(-6, 18, n_rows))
         else:
-            value = st.one_of(st.sampled_from(_EDGE_INTS), st.integers(-(2 ** 63), 2 ** 63 - 1))
-            dtype = np.int64
-        columns.append(np.array(draw(st.lists(value, min_size=n_rows, max_size=n_rows)),
-                                dtype=dtype))
+            col = rng.integers(-(2 ** 63), 2 ** 63, n_rows, dtype=np.int64, endpoint=False)
+        drawn = draw(st.lists(value, max_size=20))
+        col[rng.integers(0, n_rows, len(drawn))] = drawn
+        columns.append(col)
     return columns
 
 
@@ -608,10 +644,20 @@ def test_csv_writer_bytes_match_csv_module(columns):
     got = io.StringIO(newline="")
     _write_csv(got, header, columns)
     assert got.getvalue() == want.getvalue()
-    # A column given as its rendered text writes the same bytes.
-    again = io.StringIO(newline="")
-    _write_csv(again, header, [_csv_column(columns[0]), *columns[1:]])
-    assert again.getvalue() == want.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(st.lists(_floats_near_edges, max_size=300).map(np.array),
+                   st.lists(_ints_near_edges, max_size=300).map(
+                       lambda v: np.array(v, dtype=np.int64))))
+@example(a=np.array(_EDGE_FLOATS))
+@example(a=np.array(_EDGE_INTS, dtype=np.int64))
+def test_csv_text_is_repr(a):
+    # The kernel's text of any float64 or int64 array is the repr of each
+    # entry, one row each.
+    rows = _k.csv_text([a]).split("\r\n")
+    assert rows.pop() == ""
+    assert rows == list(map(repr, a.tolist()))
 
 
 _finite_floats = st.one_of(st.sampled_from([f for f in _EDGE_FLOATS if math.isfinite(f)]),
