@@ -929,24 +929,22 @@ def cls_solve(y, b):
 
 # CSV text. repr writes a float x without an exponent exactly when 1e-4 <=
 # |x| < 1e16. For such x, with x = f 2**q (f the 53-bit significand) and
-# k = 16 - floor(log10 |x|) in [1, 20], V = x 10**k = 4 f 5**k / 2**s with
-# s = 2 - q - k >= 0 lies in [1e16, 1e17); its numerator is one 55 x 47-bit
-# product, held in two uint64 words. The floats that read back as x are
-# those within V +- 2 * 5**k / 2**s (below: 5**k when f = 2**52, where the
-# gap below x is half the gap above), ends included when f is even. repr's
-# digits are those of the multiple of 10**d in that interval nearest V
-# (ties to the even multiplier) for the largest such d, as in Ryu (Adams
-# 2018, PLDI): the text keeps 17 - d digits. Every other value
-# (non-finite, zero, subnormal, |x| < 1e-4 or >= 1e16, and the int64
+# k = 16 - floor(log10 |x|) in [1, 20], V = x 10**k = N / 2**s with
+# N = 4 f 5**k and s = 2 - q - k >= 0 lies in [1e16, 1e17). The floats that
+# read back as x are those within V +- 2 * 5**k / 2**s (below: 5**k when
+# f = 2**52, where the gap below x is half the gap above), ends included
+# when f is even. repr's digits are those of the multiple of 10**d in that
+# interval nearest V (ties to the even multiplier) for the largest such d,
+# as in Ryu (Adams 2018, PLDI): the text keeps 17 - d digits. Every other
+# value (non-finite, zero, subnormal, |x| < 1e-4 or >= 1e16, and the int64
 # -2**63) takes repr one cell at a time.
 _POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
 _TEN = (_POW5[:19] << np.arange(19, dtype=np.uint64)).view(np.int64)  # 10**e, e < 19
-# 10**e for e = -4..16 as Python reads it, the float nearest the power;
-# those below 1 lie above it, so |x| >= 10**e exactly when floor(log10
-# |x|) >= e.
-_TEN_FLOAT = np.array([float(f"1e{e}") for e in range(-4, 17)])
-_U1, _U2, _U32, _U52, _U64 = (np.uint64(v) for v in (1, 2, 32, 52, 64))
-_LOW32 = np.uint64(0xFFFFFFFF)
+# 10**e for e = -4..20 as Python reads it, the float nearest the power: it
+# is the power itself from e = 0, and lies above it below 0, so |x| >=
+# 10**e exactly when floor(log10 |x|) >= e.
+_TEN_FLOAT = np.array([float(f"1e{e}") for e in range(-4, 21)])
+_U2, _U52 = np.uint64(2), np.uint64(52)
 _FRACTION = np.uint64((1 << 52) - 1)
 _HIDDEN = np.uint64(1 << 52)
 # Each cell is laid out in a slot: 20 places before the point, the point,
@@ -974,13 +972,15 @@ def _text_tables():
 
 
 def _digits(v, out):
-    # The decimal digits of each nonnegative int64 of v, right-aligned with
-    # leading zeros, as text in the uint32 words of out, four per word.
+    # The decimal digits of each nonnegative int64 of v, below 10**(4 w),
+    # right-aligned with leading zeros as text in the w uint32 words of
+    # out, four per word.
     quads = _text_tables()[0]
-    for j in range(out.shape[1] - 1, -1, -1):
+    for j in range(out.shape[1] - 1, 0, -1):
         q = v // 10000
         out[:, j] = quads[v - q * 10000]
         v = q
+    out[:, 0] = quads[v]
 
 
 def _by_repr(values, fast, slots, start, end):
@@ -1011,36 +1011,31 @@ def _float_cells(x, slots):
     # interval, placed about the point.
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
-    a[~fast] = 1.0  # any value the arithmetic below takes
+    a = np.where(fast, a, 1.0)  # any value the arithmetic below takes
     bits = a.view(np.uint64)
     biased = bits >> _U52  # q = biased - 1075
     # floor(log10 a) is g or g + 1, g = floor((biased - 1023) log10 2)
     g = ((biased.view(np.int64) - 1023) * 78913) >> 18
     k = 16 - g - (a >= _TEN_FLOAT[g + 5])
     f = (bits & _FRACTION) | _HIDDEN
-    s = (1077 - biased) - k.astype(np.uint64)
-    # The numerator N = 4 f 5**k in words hi, lo, from 32-bit halves.
+    s = (1077 - biased) - k.view(np.uint64)
+    # V = Q + R / 2**s with 0 <= R < 2**s <= 2**49. The float product a
+    # 10**k is within 8 of V < 2**57, so its floor, guess, is within 9 of
+    # Q, and off = N - guess 2**s, exact from uint64 words that wrap, is
+    # below 2**54 in size.
     pow5 = _POW5[k]
-    four_f = f << _U2
-    a0, a1 = four_f & _LOW32, four_f >> _U32
-    b0, b1 = pow5 & _LOW32, pow5 >> _U32
-    low = a0 * b0
-    mid = a0 * b1 + a1 * b0 + (low >> _U32)
-    lo = (mid << _U32) | (low & _LOW32)
-    hi = a1 * b1 + (mid >> _U32)
-    # V = Q + R / 2**s (numpy shifts a uint64 by 64 to 0, so s = 0 reads lo)
-    mask = (_U1 << s) - _U1
-    Q = ((hi << (_U64 - s)) | (lo >> s)).view(np.int64)
-    R = (lo & mask).view(np.int64)
-    mask, s = mask.view(np.int64), s.view(np.int64)
-    # [bottom, top]: the integers in the interval
+    guess = (a * _TEN_FLOAT[k + 4]).astype(np.int64)
+    off = (((f << _U2) * pow5) - (guess.view(np.uint64) << s)).view(np.int64)
+    s = s.view(np.int64)
+    Q = guess + (off >> s)
+    # [bottom, top]: the integers in the interval, whose ends are N -+ 2 *
+    # 5**k (or 5**k below) over 2**s, less one unit of N at an end left
+    # out.
     above = pow5.view(np.int64) << 1
-    below = np.where(f == _HIDDEN, above >> 1, above)
-    open_ = (f & _U1).view(np.int64)
-    up = R + above
-    top = Q + (up >> s) - (open_ & ((up & mask) == 0))
-    down = below - R
-    bottom = Q - (down >> s) + (open_ & ((down & mask) == 0))
+    below = above >> (f == _HIDDEN)
+    odd = (f & np.uint64(1)).view(np.int64)
+    top = guess + ((off + above - odd) >> s)
+    bottom = guess - ((below - off - odd) >> s)
     # d, largest with a multiple of 10**d in [bottom, top]. The interval
     # is at most V / f < 23 wide, so for d >= 2 that multiple is top less
     # its last two digits, and d counts the zeros above them.
@@ -1059,14 +1054,15 @@ def _float_cells(x, slots):
         d[rows] += 1
     # M: of F <= Q < C, the multiples of 10**d about V, the one in the
     # interval, or the nearer (ties to the even multiplier) when both are.
-    # Then 10**d <= width, so F + C - 2 Q lies in (-10, 10] and gap is
+    # Then 10**d <= width, so F + C - 2 guess lies in (-28, 28] and gap is
     # exact; elsewhere gap is not read, and may wrap.
     unit = _TEN[d]
     m = Q // unit
     F = m * unit
     C = F + unit
-    twice = R << 1
-    gap = (F + C - 2 * Q) << s
+    # V - F against C - V, as 2 off against (F + C - 2 guess) 2**s
+    twice = off << 1
+    gap = (F + C - 2 * guess) << s
     nearer_c = (twice > gap) | ((twice == gap) & (m & 1).astype(bool))
     M = np.where((F >= bottom) & ~((C <= top) & nearer_c), F, C)
     # The 17 digits of M, the first at place 23 of 60 zeros, read through a
@@ -1093,20 +1089,26 @@ def csv_text(columns):
     joined by commas and each row ended by CRLF. All cells are laid out in
     one uint8 buffer, decoded once."""
     n, width = len(columns[0]), len(columns)
-    slots = np.empty((n, width, _SLOT), dtype=np.uint8)
-    bounds = np.empty((n, width), dtype=np.intp)
-    done = 0
+    groups = []
     for dtype, cells in ((np.int64, _int_cells), (np.float64, _float_cells)):
         picked = [j for j, col in enumerate(columns) if col.dtype == dtype]
         if picked:
             values = np.stack([columns[j] for j in picked], axis=1).ravel()
-            own = np.empty((values.size, _SLOT), dtype=np.uint8)
-            start, end = cells(values, own)
-            slots[:, picked] = own.reshape(n, len(picked), _SLOT)
-            bounds[:, picked] = (start * (_SEP + 1) + end).reshape(n, len(picked))
-            done += len(picked)
-    if done != width:
+            own = np.empty((n, len(picked), _SLOT), dtype=np.uint8)
+            start, end = cells(values, own.reshape(-1, _SLOT))
+            groups.append((picked, own, (start * (_SEP + 1) + end).reshape(n, -1)))
+    if sum(len(picked) for picked, _, _ in groups) != width:
         raise TypeError("CSV columns must be int64 or float64 arrays")
+    if len(groups) == 1:  # every column in one group, in order
+        _, slots, bounds = groups[0]
+    else:
+        slots = np.empty((n, width, _SLOT), dtype=np.uint8)
+        bounds = np.empty((n, width), dtype=np.intp)
+        for picked, own, own_bounds in groups:
+            if picked == list(range(picked[0], picked[-1] + 1)):
+                picked = slice(picked[0], picked[-1] + 1)
+            slots[:, picked] = own
+            bounds[:, picked] = own_bounds
     keep = _text_tables()[1].take(bounds, axis=0)
     keep[:, -1, _SEP + 1] = True
     slots[:, :, _SEP] = ord(",")
