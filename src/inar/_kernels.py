@@ -1096,7 +1096,7 @@ def csv_text(columns):
             values = np.stack([columns[j] for j in picked], axis=1).ravel()
             own = np.empty((n, len(picked), _SLOT), dtype=np.uint8)
             start, end = cells(values, own.reshape(-1, _SLOT))
-            groups.append((picked, own, (start * (_SEP + 1) + end).reshape(n, -1)))
+            groups.append((picked, own, (start * (_SEP + 1) + end).reshape(n, len(picked))))
     if sum(len(picked) for picked, _, _ in groups) != width:
         raise TypeError("CSV columns must be int64 or float64 arrays")
     if len(groups) == 1:  # every column in one group, in order
