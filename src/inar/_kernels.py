@@ -958,24 +958,29 @@ _DIGIT, _DOT, _MINUS = ord("0"), ord("."), ord("-")
 
 
 @functools.cache
-def _text_tables():
-    # The text of 0000..9999, four digits per uint32 word in memory order;
-    # and row start * (_SEP + 1) + end of the slot places a cell keeps
-    # (the second separator place is kept only after a row's last cell).
+def _quads():
+    # The text of 0000..9999, four digits per uint32 word in memory order.
     t = np.arange(10000)
-    quads = np.stack([t // 1000, t // 100 % 10, t // 10 % 10, t % 10], axis=1) + _DIGIT
+    text = np.stack([t // 1000, t // 100 % 10, t // 10 % 10, t % 10], axis=1) + _DIGIT
+    return text.astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _kept_places():
+    # Row start * (_SEP + 1) + end: the places of a slot its cell keeps.
+    # The second separator place is kept only after a row's last cell.
     place = np.arange(_SLOT)
     bound = np.arange(_SEP + 1)
     keep = (place >= bound[:, None, None]) & (place < bound[None, :, None])
     keep[:, :, _SEP] = True
-    return quads.astype(np.uint8).view(np.uint32).ravel(), keep.reshape(-1, _SLOT)
+    return keep.reshape(-1, _SLOT)
 
 
 def _digits(v, out):
     # The decimal digits of each nonnegative int64 of v, below 10**(4 w),
     # right-aligned with leading zeros as text in the w uint32 words of
     # out, four per word.
-    quads = _text_tables()[0]
+    quads = _quads()
     for j in range(out.shape[1] - 1, 0, -1):
         q = v // 10000
         out[:, j] = quads[v - q * 10000]
@@ -1109,7 +1114,7 @@ def csv_text(columns):
                 picked = slice(picked[0], picked[-1] + 1)
             slots[:, picked] = own
             bounds[:, picked] = own_bounds
-    keep = _text_tables()[1].take(bounds, axis=0)
+    keep = _kept_places().take(bounds, axis=0)
     keep[:, -1, _SEP + 1] = True
     slots[:, :, _SEP] = ord(",")
     slots[:, -1, _SEP : _SEP + 2] = (ord("\r"), ord("\n"))

@@ -660,6 +660,11 @@ def test_csv_text_is_repr(a):
     assert rows == list(map(repr, a.tolist()))
 
 
+def test_csv_text_takes_int64_and_float64_only():
+    with pytest.raises(TypeError, match="int64 or float64"):
+        _k.csv_text([np.arange(3), np.ones(3, dtype=np.float32)])
+
+
 _finite_floats = st.one_of(st.sampled_from([f for f in _EDGE_FLOATS if math.isfinite(f)]),
                            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
 
