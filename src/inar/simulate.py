@@ -296,8 +296,8 @@ def _sample_row(_: int, row: list[str]) -> list[float]:
 
 def write_samples_csv(file, labels: list[str], rep_ids, samples) -> None:
     """Write the ``samples.csv`` of ``inar mc``: header ``rep,<label>,...``,
-    then one row per replication, its id from ``rep_ids`` and its row of
-    the (rows, labels) ``samples``."""
+    then one row per replication, its id from the int64 array ``rep_ids``
+    and its row of the (rows, labels) float64 array ``samples``."""
     _write_csv(file, ["rep", *labels], [rep_ids, *samples.T])
 
 
