@@ -962,7 +962,9 @@ def _quads():
     # The text of 0000..9999, four digits per uint32 word in memory order.
     t = np.arange(10000)
     text = np.stack([t // 1000, t // 100 % 10, t // 10 % 10, t % 10], axis=1) + _DIGIT
-    return text.astype(np.uint8).view(np.uint32).ravel()
+    quads = text.astype(np.uint8).view(np.uint32).ravel()
+    quads.flags.writeable = False  # shared by every call
+    return quads
 
 
 @functools.cache
@@ -973,6 +975,7 @@ def _kept_places():
     bound = np.arange(_SEP + 1)
     keep = (place >= bound[:, None, None]) & (place < bound[None, :, None])
     keep[:, :, _SEP] = True
+    keep.flags.writeable = False  # shared by every call
     return keep.reshape(-1, _SLOT)
 
 
